@@ -23,6 +23,7 @@ from .cone import (
     check_diagonal_dominance,
     compute_bd,
     enumerate_sign_patterns,
+    growth_lower_bound,
     membership_equal_offdiag,
     psi,
     psi_over_patterns,
@@ -101,6 +102,7 @@ __all__ = [
     "certify_general",
     "sample_membership_general",
     "compute_bd",
+    "growth_lower_bound",
     "b3_radical",
     "b3_quartic_root",
     "OracleResult",

@@ -316,8 +316,6 @@ def witness_cmd(nx, ny, growth_n, extra, json_path):
             x, y, q = w
             doc = {"exists": True, "x": list(x), "y": list(y), "q": q}
         else:
-            if extra is None:
-                extra = False
             x, y = witness_vectors(growth_n, extra_component=extra)
             q = float(quotient_q(x, y).value)
             doc = {"x": x, "y": y, "q": q, "n": growth_n, "extra": bool(extra)}

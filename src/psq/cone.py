@@ -52,6 +52,7 @@ __all__ = [
     "certify_general",
     "sample_membership_general",
     "compute_bd",
+    "growth_lower_bound",
     "b3_radical",
     "b3_quartic_root",
 ]
@@ -194,10 +195,10 @@ class GeneralReport:
 class BdReport:
     """The threshold b_d with its companion estimates.
 
-    lower_bound   = 1 / (1 + c* floor(d/2)), the published growth-bound
-    estimate; a true lower bound for even d and for d <= 6, but for odd
-    d >= 7 the balanced supremum can exceed c* floor(d/2) and only the
-    ceil form 1 / (1 + c* ceil(d/2)) is valid.
+    lower_bound   = growth_lower_bound(d): 1 / (1 + c* floor(d/2)) for
+    even d and for d <= 6, 1 / (1 + c* ceil(d/2)) for odd d >= 7, where
+    the balanced supremum can exceed c* floor(d/2); a lower bound of
+    b_d for every d.
     witness_upper = 1 / (1 + Q(x, y)) for the near-optimal growth pair
     on the balanced split; present only when that quotient is positive
     (which needs ceil(d/2) >= 10).
@@ -368,6 +369,19 @@ def _balanced_split(d: int) -> Tuple[int, int]:
     return (d - d // 2, d // 2)
 
 
+def growth_lower_bound(d: int) -> float:
+    """Lower bound on b_d from the linear growth bound sup Q < c* n.
+
+    The balanced split has max(n_x, n_y) = ceil(d/2), so
+    1 / (1 + c* ceil(d/2)) <= b_d always.  The sharper published form
+    1 / (1 + c* floor(d/2)) coincides with it for even d, and for odd
+    d <= 6 it still holds (sup Q = 0.0391 < c* for d = 3, and
+    0.1079 < 2 c* for d = 5); for odd d >= 7 it exceeds b_d.
+    """
+    half = d // 2 if d % 2 == 0 or d <= 6 else d - d // 2
+    return 1.0 / (1.0 + C_STAR * half)
+
+
 def _bd_from_sup(d: int, tol: float):
     n_x, n_y = _balanced_split(d)
     res = sup_q(n_x, n_y, tol=tol)
@@ -390,7 +404,7 @@ def compute_bd(d: int, tol: float = 1e-9) -> BdReport:
     bd, res = _bd_from_sup(d, tol)
     n_x, n_y = res.n_x, res.n_y
 
-    lower = 1.0 / (1.0 + C_STAR * (d // 2))
+    lower = growth_lower_bound(d)
     asym = 2.0 / (C_STAR * d)
 
     witness_upper = None

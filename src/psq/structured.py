@@ -23,6 +23,13 @@ whose unique positive critical point is
     c*     = (7*sqrt(7) - 17) / 27  ~ 0.0563  (the value f(p*, gamma*))
 
 c* governs the sharp linear growth sup Q < c* * n.
+
+Homogeneity, g_{i,m}(gamma) = m * f(i/m, gamma), makes sup_q closed
+form: the best gamma of a configuration is the single root in (0, 1)
+of a quartic, and max_gamma f(p, gamma) is unimodal in p with its peak
+at p*, so each side needs only the block counts floor(p* m) and
+ceil(p* m).  The cost is O(1) in the dimensions; sup_q's docstring
+holds the proofs.
 """
 
 from __future__ import annotations
@@ -30,8 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
-
-import numpy as np
 
 from .power_sums import quotient_q
 
@@ -62,12 +67,6 @@ GAMMA_STAR = (SQRT7 - 2.0) / 3.0
 # dyadic rationals, so the float representation is exact.
 X_CHECK = (1.5, 2.0 ** -24, 2.0 ** -23, 2.0 ** -21, 2.0 ** -13, 2.0 ** -12, 0.75)
 Y_CHECK = (1.0, 2.0 ** -8, 2.0 ** -6, 2.0 ** -4, 0.5, 1.0)
-
-_GRID_POINTS = 256
-_GAMMA_LO = 1e-6
-_GAMMA_HI = 1.0 - 1e-6
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -145,61 +144,33 @@ def reduced_objective(p: float, gamma: float) -> float:
     return (p - gamma) * (gamma * gamma - p) / (p + gamma ** 3)
 
 
-def _reduced_gradient(p: float, gamma: float):
+def _reduced_value_dp(p: float, gamma: float):
+    """f(p, gamma) and df/dp."""
     s1 = p - gamma
     s2 = gamma * gamma - p
     s3 = p + gamma ** 3
     f = s1 * s2 / s3
-    fp = (s2 - s1 - f) / s3
-    fg = (2.0 * gamma * s1 - s2 - 3.0 * gamma * gamma * f) / s3
-    return f, fp, fg
+    return f, (s2 - s1 - f) / s3
 
 
 def solve_reduced(tol: float = 1e-9, verify: bool = True):
     """Closed-form maximizer (p*, gamma*, c*) of the reduced objective.
 
-    With verify=True (default) an internal two-stage numeric
-    maximization over (0,1)^2 (dense grid, then Newton on the analytic
-    gradient) must reproduce the point and value within tol, else
-    RuntimeError.
+    With verify=True (default) the point is re-derived through the
+    root route of sup_q: the root gamma of h(p*, .) must equal gamma*
+    (that is, p(gamma*) = p*), f there must equal c*, and df/dp must
+    vanish there (the envelope condition F'(p*) = 0), each within tol,
+    else RuntimeError.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
     if verify:
-        grid = np.linspace(0.005, 0.995, 199)
-        best = (-np.inf, 0.1, 0.2)
-        for p in grid:
-            s1 = p - grid
-            s2 = grid * grid - p
-            s3 = p + grid ** 3
-            vals = s1 * s2 / s3
-            j = int(np.argmax(vals))
-            if vals[j] > best[0]:
-                best = (float(vals[j]), float(p), float(grid[j]))
-        _, p, g = best
-        h = 1e-6
-        for _ in range(60):
-            f, fp, fg = _reduced_gradient(p, g)
-            fpp = (_reduced_gradient(p + h, g)[1] - _reduced_gradient(p - h, g)[1]) / (2 * h)
-            fpg = (_reduced_gradient(p, g + h)[1] - _reduced_gradient(p, g - h)[1]) / (2 * h)
-            fgg = (_reduced_gradient(p, g + h)[2] - _reduced_gradient(p, g - h)[2]) / (2 * h)
-            det = fpp * fgg - fpg * fpg
-            if det == 0:
-                break
-            dp = (fp * fgg - fg * fpg) / det
-            dg = (fg * fpp - fp * fpg) / det
-            p, g = p - dp, g - dg
-            if abs(dp) < 1e-15 and abs(dg) < 1e-15:
-                break
-        f_num = reduced_objective(p, g)
-        if (
-            abs(f_num - C_STAR) > tol
-            or abs(p - P_STAR) > tol
-            or abs(g - GAMMA_STAR) > tol
-        ):
+        g = _gamma_root(P_STAR, 1.0)
+        f, fp = _reduced_value_dp(P_STAR, g)
+        if abs(g - GAMMA_STAR) > tol or abs(f - C_STAR) > tol or abs(fp) > tol:
             raise RuntimeError(
-                f"numeric maximization disagrees with closed form: "
-                f"point ({p!r}, {g!r}), value {f_num!r}"
+                f"root route disagrees with closed form: gamma {g!r}, "
+                f"value {f!r}, df/dp {fp!r}"
             )
     return P_STAR, GAMMA_STAR, C_STAR
 
@@ -208,75 +179,26 @@ def _g_config(i: int, m: int, gamma: float) -> float:
     return (i - m * gamma) * (m * gamma * gamma - i) / (i + m * gamma ** 3)
 
 
-def _g_config_prime(i: int, m: int, gamma: float) -> float:
-    n1 = i - m * gamma
-    n2 = m * gamma * gamma - i
-    num = n1 * n2
-    den = i + m * gamma ** 3
-    dnum = -m * n2 + n1 * 2.0 * m * gamma
-    dden = 3.0 * m * gamma * gamma
-    return (dnum * den - num * dden) / (den * den)
+def _quartic(i: int, m: int, gamma: float) -> float:
+    """m * h(gamma) with p = i/m: m g^4 + 2m g^3 + 3(m - i) g^2 - 2i g - i."""
+    return (((m * gamma + 2 * m) * gamma + 3 * (m - i)) * gamma - 2 * i) * gamma - i
 
 
-def _golden_max(i: int, m: int, a: float, b: float, xtol: float):
-    h = b - a
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    fc = _g_config(i, m, c)
-    fd = _g_config(i, m, d)
-    while h > xtol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _INVPHI2 * h
-            fc = _g_config(i, m, c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = _g_config(i, m, d)
-    x = 0.5 * (a + b)
-    return x, _g_config(i, m, x)
+def _gamma_root(i: int, m: int) -> float:
+    """The root in (0, 1) of h for p = i/m < 1, by Newton from gamma = 1.
 
-
-def _maximize_config(i: int, m: int, xtol: float):
-    """Best gamma in (0, 1) for the (i, m) configuration.
-
-    Log-spaced bracketing grid, golden-section refinement of every grid
-    local maximum, then a short Newton polish on the analytic
-    derivative.  Returns (gamma, value).
+    h is strictly convex on [0, 1] (h'' = 12 g^2 + 12 g + 6(1 - p) > 0)
+    with h(0) = -p < 0 < 6(1 - p) = h(1), so Newton steps from the right
+    decrease monotonically to the root and never overshoot it; iterate
+    until rounding stops the decrease.
     """
-    grid = np.exp(
-        np.linspace(math.log(_GAMMA_LO), math.log(_GAMMA_HI), _GRID_POINTS)
-    )
-    vals = [_g_config(i, m, t) for t in grid]
-    best_x, best_v = _GAMMA_HI, vals[-1]
-    for j in range(_GRID_POINTS):
-        lo = max(j - 1, 0)
-        hi = min(j + 1, _GRID_POINTS - 1)
-        if vals[j] >= vals[lo] and vals[j] >= vals[hi]:
-            x, v = _golden_max(i, m, grid[lo], grid[hi], xtol)
-            a, b = grid[lo], grid[hi]
-            t = x
-            for _ in range(8):
-                d1 = _g_config_prime(i, m, t)
-                h = 1e-6
-                d2 = (_g_config_prime(i, m, t + h) - _g_config_prime(i, m, t - h)) / (2 * h)
-                if d2 == 0:
-                    break
-                step = d1 / d2
-                t2 = t - step
-                if not (a < t2 < b):
-                    break
-                t = t2
-                if abs(step) < 1e-15:
-                    break
-            v2 = _g_config(i, m, t)
-            if v2 > v:
-                x, v = t, v2
-            if v > best_v:
-                best_x, best_v = x, v
-    return best_x, best_v
+    g = 1.0
+    while True:
+        slope = ((4 * m * g + 6 * m) * g + 6 * (m - i)) * g - 2 * i
+        nxt = g - _quartic(i, m, g) / slope
+        if not nxt < g:
+            return g
+        g = nxt
 
 
 def _config_from(i: int, m: int, gamma: float, side: str) -> StructuredConfig:
@@ -292,51 +214,79 @@ def _config_from(i: int, m: int, gamma: float, side: str) -> StructuredConfig:
     )
 
 
-def _derivative_check(i: int, m: int, gamma: float, value: float) -> None:
-    h = 1e-7
-    d = (_g_config(i, m, gamma + h) - _g_config(i, m, gamma - h)) / (2 * h)
-    if abs(d) > 1e-6 * max(1.0, abs(value)):
-        raise RuntimeError(
-            f"stationarity check failed at config (i={i}, m={m}, gamma={gamma!r}): "
-            f"derivative {d!r}"
-        )
-
-
 def sup_q(n_x: int, n_y: int, tol: float = 1e-9) -> SupQResult:
     """Supremum of Q over positive orthants of dimensions (n_x, n_y).
 
-    Tries both side assignments and every unit-block count i from 1 to
-    the block side's length, maximizing g over gamma in (0, 1) for each.
-    The value is >= 0, with equality exactly for (1, 1), where the
+    Closed form, O(1) in the dimensions: per side assignment only the
+    unit-block counts i in {floor(p* m), ceil(p* m)}, clipped to
+    [1, block length], are evaluated, each at the single root gamma of
+    a quartic.  tol is validated but no longer changes the result.  The
+    value is >= 0, with equality exactly for (1, 1), where the
     degenerate x = y limit (gamma -> 1) is reported.  Restricting the
     constant side to full length loses nothing: the best value of the
     (i, m) configuration is nondecreasing in m, and an independent
     multistart oracle confirms agreement for all small dimensions.
+
+    Why two candidates suffice.  By homogeneity g_{i,m}(gamma) =
+    m f(p, gamma) with p = i/m, and three facts about f hold:
+
+    1. One root per configuration.  df/dgamma has the sign of -h(gamma),
+       h(gamma) = gamma^4 + 2 gamma^3 + 3(1 - p) gamma^2 - 2p gamma - p.
+       The coefficients change sign once, so by Descartes' rule h has
+       exactly one positive root; h(0) = -p < 0 and h(1) = 6(1 - p), so
+       the root lies in (0, 1) iff p < 1, and it is the maximizer of
+       f(p, .) there.  For p >= 1, f increases on (0, 1) and the value
+       is the gamma -> 1 limit -(1 - p)^2 / (1 + p) <= 0.  Such
+       configurations are skipped; only (1, 1) has no other kind.
+    2. The root as an explicit curve.  h = 0 is equivalent to
+       p(gamma) = gamma^2 (gamma^2 + 2 gamma + 3) / (3 gamma^2 + 2 gamma + 1),
+       whose derivative has numerator 6 gamma (gamma + 1)^2 (gamma^2 + 1)
+       > 0.  So the root gamma(p) is strictly increasing from 0 to 1
+       as p runs over (0, 1), and h is convex there, so monotone
+       Newton from gamma = 1 finds it (_gamma_root).
+    3. F(p) = max_gamma f(p, gamma) is unimodal with its peak at p*.
+       Along the curve, df/dp = -(1 - gamma)(3 gamma^2 + 4 gamma - 1)
+       / (9 gamma (1 + gamma)(1 + gamma^2)), positive for gamma <
+       gamma* = (sqrt 7 - 2)/3 (the root of 3 gamma^2 + 4 gamma - 1)
+       and negative for gamma* < gamma < 1.  By the envelope theorem
+       F'(p) = df/dp at (p, gamma(p)), and gamma(p) is increasing, so F
+       increases for p < p* = p(gamma*) and decreases after it.  Hence
+       m F(i/m) over integers i is largest at floor(p* m) or ceil(p* m),
+       or at the block length when that is smaller.
+
+    Ties resolve to x_is_block, then to the smaller i.  The winner must
+    satisfy |h(gamma)| <= 1e-12 p, else RuntimeError.
     """
     if not (isinstance(n_x, int) and isinstance(n_y, int)) or n_x < 1 or n_y < 1:
         raise ValueError(f"dimensions must be integers >= 1, got ({n_x!r}, {n_y!r})")
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    xtol = max(min(tol, 1e-12), 1e-15)
 
     best: Optional[StructuredConfig] = None
     for side, (block_len, m) in (
         ("x_is_block", (n_x, n_y)),
         ("y_is_block", (n_y, n_x)),
     ):
-        for i in range(1, block_len + 1):
-            gamma, value = _maximize_config(i, m, xtol)
+        k = int(P_STAR * m)
+        for i in sorted({min(max(k, 1), block_len), min(k + 1, block_len)}):
+            if i >= m:
+                continue
+            gamma = _gamma_root(i, m)
+            value = _g_config(i, m, gamma)
             if best is None or value > best.q_value:
                 best = _config_from(i, m, gamma, side)
 
-    if best is None or best.q_value <= 0.0:
-        # Degenerate: no positive configuration; sup 0 is the x = y limit.
-        i = min(n_x, n_y)
-        side = "x_is_block" if n_y <= n_x else "y_is_block"
-        best = _config_from(i, i, 1.0, side)
+    if best is None:
+        # Only (1, 1): no configuration has p < 1; sup 0 is the x = y limit.
+        best = _config_from(1, 1, 1.0, "x_is_block")
         sup_value = 0.0
     else:
-        _derivative_check(best.i, best.m, best.gamma, best.q_value)
+        residual = _quartic(best.i, best.m, best.gamma)
+        if abs(residual) > 1e-12 * best.i:
+            raise RuntimeError(
+                f"root check failed at config (i={best.i}, m={best.m}, "
+                f"gamma={best.gamma!r}): m*h(gamma) = {residual!r}"
+            )
         sup_value = best.q_value
 
     bracket = None

@@ -4,7 +4,8 @@ Cell values are truncated (not rounded) at three decimals, so each
 printed cell is a certified lower bound of the underlying quantity.
 Table 1 covers small dimensions with the exact threshold; table 2
 covers large dimensions, where the threshold is bracketed between the
-linear-growth lower bound 1/(1 + c* floor(d/2)) and a concrete witness
+linear-growth lower bound 1/(1 + c* floor(d/2)) (ceil(d/2) for odd
+d >= 7, see growth_lower_bound) and a concrete witness
 upper bound, with 2/(c* d) as the asymptotic scale.
 """
 
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
-from .cone import compute_bd
+from .cone import compute_bd, growth_lower_bound
 from .power_sums import quotient_q
 from .structured import C_STAR, witness_vectors
 
@@ -89,7 +90,7 @@ def _table2_row(d: int) -> Table2Row:
     q = float(quotient_q(xg, yg).value)
     if q <= 0.0:
         raise RuntimeError(f"growth-witness quotient is not positive for d={d}")
-    lower = 1.0 / (1.0 + C_STAR * half)
+    lower = growth_lower_bound(d)
     upper = 1.0 / (1.0 + q)
     asym = 2.0 / (C_STAR * d)
     return Table2Row(

@@ -62,8 +62,8 @@ def trunc3(x):
 
 
 def test_criterion_1_constants():
-    # Closed-form constants agree with an independent 2-D maximization
-    # of the reduced objective to 1e-9 (solve_reduced raises otherwise).
+    # Closed-form constants agree with the root route of the reduced
+    # objective to 1e-9 (solve_reduced raises otherwise).
     with budget("criterion 1 (constants)", 1.0):
         p, g, c = solve_reduced(tol=1e-9, verify=True)
         assert c == pytest.approx((7.0 * math.sqrt(7.0) - 17.0) / 27.0, abs=1e-15)

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psq.power_sums import quotient_q
 from psq.structured import (
+    _g_config,
+    _gamma_root,
     C_STAR,
     CONSTANTS,
     GAMMA_STAR,
@@ -31,6 +35,25 @@ FROZEN_SUP = {
     (6, 5): 0.31985989777933355,
     (6, 6): 0.31985989777933355,
 }
+
+
+
+def _scan_sup(n_x, n_y):
+    """Reference for sup_q: every block count on both sides at its root.
+
+    Returns (value, side, i) of the first best configuration in sup_q's
+    tie order, or None when no configuration has i < m (only (1, 1)).
+    """
+    best = None
+    for side, (block_len, m) in (
+        ("x_is_block", (n_x, n_y)),
+        ("y_is_block", (n_y, n_x)),
+    ):
+        for i in range(1, min(block_len, m - 1) + 1):
+            value = _g_config(i, m, _gamma_root(i, m))
+            if best is None or value > best[0]:
+                best = (value, side, i)
+    return best
 
 
 class TestConstants:
@@ -177,6 +200,45 @@ class TestSupQ:
                 sup_q(*bad)
         with pytest.raises(ValueError):
             sup_q(2, 2, tol=0.0)
+
+
+class TestClosedFormSupQ:
+    def _agrees_with_scan(self, n_x, n_y):
+        res = sup_q(n_x, n_y)
+        want = _scan_sup(n_x, n_y)
+        if want is None:
+            assert (n_x, n_y) == (1, 1) and res.sup_value == 0.0
+            return
+        value, side, i = want
+        assert abs(res.sup_value - value) <= 1e-12 * max(1.0, value)
+        c = res.maximizing_config
+        assert (c.side, c.i) == (side, i)
+
+    def test_matches_full_scan_small(self):
+        for n_x in range(1, 65):
+            for n_y in range(1, 65):
+                self._agrees_with_scan(n_x, n_y)
+
+    def test_matches_full_scan_seeded(self):
+        rng = random.Random(20240601)
+        for _ in range(40):
+            self._agrees_with_scan(rng.randint(1, 2000), rng.randint(1, 2000))
+        self._agrees_with_scan(2000, 2000)
+        self._agrees_with_scan(1, 2000)
+
+    def test_root_lies_on_curve(self):
+        for i, m in ((1, 2), (1, 3), (3, 4), (51, 500), (1, 10**6), (999, 1000)):
+            g = _gamma_root(i, m)
+            assert 0.0 < g < 1.0
+            p = g * g * (g * g + 2.0 * g + 3.0) / (3.0 * g * g + 2.0 * g + 1.0)
+            assert p == pytest.approx(i / m, rel=1e-13)
+
+    def test_large_n_approaches_c_star(self):
+        ratio = sup_q(10**6, 10**6).sup_value / 10**6
+        assert C_STAR * (1.0 - 1e-9) <= ratio <= C_STAR
+
+    def test_tol_does_not_change_result(self):
+        assert sup_q(7, 5, tol=1e-3) == sup_q(7, 5)
 
 
 class TestWitnessVectors:
