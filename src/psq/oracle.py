@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
+from scipy.optimize import minimize
 
 __all__ = ["OracleResult", "brute_force_sup", "check_structured_shape"]
 
@@ -120,9 +121,6 @@ def brute_force_sup(
         raise ValueError("n_jobs must be >= 0 (0 means all cores)")
     if n_jobs == 0:
         n_jobs = os.cpu_count() or 1
-    # Imported here, not at module level, so that `import psq` does not
-    # load scipy.optimize, which nothing else in psq uses.
-    from scipy.optimize import minimize
 
     starts = _structured_starts(n_x, n_y)
     rng = np.random.default_rng(seed)

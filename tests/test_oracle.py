@@ -1,11 +1,5 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-import psq
 from psq.oracle import OracleResult, brute_force_sup, check_structured_shape
 from psq.power_sums import quotient_q
 from psq.structured import C_STAR, sup_q
@@ -76,19 +70,3 @@ class TestStructuredShape:
         res = brute_force_sup(1, 1, n_starts=10, seed=0)
         with pytest.raises(ValueError):
             check_structured_shape(res)
-
-
-@pytest.mark.parametrize("module", ["psq", "psq.cli"])
-def test_import_leaves_scipy_optimize_unloaded(module):
-    # The oracle imports scipy.optimize only when brute_force_sup runs.
-    src = str(Path(psq.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = f"import sys, {module}; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "False"
