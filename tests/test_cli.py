@@ -34,6 +34,11 @@ class TestEvalQ:
         assert runner.invoke(main, ["eval-q", "-x", "a", "-y", "1"]).exit_code == 2
         assert runner.invoke(main, ["eval-q", "-x", "1/0", "-y", "1"]).exit_code == 2
 
+    def test_float_overflow_exit_code(self, runner):
+        out = runner.invoke(main, ["eval-q", "-x", "1e200", "-y", "1"])
+        assert out.exit_code == 2
+        assert "x: power sums overflow float64" in out.output
+
     def test_json_file(self, runner, tmp_path):
         path = tmp_path / "q.json"
         out = runner.invoke(main, ["eval-q", "-x", "1", "-y", "2", "--json", str(path)])
