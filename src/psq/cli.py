@@ -81,6 +81,14 @@ def _parse_entries(tokens):
     return out
 
 
+def _float_or_none(v):
+    """float(v), or None when an exact value lies beyond float range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return None
+
+
 @click.group()
 @click.option(
     "--threads",
@@ -104,7 +112,8 @@ def eval_q(x_tokens, y_tokens, json_path):
     """Evaluate Q(x, y) = (M1(x) - M1(y)) (M2(y) - M2(x)) / (M3(x) + M3(y)).
 
     When every entry is an integer or a fraction the quotient is
-    computed exactly and reported alongside the float value.
+    computed exactly and reported alongside the float value; a float
+    field whose exact value lies beyond float range is null.
     """
     x = _parse_entries(x_tokens)
     y = _parse_entries(y_tokens)
@@ -115,13 +124,8 @@ def eval_q(x_tokens, y_tokens, json_path):
     exact = None
     if isinstance(res.value, Fraction):
         exact = f"{res.value.numerator}/{res.value.denominator}"
-    doc = {
-        "value": float(res.value),
-        "s1": float(res.s1),
-        "s2": float(res.s2),
-        "s3": float(res.s3),
-        "exact": exact,
-    }
+    doc = {k: _float_or_none(getattr(res, k)) for k in ("value", "s1", "s2", "s3")}
+    doc["exact"] = exact
     _emit(doc, json_path)
 
 
@@ -243,8 +247,9 @@ def certify_cmd(d, b, matrix_path, tol, samples, seed, json_path):
     Equal-off-diagonal matrices (via --d/--b or a {"d","b"} file) are
     decided exactly against the threshold b_d, with an explicit witness
     on the nonmember side.  General matrices get the sufficient
-    diagonal-dominance certificate, then a randomized violation search
-    that can only certify non-membership.
+    diagonal-dominance and perturbation certificates (the latter with b
+    and the slack under "diagnostics"), then a randomized violation
+    search that can only certify non-membership.
 
     Exit code: 0 member, 1 nonmember, 3 inconclusive.
     """

@@ -16,13 +16,14 @@ block y,
 
     Psi_{M_d(b)}(z, s) = (M_3(x) + M_3(y)) * (1 - b * (1 + Q(x, y))),
 
-so M_d(b) is in the cone exactly for b <= b_d = 1 / (1 + S_d), where
-S_d is the supremum of Q over the balanced split
+so M_d(b) passes the balanced pattern exactly for b <= b_d = 1 / (1 + S_d),
+where S_d is the supremum of Q over the balanced split
 (ceil(d/2), floor(d/2)).  b_2 = 1 and b_3 = b_4 have the closed form
-(sqrt((3/5)(39 + 16 sqrt(6))) - 3) / 4.
+(sqrt((3/5)(39 + 16 sqrt(6))) - 3) / 4.  Over every pattern the
+threshold is all_split_threshold(d), below b_d for d >= 4.
 
-General matrices have no computable exact criterion here; they get a
-sufficient diagonal-dominance certificate and a randomized search for
+General matrices get two sufficient certificates, diagonal dominance
+and a perturbation bound around M_d(b), then a randomized search for
 violating pairs (z, s) that can only ever certify non-membership.
 """
 
@@ -48,6 +49,7 @@ __all__ = [
     "enumerate_sign_patterns",
     "reduced_sign_pattern",
     "check_diagonal_dominance",
+    "all_split_threshold",
     "membership_equal_offdiag",
     "certify_general",
     "sample_membership_general",
@@ -168,9 +170,10 @@ class MembershipReport:
 class GeneralReport:
     """Verdict for an explicit matrix: sufficient certificate or search.
 
-    method is "diagonal_dominance" when the certificate fired,
-    otherwise "sampling"; sampling never certifies membership, so its
-    verdicts are nonmember or inconclusive.
+    method is "diagonal_dominance" or "perturbation" when that
+    certificate fired, otherwise "sampling"; sampling never certifies
+    membership, so its verdicts are nonmember or inconclusive.  Only
+    "perturbation" sets diagnostics: {"b", "slack", "threshold"}.
     """
 
     d: int
@@ -179,6 +182,7 @@ class GeneralReport:
     n_evaluated: int
     seed: Optional[int] = None
     witness: Optional[PsiWitness] = None
+    diagnostics: Optional[dict] = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -188,6 +192,7 @@ class GeneralReport:
             "n_evaluated": self.n_evaluated,
             "seed": self.seed,
             "witness": self.witness.to_json_dict() if self.witness else None,
+            "diagnostics": self.diagnostics,
         }
 
 
@@ -380,6 +385,21 @@ def growth_lower_bound(d: int) -> float:
     """
     half = d // 2 if d % 2 == 0 or d <= 6 else d - d // 2
     return 1.0 / (1.0 + C_STAR * half)
+
+
+def all_split_threshold(d: int) -> float:
+    """t_d = 1 / (1 + max(0, max_{1 <= a <= d/2} sup_q(a, d - a))).
+
+    M_d(b) is in the cone exactly for 0 <= b <= t_d: Q is symmetric, so
+    these splits cover every pattern with both signs, and a one-sign
+    pattern gives Psi = (1 - b) M3 + b M1 M2 >= 0.  Equal to b_d for
+    d <= 3, below it for d >= 4, where the (1, d - 1) split beats the
+    balanced one.  O(d), as sup_q is O(1).
+    """
+    if not isinstance(d, int) or d < 1:
+        raise ValueError(f"d must be an integer >= 1, got {d!r}")
+    sup = max((sup_q(a, d - a).sup_value for a in range(1, d // 2 + 1)), default=0.0)
+    return 1.0 / (1.0 + max(0.0, sup))
 
 
 def _bd_from_sup(d: int, tol: float):
@@ -581,19 +601,58 @@ def certify_general(
     seed: int = 0,
     cap: int = 24,
 ) -> GeneralReport:
-    """Two-stage check for an explicit matrix.
+    """Three-stage check for an explicit matrix.
 
-    First the diagonal-dominance certificate (sufficient, so a hit is
-    member_certified); otherwise fall through to the randomized
+    Diagonal dominance, then the perturbation certificate (both
+    sufficient, so a hit is member_certified), then the randomized
     violation search.
+
+    Perturbation certificate.  Let t = all_split_threshold(d), b >= 0
+    and E = M - M_d(b).  Every pattern splits z into blocks with
+    1 + Q <= 1/t, so Psi_{M_d(b)}(z, s) = M3(z) (1 - b (1 + Q)) >=
+    M3(z) (1 - b/t).  Weighted AM-GM, z_l z_k^2 <= (z_l^3 + 2 z_k^3)/3,
+    bounds each off-diagonal term of Psi_E; collecting z_l^3 gives
+    Psi_M(z, s) >= sum_l z_l^3 slack_l(b) with
+
+        slack_l(b) = m_ll - b/t - sum_{k != l} (|m_lk - b| + 2 |m_kl - b|) / 3.
+
+    min_l slack_l(b) is concave and piecewise linear in b; its maximum
+    may lie where two rows cross, and beyond max(t, max_{k != l} m_lk)
+    every slope is negative, so bisecting on the slope of the minimizing
+    row finds it.  M is certified when the best slack exceeds 1e-9
+    max(1, d max|m_ij|), far above the float error of t and the sums.
     """
     m = _as_matrix(matrix)
+    d = m.shape[0]
     if check_diagonal_dominance(m):
-        return GeneralReport(
-            d=m.shape[0],
-            verdict="member_certified",
-            method="diagonal_dominance",
-            n_evaluated=0,
-            seed=None,
-        )
+        return GeneralReport(d, "member_certified", "diagonal_dominance", 0)
+    b, slack, t = _best_perturbation_slack(m)
+    if slack > 1e-9 * max(1.0, d * float(np.abs(m).max())):
+        return GeneralReport(d, "member_certified", "perturbation", 0, diagnostics={"b": b, "slack": slack, "threshold": t})
     return sample_membership_general(m, n_samples=n_samples, seed=seed, cap=cap)
+
+
+def _best_perturbation_slack(m: np.ndarray) -> Tuple[float, float, float]:
+    """(b, min_l slack_l(b), t) at the best b; see certify_general."""
+    d = m.shape[0]
+    t = all_split_threshold(d)
+    diag = np.diag(m)
+
+    def min_slack(b):
+        a = np.abs(m - b)
+        np.fill_diagonal(a, 0.0)
+        rows = diag - b / t - (a.sum(axis=1) + 2.0 * a.sum(axis=0)) / 3.0
+        l = int(rows.argmin())
+        # Right slope of slack_l: d|m - b|/db = +1 where m <= b, else -1.
+        up = (m[l] <= b).sum() + 2 * (m[:, l] <= b).sum() - 3 * (diag[l] <= b)
+        return float(rows[l]), -1.0 / t - (2 * up - 3 * (d - 1)) / 3.0
+
+    lo, hi = 0.0, float(m[~np.eye(d, dtype=bool)].max(initial=t))
+    best_b, (best, _) = lo, min_slack(lo)
+    for _ in range(45):  # hi / 2^45 < 3e-14 hi
+        mid = 0.5 * (lo + hi)
+        val, slope = min_slack(mid)
+        if val > best:
+            best_b, best = mid, val
+        lo, hi = (mid, hi) if slope > 0.0 else (lo, mid)
+    return best_b, best, t

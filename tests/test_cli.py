@@ -39,6 +39,15 @@ class TestEvalQ:
         assert out.exit_code == 2
         assert "x: power sums overflow float64" in out.output
 
+    def test_exact_entries_beyond_float_range(self, runner):
+        out = runner.invoke(main, ["eval-q", "-x", "1" + "0" * 400, "-y", "1"])
+        assert out.exit_code == 0
+        doc = json.loads(out.output)
+        assert doc["s1"] is None and doc["s2"] is None and doc["s3"] is None
+        assert doc["value"] == pytest.approx(-1.0)
+        num, den = (int(p) for p in doc["exact"].split("/"))
+        assert num == -(10 ** 800 - 2 * 10 ** 400 + 1) and den == 10 ** 800 - 10 ** 400 + 1
+
     def test_json_file(self, runner, tmp_path):
         path = tmp_path / "q.json"
         out = runner.invoke(main, ["eval-q", "-x", "1", "-y", "2", "--json", str(path)])
@@ -135,6 +144,17 @@ class TestCertify:
         out = runner.invoke(main, ["certify", "--matrix", str(path)])
         assert out.exit_code == 0
         assert json.loads(out.output)["method"] == "diagonal_dominance"
+        assert json.loads(out.output)["diagnostics"] is None
+
+    def test_matrix_file_general_perturbation(self, runner, tmp_path):
+        path = tmp_path / "m.json"
+        entries = [[1.0 if i == j else 0.3 for j in range(16)] for i in range(16)]
+        path.write_text(json.dumps({"d": 16, "entries": entries}))
+        out = runner.invoke(main, ["certify", "--matrix", str(path)])
+        assert out.exit_code == 0
+        doc = json.loads(out.output)
+        assert doc["method"] == "perturbation" and doc["verdict"] == "member_certified"
+        assert doc["diagnostics"]["slack"] > 0.45
 
     def test_usage_errors(self, runner, tmp_path):
         assert runner.invoke(main, ["certify"]).exit_code == 2

@@ -1,10 +1,16 @@
+import itertools
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psq.cone import (
     MatrixSpec,
+    all_split_threshold,
     b3_quartic_root,
     b3_radical,
     certify_general,
@@ -18,7 +24,7 @@ from psq.cone import (
     sample_membership_general,
 )
 from psq.power_sums import quotient_q
-from psq.structured import C_STAR
+from psq.structured import C_STAR, sup_q
 
 # Thresholds frozen from an independent run of the structured maximizer.
 FROZEN_BD = {
@@ -329,3 +335,108 @@ class TestCertifyGeneral:
         rep = certify_general(m, n_samples=50, seed=0)
         assert rep.method == "sampling" and rep.verdict == "nonmember"
         json.dumps(rep.to_json_dict())
+
+    def test_one_by_one(self):
+        assert certify_general(np.array([[2.0]])).method == "diagonal_dominance"
+        assert certify_general(np.array([[-1.0]])).verdict == "inconclusive"
+
+
+def _exact_min_psi(entries, z):
+    """Sign of min over all sign patterns of the exact Psi_M(z, s).
+
+    Every term m_lk z_l z_k^2 is a dyadic rational, so all of them are
+    integers over one common denominator and each pattern is an exact
+    integer sum; the returned integer has the sign of the minimum.
+    """
+    d = len(entries)
+    zf = [Fraction(v) for v in z]
+    terms = {(l, k): Fraction(entries[l][k]) * zf[l] * zf[k] ** 2 for l in range(d) for k in range(d)}
+    den = math.lcm(*(t.denominator for t in terms.values()))
+    n = {key: t.numerator * (den // t.denominator) for key, t in terms.items()}
+    diag = sum(n[l, l] for l in range(d))
+    pairs = [(l, k, n[l, k] + n[k, l]) for l in range(d) for k in range(l + 1, d)]
+    return min(
+        diag + sum(p if s[l] == s[k] else -p for l, k, p in pairs)
+        for s in ((-1,) + tail for tail in itertools.product((-1, 1), repeat=d - 1))
+    )
+
+
+def _exact_one_minus_psi(entries, gamma):
+    """Exact Psi_M at z = (1, g, ..., g), s = (-1, +1, ..., +1)."""
+    d = len(entries)
+    m = [[Fraction(v) for v in row] for row in entries]
+    rest = range(1, d)
+    row0 = sum(m[0][k] for k in rest)
+    col0 = sum(m[l][0] for l in rest)
+    inner = sum(m[l][k] for l in rest for k in rest)
+    return m[0][0] - gamma * col0 - gamma ** 2 * row0 + gamma ** 3 * inner
+
+
+class TestPerturbationCertificate:
+    def test_all_split_threshold_against_bd(self):
+        for d in range(2, 201):
+            t, bd = all_split_threshold(d), compute_bd(d).b_d
+            if d <= 3:
+                assert t == bd
+            else:
+                assert t < bd
+        # Every split's own threshold is at least t, and one attains it.
+        for d in (4, 7, 16, 33):
+            per_split = [1.0 / (1.0 + max(0.0, sup_q(a, d - a).sup_value)) for a in range(1, d)]
+            assert min(per_split) == all_split_threshold(d)
+        assert all_split_threshold(4) == pytest.approx(0.9026013310604213, abs=1e-15)
+        assert all_split_threshold(16) == pytest.approx(0.5499648909721311, abs=1e-15)
+
+    def test_m16_is_certified(self):
+        rep = certify_general(MatrixSpec.equal_off_diagonal(16, 0.3).dense())
+        assert rep.verdict == "member_certified" and rep.method == "perturbation"
+        diag = rep.diagnostics
+        assert diag["threshold"] == all_split_threshold(16)
+        assert diag["b"] == pytest.approx(0.3, abs=1e-9)
+        assert diag["slack"] == pytest.approx(1.0 - 0.3 / diag["threshold"], abs=1e-9)
+        assert json.loads(json.dumps(rep.to_json_dict()))["diagnostics"] == diag
+
+    def test_threshold_is_tight(self):
+        for d in range(3, 25):
+            t = all_split_threshold(d)
+            above = MatrixSpec.equal_off_diagonal(d, t * (1 + 1e-6)).dense()
+            assert certify_general(above, n_samples=0, cap=2).verdict != "member_certified", d
+            below = MatrixSpec.equal_off_diagonal(d, t * (1 - 1e-6)).dense()
+            assert certify_general(below, n_samples=0, cap=2).method == "perturbation", d
+
+    def test_slack_maximized_where_rows_cross(self):
+        # Entries 0.3 in row and column 0, else 0: slack_0(b) = 0.4 + 2b
+        # - b/t and slack_1(b) = slack_2(b) = 0.7 - b/t on [0, 0.3], so
+        # the best b is their crossing 0.15, not a breakpoint (0 or 0.3).
+        m = MatrixSpec.equal_off_diagonal(3, 0.0).dense()
+        m[0, 1:] = m[1:, 0] = 0.3
+        rep = certify_general(m, n_samples=0, cap=2)
+        assert rep.method == "perturbation"
+        t = all_split_threshold(3)
+        assert rep.diagnostics["b"] == pytest.approx(0.15, abs=1e-9)
+        assert rep.diagnostics["slack"] == pytest.approx(0.7 - 0.15 / t, abs=1e-9)
+        assert rep.diagnostics["slack"] > max(0.4, 0.7 - 0.3 / t) + 0.1
+
+    @given(
+        d=st.integers(3, 10),
+        frac=st.floats(0.0, 1.0),
+        noise=st.floats(0.0, 0.05),
+        bump_col=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+        bump_row=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_certified_perturbations_are_members(self, d, frac, noise, bump_col, bump_row, seed):
+        rng = np.random.default_rng(seed)
+        b = frac * compute_bd(d).b_d
+        m = MatrixSpec.equal_off_diagonal(d, b).dense() + rng.normal(0.0, noise, (d, d))
+        m[1:, 0] += bump_col
+        m[0, 1:] += bump_row
+        if certify_general(m, n_samples=0, cap=2).verdict != "member_certified":
+            return
+        entries = m.tolist()
+        for _ in range(3):
+            z = (10.0 ** rng.uniform(-1.5, 1.5, d)).tolist()
+            assert _exact_min_psi(entries, z) >= 0
+        for k in range(1, 50):
+            assert _exact_one_minus_psi(entries, Fraction(k, 50)) >= 0

@@ -1,6 +1,9 @@
+import math
+
+import numpy as np
 import pytest
 
-from psq.oracle import OracleResult, brute_force_sup, check_structured_shape
+from psq.oracle import OracleResult, _neg_q_and_grad, brute_force_sup, check_structured_shape
 from psq.power_sums import quotient_q
 from psq.structured import C_STAR, sup_q
 
@@ -45,6 +48,43 @@ class TestBruteForce:
             brute_force_sup(2, 2, n_starts=0)
         with pytest.raises(ValueError):
             brute_force_sup(2, 2, n_jobs=-1)
+
+
+def _numpy_neg_q_and_grad(w, n_x):
+    """Reference objective: the same formulas as numpy array operations."""
+    x = np.exp(w[:n_x])
+    y = np.exp(w[n_x:])
+    s1 = x.sum() - y.sum()
+    s2 = (y * y).sum() - (x * x).sum()
+    s3 = (x ** 3).sum() + (y ** 3).sum()
+    q = s1 * s2 / s3
+    gx = x * ((s2 - 2.0 * x * s1 - 3.0 * x * x * q) / s3)
+    gy = y * ((-s2 + 2.0 * y * s1 - 3.0 * y * y * q) / s3)
+    return -q, -np.concatenate([gx, gy])
+
+
+class TestObjective:
+    def test_matches_numpy_reference(self):
+        # Errors are measured against the size of the summed terms, the
+        # scale at which rounding acts: where s1 or s2 nearly cancels, a
+        # last-bit difference in exp or in the summation order is large
+        # relative to the result itself.
+        rng = np.random.default_rng(2024)
+        for _ in range(3000):
+            n_x, n_y = (int(v) for v in rng.integers(1, 9, 2))
+            w = rng.uniform(-3.0, 3.0, n_x + n_y) * math.log(10.0)
+            val, grad = _neg_q_and_grad(w, n_x)
+            ref_val, ref_grad = _numpy_neg_q_and_grad(w, n_x)
+            assert isinstance(grad, np.ndarray) and grad.shape == ref_grad.shape
+            z = np.exp(w)
+            a1, a2, s3 = z.sum(), (z * z).sum(), (z ** 3).sum()
+            x, y = z[:n_x], z[n_x:]
+            s1 = abs(x.sum() - y.sum())
+            s2 = abs((y * y).sum() - (x * x).sum())
+            val_scale = (s2 * a1 + s1 * a2) / s3
+            grad_scale = z * (a2 + 2.0 * z * a1 + 3.0 * z * z * val_scale) / s3
+            assert abs(val - ref_val) <= 1e-13 * val_scale
+            assert np.all(np.abs(grad - ref_grad) <= 1e-13 * grad_scale)
 
 
 class TestStructuredShape:
