@@ -17,6 +17,7 @@ from .cone import (
     MatrixSpec,
     MembershipReport,
     PsiWitness,
+    all_split_threshold,
     b3_quartic_root,
     b3_radical,
     certify_general,
@@ -98,6 +99,7 @@ __all__ = [
     "enumerate_sign_patterns",
     "reduced_sign_pattern",
     "check_diagonal_dominance",
+    "all_split_threshold",
     "membership_equal_offdiag",
     "certify_general",
     "sample_membership_general",

@@ -17,9 +17,7 @@ matching the stored row values.
 from __future__ import annotations
 
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import click
@@ -36,21 +34,6 @@ from .structured import positivity_witness, sup_q, witness_vectors
 from .tables import table1_rows, table2_rows
 
 __all__ = ["main"]
-
-
-def _resolve_threads(value):
-    if value is None:
-        env = os.environ.get("PSQ_THREADS")
-        if env is None:
-            value = 0
-        else:
-            try:
-                value = int(env)
-            except ValueError:
-                raise click.UsageError(f"PSQ_THREADS must be an integer, got {env!r}")
-    if value < 0:
-        raise click.UsageError("--threads must be >= 0 (0 means all cores)")
-    return value if value > 0 else (os.cpu_count() or 1)
 
 
 def _emit(doc, json_path):
@@ -90,18 +73,8 @@ def _float_or_none(v):
 
 
 @click.group()
-@click.option(
-    "--threads",
-    type=int,
-    default=None,
-    help="Worker threads for parallel subcommands; 0 means all cores. "
-    "Falls back to the PSQ_THREADS environment variable.",
-)
-@click.pass_context
-def main(ctx, threads):
+def main():
     """Power-sum quotient optimization and cubic-form positivity."""
-    ctx.ensure_object(dict)
-    ctx.obj["threads"] = _resolve_threads(threads)
 
 
 @main.command("eval-q")
@@ -132,12 +105,11 @@ def eval_q(x_tokens, y_tokens, json_path):
 @main.command("sup-q")
 @click.option("--nx", type=int, required=True, help="Dimension of x.")
 @click.option("--ny", type=int, required=True, help="Dimension of y.")
-@click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None)
-def sup_q_cmd(nx, ny, tol, json_path):
+def sup_q_cmd(nx, ny, json_path):
     """Supremum of Q over positive orthants of dimensions (nx, ny)."""
     try:
-        res = sup_q(nx, ny, tol=tol)
+        res = sup_q(nx, ny)
     except ValueError as e:
         raise click.UsageError(str(e))
     c = res.maximizing_config
@@ -160,26 +132,21 @@ def sup_q_cmd(nx, ny, tol, json_path):
 
 @main.command("bd")
 @click.option("--d", "d", type=int, required=True, help="Matrix dimension, >= 2.")
-@click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None)
-def bd_cmd(d, tol, json_path):
+def bd_cmd(d, json_path):
     """Threshold b_d = 1 / (1 + sup Q over the balanced split of d)."""
     try:
-        rep = compute_bd(d, tol=tol)
+        rep = compute_bd(d)
     except ValueError as e:
         raise click.UsageError(str(e))
     _emit(rep.to_json_dict(), json_path)
 
 
 @main.command("table1")
-@click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None)
-def table1_cmd(tol, json_path):
+def table1_cmd(json_path):
     """Thresholds for d = 2..6 (cells truncated at 3 decimals)."""
-    try:
-        rows = table1_rows(tol=tol)
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    rows = table1_rows()
     click.echo(f"{'d':>4} {'lower':>8} {'b_d':>8}")
     for r in rows:
         click.echo(f"{r.d:>4} {r.lower_bound:>8.3f} {r.b_d:>8.3f}")
@@ -192,8 +159,7 @@ def table1_cmd(tol, json_path):
 @main.command("table2")
 @click.option("--dims", default=None, help="Comma-separated dimensions, each >= 20. Default: 50,100,150,200,300,400,500.")
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None)
-@click.pass_context
-def table2_cmd(ctx, dims, json_path):
+def table2_cmd(dims, json_path):
     """Bracket rows for large d (cells truncated at 3 decimals)."""
     if dims is None:
         d_list = None
@@ -202,15 +168,8 @@ def table2_cmd(ctx, dims, json_path):
             d_list = [int(p) for p in dims.split(",") if p.strip()]
         except ValueError:
             raise click.UsageError(f"cannot parse --dims {dims!r}")
-    threads = ctx.obj["threads"]
     try:
-        if d_list is None:
-            rows = table2_rows()
-        elif threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(lambda d: table2_rows([d])[0], d_list))
-        else:
-            rows = table2_rows(d_list)
+        rows = table2_rows() if d_list is None else table2_rows(d_list)
     except ValueError as e:
         raise click.UsageError(str(e))
     click.echo(f"{'d':>4} {'lower':>8} {'upper':>8} {'asym':>8}")

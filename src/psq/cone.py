@@ -35,8 +35,8 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .power_sums import validate_positive_vector
-from .structured import C_STAR, sup_q
+from .power_sums import quotient_q, validate_positive_vector
+from .structured import _EPS_SCHEDULE, C_STAR, sup_q, witness_vectors
 
 __all__ = [
     "MatrixSpec",
@@ -58,9 +58,6 @@ __all__ = [
     "b3_radical",
     "b3_quartic_root",
 ]
-
-_EPS_SCHEDULE = (1e-6, 1e-9, 1e-12)
-
 
 @dataclass(frozen=True)
 class MatrixSpec:
@@ -402,14 +399,22 @@ def all_split_threshold(d: int) -> float:
     return 1.0 / (1.0 + max(0.0, sup))
 
 
-def _bd_from_sup(d: int, tol: float):
+def _bd_from_sup(d: int):
     n_x, n_y = _balanced_split(d)
-    res = sup_q(n_x, n_y, tol=tol)
+    res = sup_q(n_x, n_y)
     sup = max(res.sup_value, 0.0)
     return 1.0 / (1.0 + sup), res
 
 
-def compute_bd(d: int, tol: float = 1e-9) -> BdReport:
+def _growth_estimates(d: int) -> Tuple[float, float]:
+    """Q of the near-optimal growth pair on the balanced split, and 2 / (c* d)."""
+    n_x, n_y = _balanced_split(d)
+    xg, _ = witness_vectors(n_x)
+    _, yg = witness_vectors(n_y)
+    return float(quotient_q(xg, yg).value), 2.0 / (C_STAR * d)
+
+
+def compute_bd(d: int) -> BdReport:
     """Threshold b_d = 1 / (1 + sup Q over the balanced split of d).
 
     Bundles the growth-bound lower estimate, the witness upper bound
@@ -419,23 +424,9 @@ def compute_bd(d: int, tol: float = 1e-9) -> BdReport:
     """
     if not isinstance(d, int) or d < 2:
         raise ValueError(f"d must be an integer >= 2, got {d!r}")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    bd, res = _bd_from_sup(d, tol)
-    n_x, n_y = res.n_x, res.n_y
-
-    lower = growth_lower_bound(d)
-    asym = 2.0 / (C_STAR * d)
-
-    witness_upper = None
-    from .power_sums import quotient_q
-    from .structured import witness_vectors
-
-    xg, _ = witness_vectors(n_x)
-    _, yg = witness_vectors(n_y)
-    qg = float(quotient_q(xg, yg).value)
-    if qg > 0.0:
-        witness_upper = 1.0 / (1.0 + qg)
+    bd, res = _bd_from_sup(d)
+    qg, asym = _growth_estimates(d)
+    witness_upper = 1.0 / (1.0 + qg) if qg > 0.0 else None
 
     bracket = None
     if res.bracket is not None:
@@ -452,8 +443,8 @@ def compute_bd(d: int, tol: float = 1e-9) -> BdReport:
         d=d,
         b_d=bd,
         sup_value=max(res.sup_value, 0.0),
-        split=(n_x, n_y),
-        lower_bound=lower,
+        split=(res.n_x, res.n_y),
+        lower_bound=growth_lower_bound(d),
         asymptotic=asym,
         witness_upper=witness_upper,
         bracket=bracket,
@@ -472,7 +463,7 @@ def membership_equal_offdiag(d: int, b: float, tol: float = 1e-9) -> MembershipR
     spec = MatrixSpec.equal_off_diagonal(d, b)
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    bd, res = _bd_from_sup(d, tol)
+    bd, res = _bd_from_sup(d)
     margin = 10.0 * tol
 
     if spec.b <= bd - margin:

@@ -29,7 +29,8 @@ form: the best gamma of a configuration is the single root in (0, 1)
 of a quartic, and max_gamma f(p, gamma) is unimodal in p with its peak
 at p*, so each side needs only the block counts floor(p* m) and
 ceil(p* m).  The cost is O(1) in the dimensions; sup_q's docstring
-holds the proofs.
+holds the proofs.  Positive-quotient witnesses are that maximizer
+materialized with a small eps in place of the closure zeros.
 """
 
 from __future__ import annotations
@@ -54,8 +55,6 @@ __all__ = [
     "sup_q",
     "witness_vectors",
     "positivity_witness",
-    "X_CHECK",
-    "Y_CHECK",
 ]
 
 SQRT7 = math.sqrt(7.0)
@@ -63,10 +62,9 @@ C_STAR = (7.0 * SQRT7 - 17.0) / 27.0
 P_STAR = (16.0 - 5.0 * SQRT7) / 27.0
 GAMMA_STAR = (SQRT7 - 2.0) / 3.0
 
-# Hardcoded positive-quotient pair for the (7, 6) case; all entries are
-# dyadic rationals, so the float representation is exact.
-X_CHECK = (1.5, 2.0 ** -24, 2.0 ** -23, 2.0 ** -21, 2.0 ** -13, 2.0 ** -12, 0.75)
-Y_CHECK = (1.0, 2.0 ** -8, 2.0 ** -6, 2.0 ** -4, 0.5, 1.0)
+# Closure zeros tried, in order, when a block configuration is
+# materialized as a concrete positive witness.
+_EPS_SCHEDULE = (1e-6, 1e-9, 1e-12)
 
 
 @dataclass(frozen=True)
@@ -214,18 +212,18 @@ def _config_from(i: int, m: int, gamma: float, side: str) -> StructuredConfig:
     )
 
 
-def sup_q(n_x: int, n_y: int, tol: float = 1e-9) -> SupQResult:
+def sup_q(n_x: int, n_y: int) -> SupQResult:
     """Supremum of Q over positive orthants of dimensions (n_x, n_y).
 
     Closed form, O(1) in the dimensions: per side assignment only the
     unit-block counts i in {floor(p* m), ceil(p* m)}, clipped to
     [1, block length], are evaluated, each at the single root gamma of
-    a quartic.  tol is validated but no longer changes the result.  The
-    value is >= 0, with equality exactly for (1, 1), where the
-    degenerate x = y limit (gamma -> 1) is reported.  Restricting the
-    constant side to full length loses nothing: the best value of the
-    (i, m) configuration is nondecreasing in m, and an independent
-    multistart oracle confirms agreement for all small dimensions.
+    a quartic.  The value is >= 0, with equality exactly for (1, 1),
+    where the degenerate x = y limit (gamma -> 1) is reported.
+    Restricting the constant side to full length loses nothing: the
+    best value of the (i, m) configuration is nondecreasing in m, and
+    an independent multistart oracle confirms agreement for all small
+    dimensions.
 
     Why two candidates suffice.  By homogeneity g_{i,m}(gamma) =
     m f(p, gamma) with p = i/m, and three facts about f hold:
@@ -259,8 +257,6 @@ def sup_q(n_x: int, n_y: int, tol: float = 1e-9) -> SupQResult:
     """
     if not (isinstance(n_x, int) and isinstance(n_y, int)) or n_x < 1 or n_y < 1:
         raise ValueError(f"dimensions must be integers >= 1, got ({n_x!r}, {n_y!r})")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
 
     best: Optional[StructuredConfig] = None
     for side, (block_len, m) in (
@@ -322,22 +318,13 @@ def witness_vectors(n: int, extra_component: bool = False):
     return x, y
 
 
-def _half_split_witness(n: int, extra_component: bool = False):
-    x = [1.0] * ((n + 1) // 2) + [1.0 / n] * (n // 2)
-    if extra_component:
-        x.append(1.0 / n)
-    y = [0.701] * n
-    return x, y
-
-
 def positivity_witness(n_x: int, n_y: int):
     """A pair with Q > 0 for dimensions (n_x, n_y), or None for (1, 1).
 
-    Requires n_x == n_y or n_x == n_y + 1.  Closed-form families cover
-    the large cases (half-unit block against a 0.701 constant vector);
-    (7, 6) uses a hardcoded dyadic pair; the remaining small cases fall
-    back to the structured maximizer materialized with a small eps.
-    Returns (x, y, q) with q > 0 verified.
+    Requires n_x == n_y or n_x == n_y + 1.  The pair is sup_q's
+    maximizing configuration materialized by witness_pair with the
+    first eps in _EPS_SCHEDULE that gives a positive float Q.
+    Returns (x, y, q) with q = Q(x, y) > 0.
     """
     if not (isinstance(n_x, int) and isinstance(n_y, int)) or n_y < 1:
         raise ValueError(f"dimensions must be integers >= 1, got ({n_x!r}, {n_y!r})")
@@ -345,23 +332,10 @@ def positivity_witness(n_x: int, n_y: int):
         raise ValueError(f"need n_x == n_y or n_x == n_y + 1, got ({n_x}, {n_y})")
     if (n_x, n_y) == (1, 1):
         return None
-    if (n_x, n_y) == (7, 6):
-        x, y = list(X_CHECK), list(Y_CHECK)
-    elif n_x == n_y and n_x >= 4:
-        x, y = _half_split_witness(n_x)
-    elif n_x == n_y + 1 and n_y >= 7:
-        x, y = _half_split_witness(n_y, extra_component=True)
-    else:
-        res = sup_q(n_x, n_y)
-        x = y = None
-        for eps in (1e-6, 1e-9, 1e-12):
-            cx, cy = res.witness_pair(eps)
-            if float(quotient_q(cx, cy).value) > 0.0:
-                x, y = cx, cy
-                break
-        if x is None:
-            raise RuntimeError(f"no positive witness found for ({n_x}, {n_y})")
-    q = float(quotient_q(x, y).value)
-    if q <= 0.0:
-        raise RuntimeError(f"witness for ({n_x}, {n_y}) has nonpositive quotient {q!r}")
-    return x, y, q
+    res = sup_q(n_x, n_y)
+    for eps in _EPS_SCHEDULE:
+        x, y = res.witness_pair(eps)
+        q = float(quotient_q(x, y).value)
+        if q > 0.0:
+            return x, y, q
+    raise RuntimeError(f"no positive witness found for ({n_x}, {n_y})")

@@ -15,9 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
-from .cone import compute_bd, growth_lower_bound
-from .power_sums import quotient_q
-from .structured import C_STAR, witness_vectors
+from .cone import _growth_estimates, compute_bd, growth_lower_bound
 
 __all__ = [
     "Table1Row",
@@ -66,11 +64,11 @@ class Table2Row:
         }
 
 
-def table1_rows(tol: float = 1e-9) -> List[Table1Row]:
+def table1_rows() -> List[Table1Row]:
     """Thresholds and lower bounds for d = 2..6, truncated at 3 decimals."""
     rows = []
     for d in TABLE1_DIMS:
-        rep = compute_bd(d, tol=tol)
+        rep = compute_bd(d)
         rows.append(
             Table1Row(
                 d=d,
@@ -84,19 +82,13 @@ def table1_rows(tol: float = 1e-9) -> List[Table1Row]:
 def _table2_row(d: int) -> Table2Row:
     if not isinstance(d, int) or d < 20:
         raise ValueError(f"table 2 dimensions must be integers >= 20, got {d!r}")
-    half = d // 2
-    xg, _ = witness_vectors(d - half)
-    _, yg = witness_vectors(half)
-    q = float(quotient_q(xg, yg).value)
+    q, asym = _growth_estimates(d)
     if q <= 0.0:
         raise RuntimeError(f"growth-witness quotient is not positive for d={d}")
-    lower = growth_lower_bound(d)
-    upper = 1.0 / (1.0 + q)
-    asym = 2.0 / (C_STAR * d)
     return Table2Row(
         d=d,
-        lower_bound=truncate3(lower),
-        witness_upper=truncate3(upper),
+        lower_bound=truncate3(growth_lower_bound(d)),
+        witness_upper=truncate3(1.0 / (1.0 + q)),
         asymptotic=truncate3(asym),
     )
 

@@ -198,7 +198,7 @@ def test_criterion_9_certification_roundtrip():
         tol = 1e-9
         margin = 10.0 * tol
         for d in range(2, 13):
-            bd = compute_bd(d, tol=tol).b_d
+            bd = compute_bd(d).b_d
 
             low = membership_equal_offdiag(d, max(bd - margin, 0.0), tol=tol)
             assert low.verdict == "member_certified"

@@ -100,20 +100,22 @@ class TestTables:
             "asymptotic": 0.710,
         }
 
-    def test_threads_flag(self, runner):
-        out = runner.invoke(main, ["--threads", "3", "table2", "--dims", "50,100,150"])
-        assert out.exit_code == 0
-        assert len(out.output.strip().splitlines()) == 4
-
-    def test_threads_env(self, runner, monkeypatch):
-        monkeypatch.setenv("PSQ_THREADS", "2")
-        assert runner.invoke(main, ["table2", "--dims", "50,100"]).exit_code == 0
-        monkeypatch.setenv("PSQ_THREADS", "zebra")
-        assert runner.invoke(main, ["table2", "--dims", "50"]).exit_code == 2
-
     def test_bad_dims(self, runner):
         assert runner.invoke(main, ["table2", "--dims", "9"]).exit_code == 2
         assert runner.invoke(main, ["table2", "--dims", "x"]).exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--threads", "2", "table2"],
+        ["sup-q", "--nx", "3", "--ny", "2", "--tol", "1e-9"],
+        ["bd", "--d", "4", "--tol", "1e-9"],
+        ["table1", "--tol", "1e-9"],
+    ],
+)
+def test_removed_options_are_usage_errors(runner, args):
+    assert runner.invoke(main, args).exit_code == 2
 
 
 class TestCertify:

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psq import all_split_threshold
 from psq.cone import (
     MatrixSpec,
-    all_split_threshold,
     b3_quartic_root,
     b3_radical,
     certify_general,
@@ -238,8 +238,6 @@ class TestComputeBd:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             compute_bd(1)
-        with pytest.raises(ValueError):
-            compute_bd(4, tol=0.0)
 
 
 class TestMembership:
@@ -249,7 +247,7 @@ class TestMembership:
         # agreement is covered separately at 1e-12, which is wider than
         # the 10 * tol margin probed here.
         tol = 1e-9
-        bd = compute_bd(d, tol=tol).b_d
+        bd = compute_bd(d).b_d
         lo = membership_equal_offdiag(d, max(bd - 10 * tol, 0.0), tol=tol)
         assert lo.verdict == "member_certified" and lo.witness is None
         mid = membership_equal_offdiag(d, bd, tol=tol)

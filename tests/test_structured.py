@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,17 @@ FROZEN_SUP = {
     (6, 6): 0.31985989777933355,
 }
 
+
+def _q_exact_grouped(x, y):
+    """Exact Q(x, y) in Fractions, summing each distinct entry once."""
+
+    def sums(v):
+        groups = [(Fraction(e), k) for e, k in Counter(v).items()]
+        return [sum(k * f ** p for f, k in groups) for p in (1, 2, 3)]
+
+    x1, x2, x3 = sums(x)
+    y1, y2, y3 = sums(y)
+    return (x1 - y1) * (y2 - x2) / (x3 + y3)
 
 
 def _scan_sup(n_x, n_y):
@@ -198,8 +211,6 @@ class TestSupQ:
         for bad in ((0, 1), (1, 0), (-2, 3), (1.5, 2)):
             with pytest.raises(ValueError):
                 sup_q(*bad)
-        with pytest.raises(ValueError):
-            sup_q(2, 2, tol=0.0)
 
 
 class TestClosedFormSupQ:
@@ -237,9 +248,6 @@ class TestClosedFormSupQ:
         ratio = sup_q(10**6, 10**6).sup_value / 10**6
         assert C_STAR * (1.0 - 1e-9) <= ratio <= C_STAR
 
-    def test_tol_does_not_change_result(self):
-        assert sup_q(7, 5, tol=1e-3) == sup_q(7, 5)
-
 
 class TestWitnessVectors:
     def test_shapes(self):
@@ -275,10 +283,16 @@ class TestPositivityWitness:
             assert q > 0
             assert float(quotient_q(x, y).value) == q
 
-    def test_seven_six_is_the_dyadic_pair(self):
-        x, y, q = positivity_witness(7, 6)
-        assert x[0] == 1.5 and x[-1] == 0.75 and y[0] == 1.0
-        assert q == pytest.approx(0.03126913141929569, abs=1e-15)
+    def test_is_the_sup_q_maximizer_with_exact_positive_q(self):
+        rng = random.Random(20261018)
+        # Every (n, n) and (n + 1, n) up to n = 300 except (1, 1).
+        shapes = [(n + k, n) for n in range(1, 301) for k in (0, 1)][1:]
+        shapes += [(n + rng.randint(0, 1), n) for n in rng.sample(range(301, 3001), 20)]
+        shapes.append((3001, 3000))
+        for nx, ny in shapes:
+            x, y, q = positivity_witness(nx, ny)
+            assert (x, y) == sup_q(nx, ny).witness_pair(1e-6), (nx, ny)
+            assert _q_exact_grouped(x, y) > 0, (nx, ny)
 
     def test_rejects_other_shapes(self):
         with pytest.raises(ValueError):
