@@ -87,10 +87,14 @@ def validate_positive_vector(entries, name: str = "x") -> list:
         raise ValueError(f"{name} must be a sequence of numbers") from None
     if not out:
         raise ValueError(f"{name} must be nonempty")
+    types = set(map(type, out))
     # min and max skip a NaN that is not first, hence the isnan pass.
-    if set(map(type, out)) == {float} and min(out) > 0.0 and max(out) < math.inf:
+    if types == {float} and min(out) > 0.0 and max(out) < math.inf:
         if not any(map(math.isnan, out)):
             return out
+    # A Fraction's denominator is positive, so its sign is its numerator's.
+    if types <= {int, Fraction} and min(map(attrgetter("numerator"), out)) > 0:
+        return out
     for idx, e in enumerate(out):
         if isinstance(e, bool) or not isinstance(e, (int, float, Fraction, np.integer, np.floating)):
             raise ValueError(f"{name}[{idx}] = {e!r} is not a number")

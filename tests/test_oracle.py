@@ -1,9 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from psq.oracle import OracleResult, _neg_q_and_grad, brute_force_sup, check_structured_shape
+from psq.oracle import OracleResult, _ascend, _q_grad_hess, brute_force_sup, check_structured_shape
 from psq.power_sums import quotient_q
 from psq.structured import C_STAR, sup_q
 
@@ -73,9 +78,9 @@ class TestObjective:
         for _ in range(3000):
             n_x, n_y = (int(v) for v in rng.integers(1, 9, 2))
             w = rng.uniform(-3.0, 3.0, n_x + n_y) * math.log(10.0)
-            val, grad = _neg_q_and_grad(w, n_x)
+            val, grad, _ = _q_grad_hess(w[None, :], n_x)
             ref_val, ref_grad = _numpy_neg_q_and_grad(w, n_x)
-            assert isinstance(grad, np.ndarray) and grad.shape == ref_grad.shape
+            assert val.shape == (1,) and grad.shape == (1,) + ref_grad.shape
             z = np.exp(w)
             a1, a2, s3 = z.sum(), (z * z).sum(), (z ** 3).sum()
             x, y = z[:n_x], z[n_x:]
@@ -83,8 +88,77 @@ class TestObjective:
             s2 = abs((y * y).sum() - (x * x).sum())
             val_scale = (s2 * a1 + s1 * a2) / s3
             grad_scale = z * (a2 + 2.0 * z * a1 + 3.0 * z * z * val_scale) / s3
-            assert abs(val - ref_val) <= 1e-13 * val_scale
-            assert np.all(np.abs(grad - ref_grad) <= 1e-13 * grad_scale)
+            assert abs(val[0] + ref_val) <= 1e-13 * val_scale
+            assert np.all(np.abs(grad[0] + ref_grad) <= 1e-13 * grad_scale)
+
+    def test_hessian_matches_central_differences(self):
+        # Central differences of the analytic gradient, batched over
+        # rows; at step 1e-5 they agree to about 1e-9 of the largest entry.
+        rng = np.random.default_rng(11)
+        step = 1e-5
+        for n_x in range(1, 9):
+            for n_y in range(1, 9):
+                n = n_x + n_y
+                w = rng.uniform(-1.0, 1.0, (8, n)) * math.log(10.0)
+                _, _, h = _q_grad_hess(w, n_x)
+                shifted = (w[:, None, :] + step * np.eye(n)).reshape(-1, n)
+                g_plus = _q_grad_hess(shifted, n_x)[1].reshape(8, n, n)
+                shifted = (w[:, None, :] - step * np.eye(n)).reshape(-1, n)
+                g_minus = _q_grad_hess(shifted, n_x)[1].reshape(8, n, n)
+                # fd[r, j, i] = dg_i / dw_j
+                fd = (g_plus - g_minus) / (2.0 * step)
+                assert np.allclose(h, h.transpose(0, 2, 1), rtol=0.0, atol=1e-14)
+                scale = np.abs(h).max(axis=(1, 2))[:, None, None]
+                assert np.all(np.abs(fd - h) <= 1e-7 * scale)
+
+
+class TestRandomStarts:
+    def test_random_starts_alone_reach_sup_q(self):
+        # The oracle is meant to be independent of the structured route,
+        # so the ascent must find the supremum without block starts.
+        worst = 0.0
+        for n_x in range(1, 5):
+            for n_y in range(1, 5):
+                rng = np.random.default_rng(7)
+                w0 = rng.uniform(-3.0, 3.0, (64, n_x + n_y)) * math.log(10.0)
+                q, _ = _ascend(w0, n_x)
+                worst = max(worst, abs(float(q.max()) - sup_q(n_x, n_y).sup_value))
+        assert worst <= 1e-5
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_BLOCK_SCIPY = "import sys; sys.modules['scipy'] = None\n"
+
+
+def _python(code, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+class TestNoScipy:
+    def test_import_does_not_load_scipy(self):
+        out = _python("import sys, psq.cli; print('scipy' in sys.modules)")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
+    def test_oracle_and_cli_run_with_scipy_blocked(self):
+        code = _BLOCK_SCIPY + (
+            "from psq import brute_force_sup\n"
+            "res = brute_force_sup(3, 3, n_starts=16)\n"
+            "print(res.n_starts, res.best_value)\n"
+        )
+        out = _python(code)
+        assert out.returncode == 0, out.stderr
+        n_starts, best = out.stdout.split()
+        assert int(n_starts) >= 16
+        assert abs(float(best) - sup_q(3, 3).sup_value) <= 1e-6
+
+        code = _BLOCK_SCIPY + "import runpy; runpy.run_module('psq.cli', run_name='__main__', alter_sys=True)"
+        out = _python(code, "sup-q", "--nx", "3", "--ny", "3")
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["sup"] == sup_q(3, 3).sup_value
 
 
 class TestStructuredShape:

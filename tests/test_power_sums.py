@@ -189,6 +189,34 @@ class TestValidation:
             assert all(type(e) is float for e in out)
         assert validate_positive_vector([5e-324]) == [5e-324]
 
+    @given(
+        v=st.lists(st.one_of(st.integers(1, 10 ** 30), st.fractions(min_value=Fraction(1, 10 ** 9))), min_size=1, max_size=20),
+        planted=st.sampled_from([None, 0, Fraction(0), -3, Fraction(-1, 7), True, False]),
+        at=st.integers(0, 20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_exact_fast_path_matches_entry_loop(self, v, planted, at):
+        # All-int/Fraction input takes a fast path; this per-entry loop
+        # is the reference for both the accepted list and the message.
+        if planted is not None:
+            v.insert(min(at, len(v)), planted)
+
+        def entry_loop(out):
+            for idx, e in enumerate(out):
+                if isinstance(e, bool) or not isinstance(e, (int, float, Fraction, np.integer, np.floating)):
+                    raise ValueError(f"x[{idx}] = {e!r} is not a number")
+                if e <= 0:
+                    raise ValueError(f"x[{idx}] = {e!r} is not > 0; all entries must be positive")
+            return out
+
+        def outcome(check):
+            try:
+                return check(list(v))
+            except ValueError as err:
+                return str(err)
+
+        assert outcome(validate_positive_vector) == outcome(entry_loop)
+
 
 class TestQuotient:
     def test_scalar_example(self):
