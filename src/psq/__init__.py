@@ -43,11 +43,9 @@ from .power_sums import (
 )
 from .structured import (
     C_STAR,
-    CONSTANTS,
     GAMMA_STAR,
     P_STAR,
     SQRT7,
-    Constants,
     StructuredConfig,
     SupQResult,
     positivity_witness,
@@ -76,8 +74,6 @@ __all__ = [
     "quotient_q_batch",
     "q_ordered_nonpositive",
     "validate_positive_vector",
-    "Constants",
-    "CONSTANTS",
     "SQRT7",
     "C_STAR",
     "P_STAR",

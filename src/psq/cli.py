@@ -36,12 +36,16 @@ from .tables import table1_rows, table2_rows
 __all__ = ["main"]
 
 
-def _emit(doc, json_path):
-    click.echo(json.dumps(doc, indent=2))
+def _write_json(doc, json_path):
     if json_path:
         with open(json_path, "w") as fh:
             json.dump(doc, fh)
             fh.write("\n")
+
+
+def _emit(doc, json_path):
+    click.echo(json.dumps(doc, indent=2))
+    _write_json(doc, json_path)
 
 
 def _parse_entries(tokens):
@@ -150,10 +154,7 @@ def table1_cmd(json_path):
     click.echo(f"{'d':>4} {'lower':>8} {'b_d':>8}")
     for r in rows:
         click.echo(f"{r.d:>4} {r.lower_bound:>8.3f} {r.b_d:>8.3f}")
-    if json_path:
-        with open(json_path, "w") as fh:
-            json.dump([r.to_json_dict() for r in rows], fh)
-            fh.write("\n")
+    _write_json([r.to_json_dict() for r in rows], json_path)
 
 
 @main.command("table2")
@@ -178,17 +179,14 @@ def table2_cmd(dims, json_path):
             f"{r.d:>4} {r.lower_bound:>8.3f} {r.witness_upper:>8.3f} "
             f"{r.asymptotic:>8.3f}"
         )
-    if json_path:
-        with open(json_path, "w") as fh:
-            json.dump([r.to_json_dict() for r in rows], fh)
-            fh.write("\n")
+    _write_json([r.to_json_dict() for r in rows], json_path)
 
 
 def _load_json_file(path, what):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise click.UsageError(f"cannot read {what} file {path!r}: {e}")
 
 
@@ -196,16 +194,16 @@ def _load_json_file(path, what):
 @click.option("--d", "d", type=int, default=None, help="Dimension of the equal-off-diagonal family.")
 @click.option("--b", "b", type=float, default=None, help="Off-diagonal value, in [0, 1].")
 @click.option("--matrix", "matrix_path", type=click.Path(dir_okay=False), default=None, help="JSON matrix spec: {\"d\": ..., \"b\": ...} or {\"d\": ..., \"entries\": [[...], ...]}.")
-@click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.option("--samples", type=int, default=200, show_default=True, help="Random probes for general matrices.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None)
-def certify_cmd(d, b, matrix_path, tol, samples, seed, json_path):
+def certify_cmd(d, b, matrix_path, samples, seed, json_path):
     """Decide cone membership.
 
     Equal-off-diagonal matrices (via --d/--b or a {"d","b"} file) are
     decided exactly against the threshold b_d, with an explicit witness
-    on the nonmember side.  General matrices get the sufficient
+    on the nonmember side; b within a fixed 1e-8 of b_d is
+    inconclusive.  General matrices get the sufficient
     diagonal-dominance and perturbation certificates (the latter with b
     and the slack under "diagnostics"), then a randomized violation
     search that can only certify non-membership.
@@ -223,7 +221,7 @@ def certify_cmd(d, b, matrix_path, tol, samples, seed, json_path):
         else:
             spec = MatrixSpec.from_json_dict(_load_json_file(matrix_path, "matrix"))
         if spec.kind == "equal_off_diagonal":
-            report = membership_equal_offdiag(spec.d, spec.b, tol=tol)
+            report = membership_equal_offdiag(spec.d, spec.b)
         else:
             report = certify_general(spec.dense(), n_samples=samples, seed=seed)
     except ValueError as e:

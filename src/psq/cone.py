@@ -30,7 +30,9 @@ violating pairs (z, s) that can only ever certify non-membership.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -71,10 +73,10 @@ class MatrixSpec:
     def equal_off_diagonal(cls, d: int, b: float) -> "MatrixSpec":
         if not isinstance(d, int) or d < 2:
             raise ValueError(f"d must be an integer >= 2, got {d!r}")
-        b = float(b)
-        if not math.isfinite(b) or not 0.0 <= b <= 1.0:
+        # Before float(b), which overflows on huge integers; NaN fails too.
+        if not 0.0 <= b <= 1.0:
             raise ValueError(f"b must lie in [0, 1], got {b!r}")
-        return cls(d=d, b=b)
+        return cls(d=d, b=float(b))
 
     @classmethod
     def general(cls, entries) -> "MatrixSpec":
@@ -110,7 +112,7 @@ class MatrixSpec:
             raise ValueError("matrix spec must be a JSON object")
         if "entries" in obj:
             spec = cls.general(obj["entries"])
-            if "d" in obj and int(obj["d"]) != spec.d:
+            if "d" in obj and _json_number(obj, "d", int) != spec.d:
                 raise ValueError(
                     f"declared d={obj['d']} does not match entries of size {spec.d}"
                 )
@@ -118,8 +120,18 @@ class MatrixSpec:
         if "b" in obj:
             if "d" not in obj:
                 raise ValueError("equal-off-diagonal spec needs both 'd' and 'b'")
-            return cls.equal_off_diagonal(int(obj["d"]), float(obj["b"]))
+            return cls.equal_off_diagonal(
+                _json_number(obj, "d", int), _json_number(obj, "b", numbers.Real)
+            )
         raise ValueError("matrix spec needs either 'entries' or ('d', 'b')")
+
+
+def _json_number(obj: dict, key: str, kind: type):
+    v = obj[key]
+    if isinstance(v, bool) or not isinstance(v, kind):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"'{key}' must be {what}, got {v!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -138,29 +150,22 @@ class PsiWitness:
 class MembershipReport:
     """Verdict for M_d(b): member_certified, nonmember, or inconclusive.
 
-    The margin is 10 * tol around the threshold b_d; b inside the
-    margin is reported inconclusive rather than resolved by a
-    sub-tolerance comparison.
+    margin is a fixed 1e-8 around the threshold b_d; b inside it is
+    reported inconclusive rather than resolved by a comparison below
+    working precision.  The field only repeats that constant; it stays
+    because perfbench reads it from reports and from the CLI's JSON,
+    until ROADMAP item 2 drops it there.
     """
 
     d: int
     b: float
     b_d: float
     verdict: str
-    tol: float
     margin: float
     witness: Optional[PsiWitness] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "b": self.b,
-            "b_d": self.b_d,
-            "verdict": self.verdict,
-            "tol": self.tol,
-            "margin": self.margin,
-            "witness": self.witness.to_json_dict() if self.witness else None,
-        }
+        return {**asdict(self), "witness": self.witness and self.witness.to_json_dict()}
 
 
 @dataclass(frozen=True)
@@ -182,15 +187,7 @@ class GeneralReport:
     diagnostics: Optional[dict] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "verdict": self.verdict,
-            "method": self.method,
-            "n_evaluated": self.n_evaluated,
-            "seed": self.seed,
-            "witness": self.witness.to_json_dict() if self.witness else None,
-            "diagnostics": self.diagnostics,
-        }
+        return {**asdict(self), "witness": self.witness and self.witness.to_json_dict()}
 
 
 @dataclass(frozen=True)
@@ -220,17 +217,7 @@ class BdReport:
     exact: Optional[float] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "b_d": self.b_d,
-            "sup_value": self.sup_value,
-            "split": list(self.split),
-            "lower_bound": self.lower_bound,
-            "asymptotic": self.asymptotic,
-            "witness_upper": self.witness_upper,
-            "bracket": list(self.bracket) if self.bracket else None,
-            "exact": self.exact,
-        }
+        return asdict(self)
 
 
 def _as_matrix(matrix) -> np.ndarray:
@@ -246,10 +233,11 @@ def _as_signs(s, d: int) -> np.ndarray:
     arr = np.asarray(s)
     if arr.shape != (d,):
         raise ValueError(f"sign pattern must have length {d}, got shape {arr.shape}")
-    arr = arr.astype(float)
-    if not np.all(np.abs(arr) == 1.0):
+    # numpy would read True and "1" as 1; neither is a sign.
+    bad = arr.dtype.kind not in "iuf" or any(isinstance(v, (bool, np.bool_)) for v in s)
+    if bad or not np.all(np.abs(arr) == 1):
         raise ValueError("sign pattern entries must be -1 or +1")
-    return arr
+    return arr.astype(float)
 
 
 def psi(matrix, z, s) -> float:
@@ -305,16 +293,16 @@ def _pattern_chunks(d: int, chunk: int = 1 << 16) -> Iterator[np.ndarray]:
         yield pats
 
 
-def enumerate_sign_patterns(d: int, cap: int = 24) -> np.ndarray:
+def enumerate_sign_patterns(d: int) -> np.ndarray:
     """All 2^(d-1) - 1 canonical sign patterns as an (n, d) int8 array.
 
-    Canonical: first entry -1, all-minus excluded.  Refuses d > cap,
+    Canonical: first entry -1, all-minus excluded.  Refuses d > 24,
     since the count is exponential.
     """
     if not isinstance(d, int) or d < 2:
         raise ValueError(f"d must be an integer >= 2, got {d!r}")
-    if d > cap:
-        raise ValueError(f"d={d} exceeds the enumeration cap {cap}")
+    if d > 24:
+        raise ValueError(f"d={d} exceeds the enumeration cap 24")
     return np.concatenate(list(_pattern_chunks(d)), axis=0)
 
 
@@ -340,7 +328,7 @@ def b3_radical() -> float:
     return (math.sqrt(0.6 * (39.0 + 16.0 * math.sqrt(6.0))) - 3.0) / 4.0
 
 
-def b3_quartic_root(tol: float = 1e-15) -> float:
+def b3_quartic_root() -> float:
     """Root of 20 x^4 + 60 x^3 + 9 x^2 - 54 x - 27 on [0.9, 1.0] by bisection.
 
     Independent route to the same constant as b3_radical.
@@ -349,21 +337,13 @@ def b3_quartic_root(tol: float = 1e-15) -> float:
     def poly(x: float) -> float:
         return ((((20.0 * x + 60.0) * x) + 9.0) * x - 54.0) * x - 27.0
 
-    lo, hi = 0.9, 1.0
-    flo = poly(lo)
-    if flo == 0.0:
-        return lo
-    if flo * poly(hi) > 0:
-        raise RuntimeError("bisection bracket does not straddle the root")
-    while hi - lo > tol:
+    lo, hi = 0.9, 1.0  # poly(0.9) < 0 < poly(1.0)
+    while hi - lo > 1e-15:
         mid = 0.5 * (lo + hi)
-        fm = poly(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi = mid
+        if poly(mid) < 0.0:
+            lo = mid
         else:
-            lo, flo = mid, fm
+            hi = mid
     return 0.5 * (lo + hi)
 
 
@@ -452,8 +432,8 @@ def compute_bd(d: int) -> BdReport:
     )
 
 
-def membership_equal_offdiag(d: int, b: float, tol: float = 1e-9) -> MembershipReport:
-    """Decide M_d(b) against the threshold b_d with a 10 * tol margin.
+def membership_equal_offdiag(d: int, b: float) -> MembershipReport:
+    """Decide M_d(b) against the threshold b_d with a fixed 1e-8 margin.
 
     b <= b_d - margin: member_certified.  b >= b_d + margin: nonmember,
     with an explicit (z, s) witness built from the maximizing block
@@ -461,15 +441,12 @@ def membership_equal_offdiag(d: int, b: float, tol: float = 1e-9) -> MembershipR
     eps until Psi < 0).  Inside the margin: inconclusive.
     """
     spec = MatrixSpec.equal_off_diagonal(d, b)
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     bd, res = _bd_from_sup(d)
-    margin = 10.0 * tol
+    margin = 1e-8
+    report = partial(MembershipReport, d=d, b=spec.b, b_d=bd, margin=margin)
 
     if spec.b <= bd - margin:
-        return MembershipReport(
-            d=d, b=spec.b, b_d=bd, verdict="member_certified", tol=tol, margin=margin
-        )
+        return report(verdict="member_certified")
     if spec.b >= bd + margin:
         s = reduced_sign_pattern(d)
         m = spec.dense()
@@ -478,23 +455,12 @@ def membership_equal_offdiag(d: int, b: float, tol: float = 1e-9) -> MembershipR
             z = tuple(x) + tuple(y)
             val = psi(m, z, s)
             if val < 0.0:
-                witness = PsiWitness(z=z, s=s, psi_value=val)
-                return MembershipReport(
-                    d=d,
-                    b=spec.b,
-                    b_d=bd,
-                    verdict="nonmember",
-                    tol=tol,
-                    margin=margin,
-                    witness=witness,
-                )
+                return report(verdict="nonmember", witness=PsiWitness(z=z, s=s, psi_value=val))
         raise RuntimeError(
             f"b={b!r} exceeds b_{d}={bd!r} but no eps in {_EPS_SCHEDULE} "
             f"produced a negative Psi witness"
         )
-    return MembershipReport(
-        d=d, b=spec.b, b_d=bd, verdict="inconclusive", tol=tol, margin=margin
-    )
+    return report(verdict="inconclusive")
 
 
 def _probe_vectors(d: int, n_samples: int, rng: np.random.Generator) -> Iterator[np.ndarray]:

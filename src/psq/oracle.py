@@ -166,13 +166,12 @@ def brute_force_sup(
     )
 
 
-def check_structured_shape(result: OracleResult, tol: float = 1e-3) -> bool:
+def check_structured_shape(result: OracleResult) -> bool:
     """True when the oracle's best point has block structure.
 
-    One side must be constant (after scaling by the block maximum) and
-    the other must consist of entries near the maximum or near zero,
-    with at least one of each kind of block entry check passing.  Only
-    meaningful for a positive best value.
+    After scaling by the block maximum, one side must be constant and
+    the other must consist of entries near 1 (at least one) or near 0,
+    each within 1e-3.  Only meaningful for a positive best value.
     """
     if result.best_value <= 0.0:
         raise ValueError("shape check requires a positive best value")
@@ -183,9 +182,9 @@ def check_structured_shape(result: OracleResult, tol: float = 1e-3) -> bool:
         b = block / scale
         c = const / scale
         gamma = float(np.median(c))
-        const_ok = bool(np.all(np.abs(c - gamma) <= tol * max(1.0, gamma)))
-        near_one = np.abs(b - 1.0) <= tol
-        near_zero = b <= tol
+        const_ok = bool(np.all(np.abs(c - gamma) <= 1e-3 * max(1.0, gamma)))
+        near_one = np.abs(b - 1.0) <= 1e-3
+        near_zero = b <= 1e-3
         block_ok = bool(np.all(near_one | near_zero)) and bool(near_one.any())
         if const_ok and block_ok:
             return True

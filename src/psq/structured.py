@@ -42,8 +42,6 @@ from typing import Optional, Tuple
 from .power_sums import quotient_q
 
 __all__ = [
-    "Constants",
-    "CONSTANTS",
     "SQRT7",
     "C_STAR",
     "P_STAR",
@@ -65,18 +63,6 @@ GAMMA_STAR = (SQRT7 - 2.0) / 3.0
 # Closure zeros tried, in order, when a block configuration is
 # materialized as a concrete positive witness.
 _EPS_SCHEDULE = (1e-6, 1e-9, 1e-12)
-
-
-@dataclass(frozen=True)
-class Constants:
-    """The three closed-form constants of the reduced problem."""
-
-    c_star: float = C_STAR
-    p_star: float = P_STAR
-    gamma_star: float = GAMMA_STAR
-
-
-CONSTANTS = Constants()
 
 
 @dataclass(frozen=True)
@@ -151,25 +137,21 @@ def _reduced_value_dp(p: float, gamma: float):
     return f, (s2 - s1 - f) / s3
 
 
-def solve_reduced(tol: float = 1e-9, verify: bool = True):
+def solve_reduced():
     """Closed-form maximizer (p*, gamma*, c*) of the reduced objective.
 
-    With verify=True (default) the point is re-derived through the
-    root route of sup_q: the root gamma of h(p*, .) must equal gamma*
-    (that is, p(gamma*) = p*), f there must equal c*, and df/dp must
-    vanish there (the envelope condition F'(p*) = 0), each within tol,
-    else RuntimeError.
+    The point is re-derived through the root route of sup_q: the root
+    gamma of h(p*, .) must equal gamma* (that is, p(gamma*) = p*), f
+    there must equal c*, and df/dp must vanish there (the envelope
+    condition F'(p*) = 0), each within 1e-9, else RuntimeError.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    if verify:
-        g = _gamma_root(P_STAR, 1.0)
-        f, fp = _reduced_value_dp(P_STAR, g)
-        if abs(g - GAMMA_STAR) > tol or abs(f - C_STAR) > tol or abs(fp) > tol:
-            raise RuntimeError(
-                f"root route disagrees with closed form: gamma {g!r}, "
-                f"value {f!r}, df/dp {fp!r}"
-            )
+    g = _gamma_root(P_STAR, 1.0)
+    f, fp = _reduced_value_dp(P_STAR, g)
+    if abs(g - GAMMA_STAR) > 1e-9 or abs(f - C_STAR) > 1e-9 or abs(fp) > 1e-9:
+        raise RuntimeError(
+            f"root route disagrees with closed form: gamma {g!r}, "
+            f"value {f!r}, df/dp {fp!r}"
+        )
     return P_STAR, GAMMA_STAR, C_STAR
 
 

@@ -12,7 +12,7 @@ upper bound, with 2/(c* d) as the asymptotic scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, List, Tuple
 
 from .cone import _growth_estimates, compute_bd, growth_lower_bound
@@ -45,7 +45,7 @@ class Table1Row:
     b_d: float
 
     def to_json_dict(self) -> dict:
-        return {"d": self.d, "lower_bound": self.lower_bound, "b_d": self.b_d}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,7 @@ class Table2Row:
     asymptotic: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "lower_bound": self.lower_bound,
-            "witness_upper": self.witness_upper,
-            "asymptotic": self.asymptotic,
-        }
+        return asdict(self)
 
 
 def table1_rows() -> List[Table1Row]:

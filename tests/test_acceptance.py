@@ -65,7 +65,7 @@ def test_criterion_1_constants():
     # Closed-form constants agree with the root route of the reduced
     # objective to 1e-9 (solve_reduced raises otherwise).
     with budget("criterion 1 (constants)", 1.0):
-        p, g, c = solve_reduced(tol=1e-9, verify=True)
+        p, g, c = solve_reduced()
         assert c == pytest.approx((7.0 * math.sqrt(7.0) - 17.0) / 27.0, abs=1e-15)
         assert trunc3(p) == 0.102
         assert trunc3(g) == 0.215
@@ -150,7 +150,7 @@ def test_criterion_7_oracle_equivalence():
                 ref = sup_q(n_x, n_y).sup_value
                 assert abs(res.best_value - ref) <= 1e-5
                 if res.best_value > 0.0:
-                    assert check_structured_shape(res, tol=1e-3)
+                    assert check_structured_shape(res)
 
 
 def test_criterion_8_cone_consistency():
@@ -195,19 +195,18 @@ def test_criterion_8_cone_consistency():
 
 def test_criterion_9_certification_roundtrip():
     with budget("criterion 9 (certification round-trip)", 60.0):
-        tol = 1e-9
-        margin = 10.0 * tol
+        margin = 1e-8
         for d in range(2, 13):
             bd = compute_bd(d).b_d
 
-            low = membership_equal_offdiag(d, max(bd - margin, 0.0), tol=tol)
+            low = membership_equal_offdiag(d, max(bd - margin, 0.0))
             assert low.verdict == "member_certified"
 
-            mid = membership_equal_offdiag(d, bd, tol=tol)
+            mid = membership_equal_offdiag(d, bd)
             assert mid.verdict == "inconclusive"
 
             if bd + margin <= 1.0:
-                high = membership_equal_offdiag(d, bd + margin, tol=tol)
+                high = membership_equal_offdiag(d, bd + margin)
                 assert high.verdict == "nonmember"
                 w = high.witness
                 assert w is not None

@@ -4,6 +4,8 @@ import pytest
 from click.testing import CliRunner
 
 from psq.cli import main
+from psq.cone import certify_general, compute_bd, membership_equal_offdiag
+from psq.tables import table1_rows, table2_rows
 
 
 @pytest.fixture
@@ -112,10 +114,42 @@ class TestTables:
         ["sup-q", "--nx", "3", "--ny", "2", "--tol", "1e-9"],
         ["bd", "--d", "4", "--tol", "1e-9"],
         ["table1", "--tol", "1e-9"],
+        ["certify", "--d", "4", "--b", "0.5", "--tol", "1e-9"],
     ],
 )
 def test_removed_options_are_usage_errors(runner, args):
     assert runner.invoke(main, args).exit_code == 2
+
+
+def _assert_usage_error(out):
+    assert out.exit_code == 2
+    assert isinstance(out.exception, SystemExit)
+    assert "Error:" in out.output and "Traceback" not in out.output
+
+
+def test_report_json_key_order():
+    # The CLI prints these dicts; pin their layout, nested keys included.
+    bd = compute_bd(5).to_json_dict()
+    assert list(bd) == [
+        "d", "b_d", "sup_value", "split", "lower_bound", "asymptotic",
+        "witness_upper", "bracket", "exact",
+    ]
+    assert json.loads(json.dumps(bd))["split"] == [3, 2]
+    mem = membership_equal_offdiag(4, 0.99).to_json_dict()
+    assert list(mem) == ["d", "b", "b_d", "verdict", "margin", "witness"]
+    assert list(mem["witness"]) == ["z", "s", "psi"]
+    general_keys = ["d", "verdict", "method", "n_evaluated", "seed", "witness", "diagnostics"]
+    m5 = [[1.0 if i == j else 0.95 for j in range(5)] for i in range(5)]
+    sampled = certify_general(m5, n_samples=10).to_json_dict()
+    assert list(sampled) == general_keys and list(sampled["witness"]) == ["z", "s", "psi"]
+    m16 = [[1.0 if i == j else 0.3 for j in range(16)] for i in range(16)]
+    perturbed = certify_general(m16).to_json_dict()
+    assert list(perturbed) == general_keys
+    assert list(perturbed["diagnostics"]) == ["b", "slack", "threshold"]
+    assert list(table1_rows()[0].to_json_dict()) == ["d", "lower_bound", "b_d"]
+    assert list(table2_rows([50])[0].to_json_dict()) == [
+        "d", "lower_bound", "witness_upper", "asymptotic",
+    ]
 
 
 class TestCertify:
@@ -174,6 +208,25 @@ class TestCertify:
         )
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"d": null, "b": 0.5}',
+        '{"d": [2], "b": 0.5}',
+        '{"d": 4, "b": null}',
+        '{"d": 4.7, "b": 0.5}',
+        '{"d": 2.5, "entries": [[1, 0], [0, 1]]}',
+        '{"d": 4, "b": true}',
+        '{"d": 4, "b": "0.5"}',
+        pytest.param('{"d": 4, "b": 1' + "0" * 400 + '}', id="b-with-401-digits"),
+    ],
+)
+def test_certify_rejects_malformed_spec(runner, tmp_path, spec):
+    path = tmp_path / "m.json"
+    path.write_text(spec)
+    _assert_usage_error(runner.invoke(main, ["certify", "--matrix", str(path)]))
+
+
 class TestVerify:
     def test_round_trip(self, runner, tmp_path):
         mpath = tmp_path / "m.json"
@@ -211,6 +264,29 @@ class TestVerify:
             main, ["verify", "--matrix", str(mpath), "--witness", str(wpath)]
         )
         assert out.exit_code == 2
+
+    @pytest.mark.parametrize("signs", [[1, "1"], [True, -1]])
+    def test_non_numeric_signs(self, runner, tmp_path, signs):
+        mpath = tmp_path / "m.json"
+        wpath = tmp_path / "w.json"
+        mpath.write_text(json.dumps({"d": 2, "b": 0.3}))
+        wpath.write_text(json.dumps({"z": [1.0, 1.0], "s": signs}))
+        out = runner.invoke(
+            main, ["verify", "--matrix", str(mpath), "--witness", str(wpath)]
+        )
+        _assert_usage_error(out)
+        assert "must be -1 or +1" in out.output
+
+    @pytest.mark.parametrize("bad", ["matrix", "witness"])
+    def test_non_utf8_file(self, runner, tmp_path, bad):
+        paths = {"matrix": tmp_path / "m.json", "witness": tmp_path / "w.json"}
+        paths["matrix"].write_text(json.dumps({"d": 2, "b": 0.3}))
+        paths["witness"].write_text(json.dumps({"z": [1.0, 1.0], "s": [-1, 1]}))
+        paths[bad].write_bytes(b'{"d": "\xff\xfe"}')
+        out = runner.invoke(
+            main, ["verify", "--matrix", str(paths["matrix"]), "--witness", str(paths["witness"])]
+        )
+        _assert_usage_error(out)
 
 
 class TestWitness:

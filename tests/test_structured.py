@@ -11,7 +11,6 @@ from psq.structured import (
     _g_config,
     _gamma_root,
     C_STAR,
-    CONSTANTS,
     GAMMA_STAR,
     P_STAR,
     SQRT7,
@@ -74,11 +73,6 @@ class TestConstants:
         assert C_STAR == pytest.approx(0.05630589546119022, abs=1e-16)
         assert P_STAR == pytest.approx(0.1026386460991499, abs=1e-16)
         assert GAMMA_STAR == pytest.approx(0.21525043702153024, abs=1e-16)
-        assert (CONSTANTS.c_star, CONSTANTS.p_star, CONSTANTS.gamma_star) == (
-            C_STAR,
-            P_STAR,
-            GAMMA_STAR,
-        )
 
     def test_radical_identities(self):
         # 27 c* + 17 = 7 sqrt 7, 27 p* = 16 - 5 sqrt 7, 3 gamma* + 2 = sqrt 7
@@ -110,12 +104,8 @@ class TestReduced:
             reduced_objective(0.1, -0.5)
 
     def test_solve_reduced_verifies(self):
-        p, g, c = solve_reduced(tol=1e-9, verify=True)
+        p, g, c = solve_reduced()
         assert (p, g, c) == (P_STAR, GAMMA_STAR, C_STAR)
-
-    def test_solve_reduced_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            solve_reduced(tol=0.0)
 
     @given(
         p=st.floats(min_value=1e-4, max_value=1.0),
