@@ -9,107 +9,40 @@ sharp rate c* = (7 sqrt 7 - 17)/27, and its suprema over balanced
 splits decide membership of the equal-off-diagonal family in the cone
 of cubic forms that are nonnegative on the positive orthant under
 every sign pattern.
+
+The package exports each module's __all__.  Importing it leaves numpy
+unloaded: the oracle, which needs numpy, loads on first use of its
+names, and the other modules import numpy inside the functions that
+work on arrays.
 """
 
-from .cone import (
-    BdReport,
-    GeneralReport,
-    MatrixSpec,
-    MembershipReport,
-    PsiWitness,
-    all_split_threshold,
-    b3_quartic_root,
-    b3_radical,
-    certify_general,
-    check_diagonal_dominance,
-    compute_bd,
-    enumerate_sign_patterns,
-    growth_lower_bound,
-    membership_equal_offdiag,
-    psi,
-    psi_over_patterns,
-    reduced_sign_pattern,
-    sample_membership_general,
-)
-from .oracle import OracleResult, brute_force_sup, check_structured_shape
-from .power_sums import (
-    PowerSumTriple,
-    QuotientValue,
-    power_sums,
-    q_ordered_nonpositive,
-    quotient_q,
-    quotient_q_batch,
-    validate_positive_vector,
-)
-from .structured import (
-    C_STAR,
-    GAMMA_STAR,
-    P_STAR,
-    SQRT7,
-    StructuredConfig,
-    SupQResult,
-    positivity_witness,
-    reduced_objective,
-    solve_reduced,
-    sup_q,
-    witness_vectors,
-)
-from .tables import (
-    DEFAULT_TABLE2_DIMS,
-    Table1Row,
-    Table2Row,
-    table1_rows,
-    table2_rows,
-    truncate3,
-)
+from . import cone as _cone, power_sums as _power_sums, structured as _structured, tables as _tables
+from .cone import *  # noqa: F403
+from .power_sums import *  # noqa: F403
+from .structured import *  # noqa: F403
+from .tables import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+_ORACLE = ("OracleResult", "brute_force_sup", "check_structured_shape")
+
 __all__ = [
     "__version__",
-    "PowerSumTriple",
-    "QuotientValue",
-    "power_sums",
-    "quotient_q",
-    "quotient_q_batch",
-    "q_ordered_nonpositive",
-    "validate_positive_vector",
-    "SQRT7",
-    "C_STAR",
-    "P_STAR",
-    "GAMMA_STAR",
-    "StructuredConfig",
-    "SupQResult",
-    "reduced_objective",
-    "solve_reduced",
-    "sup_q",
-    "witness_vectors",
-    "positivity_witness",
-    "MatrixSpec",
-    "PsiWitness",
-    "MembershipReport",
-    "GeneralReport",
-    "BdReport",
-    "psi",
-    "psi_over_patterns",
-    "enumerate_sign_patterns",
-    "reduced_sign_pattern",
-    "check_diagonal_dominance",
-    "all_split_threshold",
-    "membership_equal_offdiag",
-    "certify_general",
-    "sample_membership_general",
-    "compute_bd",
-    "growth_lower_bound",
-    "b3_radical",
-    "b3_quartic_root",
-    "OracleResult",
-    "brute_force_sup",
-    "check_structured_shape",
-    "Table1Row",
-    "Table2Row",
-    "truncate3",
-    "table1_rows",
-    "table2_rows",
-    "DEFAULT_TABLE2_DIMS",
+    *_power_sums.__all__,
+    *_structured.__all__,
+    *_cone.__all__,
+    *_ORACLE,
+    *_tables.__all__,
 ]
+
+
+def __getattr__(name):
+    if name in _ORACLE:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_ORACLE))

@@ -25,6 +25,12 @@ threshold is all_split_threshold(d), below b_d for d >= 4.
 General matrices get two sufficient certificates, diagonal dominance
 and a perturbation bound around M_d(b), then a randomized search for
 violating pairs (z, s) that can only ever certify non-membership.
+
+numpy is imported inside the functions that work on explicit matrices,
+not at module level, so the M_d(b) route (compute_bd, membership below
+b_d, the tables) runs in a cold CLI process without loading it.  Those
+functions stay in this module because perfbench's tracer names the
+cone.* per-layer metrics after the module a function is defined in.
 """
 
 from __future__ import annotations
@@ -33,12 +39,13 @@ import math
 import numbers
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
-import numpy as np
+from .power_sums import validate_positive_vector
+from .structured import _EPS_SCHEDULE, C_STAR, GAMMA_STAR, P_STAR, sup_q
 
-from .power_sums import quotient_q, validate_positive_vector
-from .structured import _EPS_SCHEDULE, C_STAR, sup_q, witness_vectors
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MatrixSpec",
@@ -80,6 +87,7 @@ class MatrixSpec:
 
     @classmethod
     def general(cls, entries) -> "MatrixSpec":
+        import numpy as np
         arr = np.asarray(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"entries must be a square matrix, got shape {arr.shape}")
@@ -95,6 +103,7 @@ class MatrixSpec:
         return "general" if self.entries is not None else "equal_off_diagonal"
 
     def dense(self) -> np.ndarray:
+        import numpy as np
         if self.entries is not None:
             return np.array(self.entries, dtype=float)
         m = np.full((self.d, self.d), self.b, dtype=float)
@@ -223,33 +232,45 @@ class BdReport:
 def _as_matrix(matrix) -> np.ndarray:
     if isinstance(matrix, MatrixSpec):
         return matrix.dense()
+    import numpy as np
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"matrix must be square, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
     return arr
 
 
 def _as_signs(s, d: int) -> np.ndarray:
+    import numpy as np
     arr = np.asarray(s)
     if arr.shape != (d,):
         raise ValueError(f"sign pattern must have length {d}, got shape {arr.shape}")
     # numpy would read True and "1" as 1; neither is a sign.
-    bad = arr.dtype.kind not in "iuf" or any(isinstance(v, (bool, np.bool_)) for v in s)
+    bad = arr.dtype.kind not in "iuf" or {bool, np.bool_} & set(map(type, s))
     if bad or not np.all(np.abs(arr) == 1):
         raise ValueError("sign pattern entries must be -1 or +1")
     return arr.astype(float)
 
 
+def _diag_off(m: np.ndarray):
+    """The diagonal of m, and a copy of m with a zero diagonal (same bits as
+    m - np.diag(m.diagonal()) for finite m, with one d x d temporary)."""
+    off = m.copy()
+    off.flat[:: m.shape[0] + 1] = 0.0
+    return m.diagonal(), off
+
+
 def psi(matrix, z, s) -> float:
     """Psi_M(z, s) for one positive vector and one sign pattern."""
+    import numpy as np
     m = _as_matrix(matrix)
     d = m.shape[0]
     zv = np.array(validate_positive_vector(z, name="z"), dtype=float)
     if zv.shape != (d,):
         raise ValueError(f"z must have length {d}, got {zv.shape[0]}")
     sv = _as_signs(s, d)
-    diag = np.diag(m)
-    off = m - np.diag(diag)
+    diag, off = _diag_off(m)
     u = sv * zv
     v = sv * zv * zv
     return float(diag @ (zv ** 3) + u @ off @ v)
@@ -263,6 +284,7 @@ def _psi_chunk(diag_term: float, off: np.ndarray, z: np.ndarray, patterns: np.nd
 
 def psi_over_patterns(matrix, z, patterns) -> np.ndarray:
     """Psi_M(z, s) for one z and a stack of sign patterns (rows)."""
+    import numpy as np
     m = _as_matrix(matrix)
     d = m.shape[0]
     zv = np.array(validate_positive_vector(z, name="z"), dtype=float)
@@ -271,8 +293,7 @@ def psi_over_patterns(matrix, z, patterns) -> np.ndarray:
     pats = np.asarray(patterns, dtype=float)
     if pats.ndim != 2 or pats.shape[1] != d:
         raise ValueError(f"patterns must be (n, {d}), got shape {pats.shape}")
-    diag = np.diag(m)
-    off = m - np.diag(diag)
+    diag, off = _diag_off(m)
     return _psi_chunk(float(diag @ zv ** 3), off, zv, pats)
 
 
@@ -282,6 +303,7 @@ def _pattern_chunks(d: int, chunk: int = 1 << 16) -> Iterator[np.ndarray]:
     Pattern index k encodes entries 2..d in its bits (bit set = -1);
     entry 1 is always -1 and the all-minus index 2^(d-1) - 1 is skipped.
     """
+    import numpy as np
     total = (1 << (d - 1)) - 1
     shifts = np.arange(d - 1)
     for start in range(0, total, chunk):
@@ -303,6 +325,7 @@ def enumerate_sign_patterns(d: int) -> np.ndarray:
         raise ValueError(f"d must be an integer >= 2, got {d!r}")
     if d > 24:
         raise ValueError(f"d={d} exceeds the enumeration cap 24")
+    import numpy as np
     return np.concatenate(list(_pattern_chunks(d)), axis=0)
 
 
@@ -318,9 +341,8 @@ def check_diagonal_dominance(matrix) -> bool:
     """Sufficient membership check: min diagonal exceeds the total
     off-diagonal absolute sum.  Then Psi >= (min_l m_ll - sum |m_lk|) *
     max_l z_l^3 > 0 for every z and s."""
-    m = _as_matrix(matrix)
-    off_sum = float(np.sum(np.abs(m - np.diag(np.diag(m)))))
-    return bool(np.min(np.diag(m)) > off_sum)
+    diag, off = _diag_off(_as_matrix(matrix))
+    return bool(diag.min() > float(abs(off).sum()))
 
 
 def b3_radical() -> float:
@@ -386,12 +408,44 @@ def _bd_from_sup(d: int):
     return 1.0 / (1.0 + sup), res
 
 
+_FLOAT_DEN = 1 << 1074  # every finite float is an integer multiple of 2**-1074
+
+
+def _block_power_sums(blocks):
+    """M_1, M_2, M_3 of the vector holding c copies of each float v in
+    blocks = ((v, c), ...), bit-equal to power_sums on its entries.
+
+    math.fsum of the rounded powers v, v * v and pow(v, 3.0) is their
+    correctly rounded exact sum, and so is int true division of that
+    sum, held as an integer count of 2**-1074.
+    """
+    sums = [0, 0, 0]
+    for v, c in blocks:
+        for k, w in enumerate((v, v * v, pow(v, 3.0))):
+            n, q = w.as_integer_ratio()
+            sums[k] += c * n * (_FLOAT_DEN // q)
+    return [s / _FLOAT_DEN for s in sums]
+
+
 def _growth_estimates(d: int) -> Tuple[float, float]:
-    """Q of the near-optimal growth pair on the balanced split, and 2 / (c* d)."""
+    """Q of the near-optimal growth pair on the balanced split, and 2 / (c* d).
+
+    The pair is witness_vectors(ceil(d/2))[0] against
+    witness_vectors(floor(d/2))[1], summed in O(1) from its two or three
+    distinct entries; the quotient equals quotient_q on the lists bit for
+    bit.  ValueError when d is too large for float64 arithmetic.
+    """
     n_x, n_y = _balanced_split(d)
-    xg, _ = witness_vectors(n_x)
-    _, yg = witness_vectors(n_y)
-    return float(quotient_q(xg, yg).value), 2.0 / (C_STAR * d)
+    try:
+        i = int(P_STAR * n_x)
+        x1, x2, x3 = _block_power_sums(((1.0, i), (1.0 / n_x, n_x - i)))
+        y1, y2, y3 = _block_power_sums(((GAMMA_STAR, n_y),))
+        q, asym = (x1 - y1) * (y2 - x2) / (x3 + y3), 2.0 / (C_STAR * d)
+    except OverflowError:
+        q = math.inf
+    if not math.isfinite(q):
+        raise ValueError("d is too large: the growth-pair quotient overflows float64")
+    return q, asym
 
 
 def compute_bd(d: int) -> BdReport:
@@ -464,6 +518,7 @@ def membership_equal_offdiag(d: int, b: float) -> MembershipReport:
 
 
 def _probe_vectors(d: int, n_samples: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    import numpy as np
     yield np.ones(d)
     for j in range(d):
         z = np.ones(d)
@@ -482,6 +537,7 @@ def _probe_vectors(d: int, n_samples: int, rng: np.random.Generator) -> Iterator
 
 
 def _sampled_patterns(d: int, rng: np.random.Generator) -> np.ndarray:
+    import numpy as np
     pats = [reduced_sign_pattern(d)]
     for a in range(1, d):
         pats.append((-1,) * a + (1,) * (d - a))
@@ -507,14 +563,14 @@ def sample_membership_general(
     clean pass is only ever inconclusive: sampling cannot certify
     membership.
     """
+    import numpy as np
     m = _as_matrix(matrix)
     d = m.shape[0]
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
     rng = np.random.default_rng(seed)
 
-    diag = np.diag(m)
-    off = m - np.diag(diag)
+    diag, off = _diag_off(m)
     full = d <= cap
     if full:
         chunks = list(_pattern_chunks(d))
@@ -584,19 +640,20 @@ def certify_general(
     if check_diagonal_dominance(m):
         return GeneralReport(d, "member_certified", "diagonal_dominance", 0)
     b, slack, t = _best_perturbation_slack(m)
-    if slack > 1e-9 * max(1.0, d * float(np.abs(m).max())):
+    if slack > 1e-9 * max(1.0, d * float(abs(m).max())):
         return GeneralReport(d, "member_certified", "perturbation", 0, diagnostics={"b": b, "slack": slack, "threshold": t})
     return sample_membership_general(m, n_samples=n_samples, seed=seed, cap=cap)
 
 
 def _best_perturbation_slack(m: np.ndarray) -> Tuple[float, float, float]:
     """(b, min_l slack_l(b), t) at the best b; see certify_general."""
+    import numpy as np
     d = m.shape[0]
     t = all_split_threshold(d)
-    diag = np.diag(m)
+    diag = m.diagonal()
 
     def min_slack(b):
-        a = np.abs(m - b)
+        a = abs(m - b)
         np.fill_diagonal(a, 0.0)
         rows = diag - b / t - (a.sum(axis=1) + 2.0 * a.sum(axis=0)) / 3.0
         l = int(rows.argmin())

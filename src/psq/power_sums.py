@@ -24,13 +24,15 @@ sums S_p over the least common denominator L, M_p = S_p / L**p.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import attrgetter, floordiv, ge, le, mul
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Entry = Union[int, float, Fraction]
 
@@ -75,7 +77,9 @@ def validate_positive_vector(entries, name: str = "x") -> list:
     ValueError naming the offending entry on the first violation.
     Subnormal floats are accepted; zero, negatives, NaN and inf are not.
     """
-    if isinstance(entries, np.ndarray):
+    # An ndarray or numpy scalar exists only once numpy is loaded.
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(entries, np.ndarray):
         # C-level checks first; a NaN propagates through min and max.
         if type(entries) is np.ndarray and entries.dtype == np.float64 and entries.ndim == 1:
             if entries.size and 0.0 < entries.min() and entries.max() < math.inf:
@@ -95,10 +99,12 @@ def validate_positive_vector(entries, name: str = "x") -> list:
     # A Fraction's denominator is positive, so its sign is its numerator's.
     if types <= {int, Fraction} and min(map(attrgetter("numerator"), out)) > 0:
         return out
+    # isinstance accepts nested tuples, and () matches nothing.
+    np_int, np_float = (np.integer, np.floating) if np is not None else ((), ())
     for idx, e in enumerate(out):
-        if isinstance(e, bool) or not isinstance(e, (int, float, Fraction, np.integer, np.floating)):
+        if isinstance(e, bool) or not isinstance(e, (int, float, Fraction, np_int, np_float)):
             raise ValueError(f"{name}[{idx}] = {e!r} is not a number")
-        if isinstance(e, (float, np.floating)) and not math.isfinite(e):
+        if isinstance(e, (float, np_float)) and not math.isfinite(e):
             raise ValueError(f"{name}[{idx}] = {e!r} is not finite")
         if e <= 0:
             raise ValueError(f"{name}[{idx}] = {e!r} is not > 0; all entries must be positive")
@@ -189,6 +195,7 @@ def quotient_q_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     test suite, intended for sampling and bulk bound checks.  A row
     whose Q overflows float64 raises ValueError.
     """
+    import numpy as np
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 2 or ys.ndim != 2 or xs.shape[0] != ys.shape[0]:

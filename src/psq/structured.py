@@ -235,24 +235,27 @@ def sup_q(n_x: int, n_y: int) -> SupQResult:
        or at the block length when that is smaller.
 
     Ties resolve to x_is_block, then to the smaller i.  The winner must
-    satisfy |h(gamma)| <= 1e-12 p, else RuntimeError.
+    satisfy |h(gamma)| <= 1e-12 p, else RuntimeError.  Dimensions whose
+    float arithmetic overflows (from about 1e154) raise ValueError.
     """
     if not (isinstance(n_x, int) and isinstance(n_y, int)) or n_x < 1 or n_y < 1:
         raise ValueError(f"dimensions must be integers >= 1, got ({n_x!r}, {n_y!r})")
 
     best: Optional[StructuredConfig] = None
-    for side, (block_len, m) in (
-        ("x_is_block", (n_x, n_y)),
-        ("y_is_block", (n_y, n_x)),
-    ):
-        k = int(P_STAR * m)
-        for i in sorted({min(max(k, 1), block_len), min(k + 1, block_len)}):
-            if i >= m:
-                continue
-            gamma = _gamma_root(i, m)
-            value = _g_config(i, m, gamma)
-            if best is None or value > best.q_value:
-                best = _config_from(i, m, gamma, side)
+    try:
+        for side, (block_len, m) in (("x_is_block", (n_x, n_y)), ("y_is_block", (n_y, n_x))):
+            k = int(P_STAR * m)
+            for i in sorted({min(max(k, 1), block_len), min(k + 1, block_len)}):
+                if i >= m:
+                    continue
+                gamma = _gamma_root(i, m)
+                value = _g_config(i, m, gamma)
+                if best is None or value > best.q_value:
+                    best = _config_from(i, m, gamma, side)
+        if best is not None and not math.isfinite(best.q_value):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError("dimensions too large: the block arithmetic overflows float64") from None
 
     if best is None:
         # Only (1, 1): no configuration has p < 1; sup 0 is the x = y limit.

@@ -80,6 +80,33 @@ class TestBd:
     def test_bad_d(self, runner):
         assert runner.invoke(main, ["bd", "--d", "1"]).exit_code == 2
 
+    def test_d_beyond_list_sizes(self, runner):
+        out = runner.invoke(main, ["bd", "--d", str(10**20)])
+        assert out.exit_code == 0, out.output
+        assert out.output.strip() == json.dumps(compute_bd(10**20).to_json_dict(), indent=2)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bd", "--d", str(10**400)],
+        ["bd", "--d", str(10**300)],
+        ["sup-q", "--nx", str(10**400), "--ny", "3"],
+        ["sup-q", "--nx", str(10**200), "--ny", str(10**200)],
+        ["table2", "--dims", str(10**300)],
+        ["certify", "--d", str(10**400), "--b", "0.0"],
+    ],
+    ids=lambda a: f"{a[0]}-{len(a[2])}-digits",
+)
+def test_huge_dimensions_are_usage_errors(runner, args):
+    _assert_usage_error(runner.invoke(main, args))
+
+
+def test_certify_matrix_with_huge_d(runner, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"d": 1' + "0" * 400 + ', "b": 0.0}')
+    _assert_usage_error(runner.invoke(main, ["certify", "--matrix", str(path)]))
+
 
 class TestTables:
     def test_table1_text(self, runner):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from psq import all_split_threshold
 from psq.cone import (
     MatrixSpec,
+    _growth_estimates,
     b3_quartic_root,
     b3_radical,
     certify_general,
@@ -24,7 +25,7 @@ from psq.cone import (
     sample_membership_general,
 )
 from psq.power_sums import quotient_q
-from psq.structured import C_STAR, sup_q
+from psq.structured import C_STAR, GAMMA_STAR, P_STAR, sup_q, witness_vectors
 
 # Thresholds frozen from an independent run of the structured maximizer.
 FROZEN_BD = {
@@ -153,6 +154,18 @@ class TestPsi:
         with pytest.raises(ValueError):
             psi(np.ones((2, 3)), [1.0, 1.0], [-1, 1])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_matrix(self, bad):
+        m = [[1.0, bad], [0.5, 1.0]]
+        for call in (
+            lambda: psi(m, [1.0, 1.0], [-1, 1]),
+            lambda: psi_over_patterns(m, [1.0, 1.0], [[-1, 1]]),
+            lambda: check_diagonal_dominance(m),
+            lambda: certify_general(m),
+        ):
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                call()
+
 
 class TestDiagonalDominance:
     def test_hits_and_misses(self):
@@ -240,6 +253,48 @@ class TestComputeBd:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             compute_bd(1)
+
+    def test_growth_estimate_matches_reference_routes(self):
+        def by_lists(d):
+            xg, _ = witness_vectors(d - d // 2)
+            _, yg = witness_vectors(d // 2)
+            return float(quotient_q(xg, yg).value), 2.0 / (C_STAR * d)
+
+        def by_fractions(d):
+            # Each entry's float powers summed exactly and rounded once,
+            # as math.fsum does on the lists.
+            def sums(blocks):
+                powers = (lambda v: v, lambda v: v * v, lambda v: pow(v, 3.0))
+                return [float(sum(c * Fraction(f(v)) for v, c in blocks)) for f in powers]
+
+            n_x, n_y = d - d // 2, d // 2
+            i = int(P_STAR * n_x)
+            x1, x2, x3 = sums([(1.0, i), (1.0 / n_x, n_x - i)])
+            y1, y2, y3 = sums([(GAMMA_STAR, n_y)])
+            return (x1 - y1) * (y2 - x2) / (x3 + y3), 2.0 / (C_STAR * d)
+
+        rng = np.random.default_rng(8)
+        large = [int(d) for d in rng.integers(10**4, 2 * 10**6, size=6)]
+        for d in [*range(2, 3001), *large]:
+            assert _growth_estimates(d) == by_lists(d), d
+        # Beyond any list size.
+        for d in (10**20, 10**100, 10**150):
+            assert _growth_estimates(d) == by_fractions(d), d
+
+    @pytest.mark.parametrize("d", [10**20, 10**100, 10**150], ids=["1e20", "1e100", "1e150"])
+    def test_compute_bd_beyond_list_sizes(self, d):
+        # Q of the pair trails the balanced sup by a relative 16/d or
+        # so, far below float resolution here.
+        rep = compute_bd(d)
+        assert rep.witness_upper == pytest.approx(rep.b_d, rel=1e-12)
+        assert 0.0 < rep.b_d < rep.asymptotic * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("d", [10**160, 10**300, 10**400], ids=["1e160", "1e300", "1e400"])
+    def test_huge_d_is_a_value_error(self, d):
+        with pytest.raises(ValueError, match="too large"):
+            compute_bd(d)
+        with pytest.raises(ValueError, match="too large"):
+            _growth_estimates(d)
 
 
 class TestMembership:

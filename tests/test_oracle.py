@@ -7,7 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+import psq
+from psq.cli import main
+from psq.cone import compute_bd
 from psq.oracle import OracleResult, _ascend, _q_grad_hess, brute_force_sup, check_structured_shape
 from psq.power_sums import quotient_q
 from psq.structured import C_STAR, sup_q
@@ -128,6 +132,8 @@ class TestRandomStarts:
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 _BLOCK_SCIPY = "import sys; sys.modules['scipy'] = None\n"
+_BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None\n"
+_RUN_CLI = "import runpy; runpy.run_module('psq.cli', run_name='__main__', alter_sys=True)"
 
 
 def _python(code, *args):
@@ -155,10 +161,57 @@ class TestNoScipy:
         assert int(n_starts) >= 16
         assert abs(float(best) - sup_q(3, 3).sup_value) <= 1e-6
 
-        code = _BLOCK_SCIPY + "import runpy; runpy.run_module('psq.cli', run_name='__main__', alter_sys=True)"
-        out = _python(code, "sup-q", "--nx", "3", "--ny", "3")
+        out = _python(_BLOCK_SCIPY + _RUN_CLI, "sup-q", "--nx", "3", "--ny", "3")
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["sup"] == sup_q(3, 3).sup_value
+
+
+class TestNoNumpy:
+    def test_import_does_not_load_numpy(self):
+        out = _python("import sys, psq, psq.cli; print('numpy' in sys.modules)")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["table1"],
+            ["table2"],
+            ["bd", "--d", "100"],
+            ["sup-q", "--nx", "24", "--ny", "23"],
+            ["witness", "--nx", "7", "--ny", "6"],
+            ["witness", "--growth-n", "100"],
+            ["eval-q", "-x", "1,1/2,1/4", "-y", "3/4"],
+            ["certify", "--d", "6", "--b", "0.5"],
+            ["certify", "--d", "6", "--b", repr(compute_bd(6).b_d)],
+        ],
+        ids=" ".join,
+    )
+    def test_cli_runs_with_numpy_blocked(self, args):
+        want = CliRunner().invoke(main, args)
+        out = _python(_BLOCK_NUMPY + _RUN_CLI, *args)
+        assert out.returncode == want.exit_code, out.stderr
+        assert out.stdout == want.output
+
+    def test_array_names_load_numpy_on_use(self):
+        code = (
+            "import sys, psq\n"
+            "names = set(dir(psq))\n"
+            "assert 'numpy' not in sys.modules\n"
+            "assert {'brute_force_sup', 'OracleResult', 'check_structured_shape'} <= names\n"
+            "assert psq.certify_general([[1.0, 0.5], [0.5, 1.0]]).verdict == 'member_certified'\n"
+            "assert 'numpy' in sys.modules and 'psq.oracle' not in sys.modules\n"
+            "assert psq.brute_force_sup.__module__ == 'psq.oracle'\n"
+            "ns = {}\n"
+            "exec('from psq import *', ns)\n"
+            "assert set(psq.__all__) <= set(ns) and 'OracleResult' in ns\n"
+            "print('ok')\n"
+        )
+        out = _python(code)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "ok"
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            psq.nope
 
 
 class TestStructuredShape:
