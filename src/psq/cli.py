@@ -9,6 +9,10 @@ Exit codes are uniform across subcommands:
     2   usage or validation error
     3   inconclusive
 
+Every subcommand is a _Command, the one boundary that maps a ValueError
+raised below it, by the CLI or the library, to a usage error (exit 2)
+with the subcommand's usage line instead of a traceback.
+
 Numeric JSON output keeps full precision (floats round-trip through
 repr); the table subcommands print cells truncated at three decimals,
 matching the stored row values.
@@ -76,9 +80,22 @@ def _float_or_none(v):
         return None
 
 
+class _Command(click.Command):
+    """A subcommand whose ValueError from validation is a usage error (exit 2)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as e:
+            raise click.UsageError(str(e), ctx) from None
+
+
 @click.group()
 def main():
     """Power-sum quotient optimization and cubic-form positivity."""
+
+
+main.command_class = _Command
 
 
 @main.command("eval-q")
@@ -94,10 +111,7 @@ def eval_q(x_tokens, y_tokens, json_path):
     """
     x = _parse_entries(x_tokens)
     y = _parse_entries(y_tokens)
-    try:
-        res = quotient_q(x, y)
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    res = quotient_q(x, y)
     exact = None
     if isinstance(res.value, Fraction):
         exact = f"{res.value.numerator}/{res.value.denominator}"
@@ -112,10 +126,7 @@ def eval_q(x_tokens, y_tokens, json_path):
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None)
 def sup_q_cmd(nx, ny, json_path):
     """Supremum of Q over positive orthants of dimensions (nx, ny)."""
-    try:
-        res = sup_q(nx, ny)
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    res = sup_q(nx, ny)
     c = res.maximizing_config
     doc = {
         "n_x": res.n_x,
@@ -139,11 +150,7 @@ def sup_q_cmd(nx, ny, json_path):
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None)
 def bd_cmd(d, json_path):
     """Threshold b_d = 1 / (1 + sup Q over the balanced split of d)."""
-    try:
-        rep = compute_bd(d)
-    except ValueError as e:
-        raise click.UsageError(str(e))
-    _emit(rep.to_json_dict(), json_path)
+    _emit(compute_bd(d).to_json_dict(), json_path)
 
 
 @main.command("table1")
@@ -162,17 +169,11 @@ def table1_cmd(json_path):
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None)
 def table2_cmd(dims, json_path):
     """Bracket rows for large d (cells truncated at 3 decimals)."""
-    if dims is None:
-        d_list = None
-    else:
-        try:
-            d_list = [int(p) for p in dims.split(",") if p.strip()]
-        except ValueError:
-            raise click.UsageError(f"cannot parse --dims {dims!r}")
     try:
-        rows = table2_rows() if d_list is None else table2_rows(d_list)
-    except ValueError as e:
-        raise click.UsageError(str(e))
+        d_list = None if dims is None else [int(p) for p in dims.split(",") if p.strip()]
+    except ValueError:
+        raise click.UsageError(f"cannot parse --dims {dims!r}")
+    rows = table2_rows() if d_list is None else table2_rows(d_list)
     click.echo(f"{'d':>4} {'lower':>8} {'upper':>8} {'asym':>8}")
     for r in rows:
         click.echo(
@@ -215,17 +216,14 @@ def certify_cmd(d, b, matrix_path, samples, seed, json_path):
         raise click.UsageError("give either --d and --b, or --matrix, not both")
     if inline and (d is None or b is None):
         raise click.UsageError("--d and --b must be given together")
-    try:
-        if inline:
-            spec = MatrixSpec.equal_off_diagonal(d, b)
-        else:
-            spec = MatrixSpec.from_json_dict(_load_json_file(matrix_path, "matrix"))
-        if spec.kind == "equal_off_diagonal":
-            report = membership_equal_offdiag(spec.d, spec.b)
-        else:
-            report = certify_general(spec.dense(), n_samples=samples, seed=seed)
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    if inline:
+        spec = MatrixSpec.equal_off_diagonal(d, b)
+    else:
+        spec = MatrixSpec.from_json_dict(_load_json_file(matrix_path, "matrix"))
+    if spec.kind == "equal_off_diagonal":
+        report = membership_equal_offdiag(spec.d, spec.b)
+    else:
+        report = certify_general(spec.dense(), n_samples=samples, seed=seed)
     _emit(report.to_json_dict(), json_path)
     sys.exit({"member_certified": 0, "nonmember": 1}.get(report.verdict, 3))
 
@@ -243,11 +241,7 @@ def verify_cmd(matrix_path, witness_path, json_path):
     wit = _load_json_file(witness_path, "witness")
     if not isinstance(wit, dict) or "z" not in wit or "s" not in wit:
         raise click.UsageError("witness file must hold an object with 'z' and 's'")
-    try:
-        spec = MatrixSpec.from_json_dict(spec_doc)
-        val = psi(spec.dense(), wit["z"], wit["s"])
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    val = psi(MatrixSpec.from_json_dict(spec_doc).dense(), wit["z"], wit["s"])
     confirmed = val < 0.0
     _emit({"psi": val, "confirmed": confirmed}, json_path)
     sys.exit(0 if confirmed else 1)
@@ -267,22 +261,19 @@ def witness_cmd(nx, ny, growth_n, extra, json_path):
     pair_mode = nx is not None or ny is not None
     if pair_mode == (growth_n is not None):
         raise click.UsageError("give either --nx and --ny, or --growth-n")
-    try:
-        if pair_mode:
-            if nx is None or ny is None:
-                raise click.UsageError("--nx and --ny must be given together")
-            w = positivity_witness(nx, ny)
-            if w is None:
-                _emit({"exists": False, "n_x": nx, "n_y": ny}, json_path)
-                sys.exit(1)
-            x, y, q = w
-            doc = {"exists": True, "x": list(x), "y": list(y), "q": q}
-        else:
-            x, y = witness_vectors(growth_n, extra_component=extra)
-            q = float(quotient_q(x, y).value)
-            doc = {"x": x, "y": y, "q": q, "n": growth_n, "extra": bool(extra)}
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    if pair_mode:
+        if nx is None or ny is None:
+            raise click.UsageError("--nx and --ny must be given together")
+        w = positivity_witness(nx, ny)
+        if w is None:
+            _emit({"exists": False, "n_x": nx, "n_y": ny}, json_path)
+            sys.exit(1)
+        x, y, q = w
+        doc = {"exists": True, "x": list(x), "y": list(y), "q": q}
+    else:
+        x, y = witness_vectors(growth_n, extra_component=extra)
+        q = float(quotient_q(x, y).value)
+        doc = {"x": x, "y": y, "q": q, "n": growth_n, "extra": bool(extra)}
     _emit(doc, json_path)
 
 

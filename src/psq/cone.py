@@ -7,8 +7,10 @@ s in {-1, +1}^d, the cubic form
 
 M belongs to the positivity cone when Psi_M(z, s) >= 0 for every z > 0
 and every sign pattern.  Psi is invariant under flipping all signs, so
-it suffices to check canonical patterns (first entry -1), and the
-all-minus pattern reduces to all-plus; that leaves 2^(d-1) - 1 patterns.
+it suffices to check the 2^(d-1) canonical patterns (first entry -1).
+The all-minus one is the one-sign pattern.  Dropping it, which leaves
+2^(d-1) - 1 patterns, is valid for M_d(b) only, where it gives
+Psi = (1 - b) M3 + b M1 M2 > 0; general matrices need it.
 
 For the equal-off-diagonal family M_d(b) (unit diagonal, off-diagonal b)
 the form collapses: grouping z into the minus block x and the plus
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Iterator, Optional, Tuple
@@ -87,14 +90,9 @@ class MatrixSpec:
 
     @classmethod
     def general(cls, entries) -> "MatrixSpec":
-        import numpy as np
-        arr = np.asarray(entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"entries must be a square matrix, got shape {arr.shape}")
+        arr = _as_matrix(entries)
         if arr.shape[0] < 2:
             raise ValueError("matrix must be at least 2 x 2")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
         rows = tuple(tuple(float(v) for v in row) for row in arr)
         return cls(d=arr.shape[0], entries=rows)
 
@@ -235,19 +233,23 @@ def _as_matrix(matrix) -> np.ndarray:
     import numpy as np
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {arr.shape}")
+        raise ValueError(f"entries must be a square matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
     return arr
 
 
-def _as_signs(s, d: int) -> np.ndarray:
+def _as_signs(s, d: int, ndim: int = 1) -> np.ndarray:
+    """s as floats: one pattern of length d (ndim 1) or an (n, d) stack."""
     import numpy as np
     arr = np.asarray(s)
-    if arr.shape != (d,):
-        raise ValueError(f"sign pattern must have length {d}, got shape {arr.shape}")
+    if arr.ndim != ndim or arr.shape[-1] != d:
+        want = f"length {d}" if ndim == 1 else f"shape (n, {d})"
+        raise ValueError(f"sign pattern must have {want}, got shape {arr.shape}")
     # numpy would read True and "1" as 1; neither is a sign.
-    bad = arr.dtype.kind not in "iuf" or {bool, np.bool_} & set(map(type, s))
+    bad = arr.dtype.kind not in "iuf" or not isinstance(s, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(s, dtype=object).flat
+    )
     if bad or not np.all(np.abs(arr) == 1):
         raise ValueError("sign pattern entries must be -1 or +1")
     return arr.astype(float)
@@ -261,15 +263,19 @@ def _diag_off(m: np.ndarray):
     return m.diagonal(), off
 
 
-def psi(matrix, z, s) -> float:
-    """Psi_M(z, s) for one positive vector and one sign pattern."""
+def _matrix_and_z(matrix, z):
     import numpy as np
     m = _as_matrix(matrix)
-    d = m.shape[0]
     zv = np.array(validate_positive_vector(z, name="z"), dtype=float)
-    if zv.shape != (d,):
-        raise ValueError(f"z must have length {d}, got {zv.shape[0]}")
-    sv = _as_signs(s, d)
+    if zv.shape != m.shape[:1]:
+        raise ValueError(f"z must have length {m.shape[0]}, got {zv.shape[0]}")
+    return m, zv
+
+
+def psi(matrix, z, s) -> float:
+    """Psi_M(z, s) for one positive vector and one sign pattern."""
+    m, zv = _matrix_and_z(matrix, z)
+    sv = _as_signs(s, m.shape[0])
     diag, off = _diag_off(m)
     u = sv * zv
     v = sv * zv * zv
@@ -284,35 +290,28 @@ def _psi_chunk(diag_term: float, off: np.ndarray, z: np.ndarray, patterns: np.nd
 
 def psi_over_patterns(matrix, z, patterns) -> np.ndarray:
     """Psi_M(z, s) for one z and a stack of sign patterns (rows)."""
-    import numpy as np
-    m = _as_matrix(matrix)
-    d = m.shape[0]
-    zv = np.array(validate_positive_vector(z, name="z"), dtype=float)
-    if zv.shape != (d,):
-        raise ValueError(f"z must have length {d}, got {zv.shape[0]}")
-    pats = np.asarray(patterns, dtype=float)
-    if pats.ndim != 2 or pats.shape[1] != d:
-        raise ValueError(f"patterns must be (n, {d}), got shape {pats.shape}")
+    m, zv = _matrix_and_z(matrix, z)
+    pats = _as_signs(patterns, m.shape[0], ndim=2)
     diag, off = _diag_off(m)
     return _psi_chunk(float(diag @ zv ** 3), off, zv, pats)
 
 
-def _pattern_chunks(d: int, chunk: int = 1 << 16) -> Iterator[np.ndarray]:
-    """Canonical sign patterns in index order, in bounded-size blocks.
+def _sign_patterns(d: int) -> np.ndarray:
+    """All 2^(d-1) canonical sign patterns, in index order, as int8 rows.
 
-    Pattern index k encodes entries 2..d in its bits (bit set = -1);
-    entry 1 is always -1 and the all-minus index 2^(d-1) - 1 is skipped.
+    Pattern index k encodes entries 2..d in its bits (bit set = -1) and
+    entry 1 is always -1, so the last row is the all-minus pattern.
+    Built by doubling: column c stacks [P, +1] over [P, -1].
     """
     import numpy as np
-    total = (1 << (d - 1)) - 1
-    shifts = np.arange(d - 1)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        bits = (idx[:, None] >> shifts) & 1
-        pats = np.empty((idx.size, d), dtype=np.int8)
-        pats[:, 0] = -1
-        pats[:, 1:] = 1 - 2 * bits
-        yield pats
+    pats = np.empty((1 << (d - 1), d), dtype=np.int8)
+    pats[0, 0] = -1
+    for c in range(1, d):
+        n = 1 << (c - 1)
+        pats[n : 2 * n, :c] = pats[:n, :c]
+        pats[:n, c] = 1
+        pats[n : 2 * n, c] = -1
+    return pats
 
 
 def enumerate_sign_patterns(d: int) -> np.ndarray:
@@ -325,8 +324,7 @@ def enumerate_sign_patterns(d: int) -> np.ndarray:
         raise ValueError(f"d must be an integer >= 2, got {d!r}")
     if d > 24:
         raise ValueError(f"d={d} exceeds the enumeration cap 24")
-    import numpy as np
-    return np.concatenate(list(_pattern_chunks(d)), axis=0)
+    return _sign_patterns(d)[:-1]
 
 
 def reduced_sign_pattern(d: int) -> Tuple[int, ...]:
@@ -521,12 +519,10 @@ def _probe_vectors(d: int, n_samples: int, rng: np.random.Generator) -> Iterator
     import numpy as np
     yield np.ones(d)
     for j in range(d):
-        z = np.ones(d)
-        z[j] = 1e-3
-        yield z
-        z = np.ones(d)
-        z[j] = 1e3
-        yield z
+        for t in (1e-3, 1e3):
+            z = np.ones(d)
+            z[j] = t
+            yield z
     for a in range(1, d):
         for gamma in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
             z = np.ones(d)
@@ -538,14 +534,34 @@ def _probe_vectors(d: int, n_samples: int, rng: np.random.Generator) -> Iterator
 
 def _sampled_patterns(d: int, rng: np.random.Generator) -> np.ndarray:
     import numpy as np
-    pats = [reduced_sign_pattern(d)]
-    for a in range(1, d):
-        pats.append((-1,) * a + (1,) * (d - a))
-    fixed = np.array(pats, dtype=np.int8)
+    # Balanced, then minus blocks of every length (a = d: one-sign), then random.
+    pats = [reduced_sign_pattern(d)] + [(-1,) * a + (1,) * (d - a) for a in range(1, d + 1)]
     rand = rng.choice(np.array([-1, 1], dtype=np.int8), size=(512, d))
     rand[:, 0] = -1
-    keep = ~np.all(rand == -1, axis=1)
-    return np.concatenate([fixed, rand[keep]], axis=0)
+    return np.concatenate([np.array(pats, dtype=np.int8), rand], axis=0)
+
+
+def _dyadic(xs):
+    """Integers N_i with x_i = N_i / D for the floats x_i and one power of two D."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    den = max(q for _, q in ratios)
+    return [n * (den // q) for n, q in ratios]
+
+
+def _checked_witness(m: np.ndarray, z, s) -> Optional[PsiWitness]:
+    """(z, s) as a witness when psi (the value psq verify prints) and the
+    exact Psi of the stored floats are both negative, else None.  Exactly,
+    Psi = u^T M v with u = s z and v = s z^2, as u_l v_l = z_l^3; over
+    _dyadic numerators that sum is an integer with the sign of Psi."""
+    z, s = tuple(float(v) for v in z), tuple(int(v) for v in s)
+    val = psi(m, z, s)
+    if not val < 0.0:
+        return None
+    d, zn, mn = len(z), _dyadic(z), _dyadic(m.ravel().tolist())
+    v = [sk * zk * zk for sk, zk in zip(s, zn)]
+    rows = (sum(map(operator.mul, mn[l * d : (l + 1) * d], v)) for l in range(d))
+    exact = sum(sl * zl * r for sl, zl, r in zip(s, zn, rows))
+    return PsiWitness(z=z, s=s, psi_value=val) if exact < 0 else None
 
 
 def sample_membership_general(
@@ -558,10 +574,11 @@ def sample_membership_general(
 
     Probes structured vectors (near-unit, two-level blocks) and random
     log-uniform vectors on [1e-3, 1e3]^d against every canonical sign
-    pattern (all of them for d <= cap, a sampled set above).  Stops at
-    the first violation, which is deterministic for a fixed seed.  A
-    clean pass is only ever inconclusive: sampling cannot certify
-    membership.
+    pattern, the one-sign one included (all of them for d <= cap, a
+    sampled set above).  Stops at the first pair whose psi and exact Psi
+    are both negative (_checked_witness), which is deterministic for a
+    fixed seed.  A clean pass is only ever inconclusive: sampling cannot
+    certify membership.
     """
     import numpy as np
     m = _as_matrix(matrix)
@@ -571,9 +588,10 @@ def sample_membership_general(
     rng = np.random.default_rng(seed)
 
     diag, off = _diag_off(m)
-    full = d <= cap
-    if full:
-        chunks = list(_pattern_chunks(d))
+    if d <= cap:
+        # A 1 x 1 matrix is left unsearched: sign patterns need d >= 2.
+        pats = _sign_patterns(d)[: 0 if d == 1 else None]
+        chunks = [pats[k : k + (1 << 16)] for k in range(0, len(pats), 1 << 16)]
     else:
         chunks = [_sampled_patterns(d, rng)]
 
@@ -583,29 +601,11 @@ def sample_membership_general(
         for pats in chunks:
             vals = _psi_chunk(diag_term, off, z, pats.astype(float))
             n_evaluated += vals.size
-            bad = np.flatnonzero(vals < 0.0)
-            if bad.size:
-                j = int(bad[0])
-                witness = PsiWitness(
-                    z=tuple(float(v) for v in z),
-                    s=tuple(int(v) for v in pats[j]),
-                    psi_value=float(vals[j]),
-                )
-                return GeneralReport(
-                    d=d,
-                    verdict="nonmember",
-                    method="sampling",
-                    n_evaluated=n_evaluated,
-                    seed=seed,
-                    witness=witness,
-                )
-    return GeneralReport(
-        d=d,
-        verdict="inconclusive",
-        method="sampling",
-        n_evaluated=n_evaluated,
-        seed=seed,
-    )
+            for j in np.flatnonzero(vals < 0.0):
+                witness = _checked_witness(m, z, pats[j])
+                if witness is not None:
+                    return GeneralReport(d, "nonmember", "sampling", n_evaluated, seed, witness)
+    return GeneralReport(d, "inconclusive", "sampling", n_evaluated, seed)
 
 
 def certify_general(

@@ -36,6 +36,7 @@ materialized with a small eps in place of the closure zeros.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -70,17 +71,14 @@ class StructuredConfig:
     """One block configuration: i unit entries vs m constant entries.
 
     side says which vector carries the unit block; the other vector is
-    constant at gamma.  s1, s2, s3 are the quotient components of the
-    configuration (signs depend on side), q_value = s1 * s2 / s3.
+    constant at gamma.  q_value = g_{i,m}(gamma), the configuration's Q
+    (the same for either side).
     """
 
     i: int
     m: int
     gamma: float
     side: str  # "x_is_block" or "y_is_block"
-    s1: float
-    s2: float
-    s3: float
     q_value: float
 
 
@@ -107,10 +105,12 @@ class SupQResult:
 
         Block-side entries below the unit block are filled with eps
         (the closure zeros).  Q of the returned pair tends to sup_value
-        as eps -> 0.
+        as eps -> 0.  ValueError when a length exceeds sys.maxsize.
         """
         if eps <= 0:
             raise ValueError("eps must be > 0")
+        if max(self.n_x, self.n_y) > sys.maxsize:
+            raise ValueError(f"vector length {max(self.n_x, self.n_y)} exceeds sys.maxsize")
         c = self.maximizing_config
         if c.side == "x_is_block":
             x = [1.0] * c.i + [eps] * (self.n_x - c.i)
@@ -181,19 +181,6 @@ def _gamma_root(i: int, m: int) -> float:
         g = nxt
 
 
-def _config_from(i: int, m: int, gamma: float, side: str) -> StructuredConfig:
-    if side == "x_is_block":
-        s1 = i - m * gamma
-        s2 = m * gamma * gamma - i
-    else:
-        s1 = m * gamma - i
-        s2 = i - m * gamma * gamma
-    s3 = i + m * gamma ** 3
-    return StructuredConfig(
-        i=i, m=m, gamma=gamma, side=side, s1=s1, s2=s2, s3=s3, q_value=s1 * s2 / s3
-    )
-
-
 def sup_q(n_x: int, n_y: int) -> SupQResult:
     """Supremum of Q over positive orthants of dimensions (n_x, n_y).
 
@@ -251,7 +238,7 @@ def sup_q(n_x: int, n_y: int) -> SupQResult:
                 gamma = _gamma_root(i, m)
                 value = _g_config(i, m, gamma)
                 if best is None or value > best.q_value:
-                    best = _config_from(i, m, gamma, side)
+                    best = StructuredConfig(i, m, gamma, side, value)
         if best is not None and not math.isfinite(best.q_value):
             raise OverflowError
     except OverflowError:
@@ -259,7 +246,7 @@ def sup_q(n_x: int, n_y: int) -> SupQResult:
 
     if best is None:
         # Only (1, 1): no configuration has p < 1; sup 0 is the x = y limit.
-        best = _config_from(1, 1, 1.0, "x_is_block")
+        best = StructuredConfig(1, 1, 1.0, "x_is_block", 0.0)
         sup_value = 0.0
     else:
         residual = _quartic(best.i, best.m, best.gamma)
@@ -291,9 +278,12 @@ def witness_vectors(n: int, extra_component: bool = False):
     extra_component=True, x gets one more 1/n entry (length n+1).
     Q of the pair is negative for n <= 9 and approaches c* * n from
     below as n grows; at n = 10**4 the ratio Q/n is within 1% of c*.
+    ValueError when a length exceeds sys.maxsize.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if n + extra_component > sys.maxsize:
+        raise ValueError(f"vector length {n + extra_component} exceeds sys.maxsize")
     i = int(P_STAR * n)
     inv = 1.0 / n
     x = [1.0] * i + [inv] * (n - i)

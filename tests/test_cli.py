@@ -102,6 +102,17 @@ def test_huge_dimensions_are_usage_errors(runner, args):
     _assert_usage_error(runner.invoke(main, args))
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["witness", "--growth-n", str(10**20)], ["witness", "--nx", str(10**20), "--ny", str(10**20)]],
+    ids=["growth-n", "nx-ny"],
+)
+def test_witness_lengths_beyond_maxsize_are_usage_errors(runner, args):
+    out = runner.invoke(main, args)
+    _assert_usage_error(out)
+    assert out.output.count("Error:") == 1 and "exceeds sys.maxsize" in out.output
+
+
 def test_certify_matrix_with_huge_d(runner, tmp_path):
     path = tmp_path / "m.json"
     path.write_text('{"d": 1' + "0" * 400 + ', "b": 0.0}')
@@ -270,6 +281,18 @@ class TestVerify:
         )
         assert out.exit_code == 0
         assert json.loads(out.output)["confirmed"] is True
+
+    def test_round_trip_one_sign_general(self, runner, tmp_path):
+        # Negative only at the one-sign pattern s = (-1, -1): Psi(1, 1) = -8.
+        mpath, wpath, rpath = tmp_path / "m.json", tmp_path / "w.json", tmp_path / "r.json"
+        mpath.write_text(json.dumps({"d": 2, "entries": [[1, -5], [-5, 1]]}))
+        out = runner.invoke(main, ["certify", "--matrix", str(mpath), "--json", str(rpath)])
+        assert out.exit_code == 1
+        witness = json.loads(rpath.read_text())["witness"]
+        wpath.write_text(json.dumps(witness))
+        out = runner.invoke(main, ["verify", "--matrix", str(mpath), "--witness", str(wpath)])
+        assert out.exit_code == 0
+        assert json.loads(out.output)["psi"] == witness["psi"] < 0
 
     def test_not_confirmed_against_member(self, runner, tmp_path):
         mpath = tmp_path / "m.json"

