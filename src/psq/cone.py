@@ -182,7 +182,8 @@ class GeneralReport:
     method is "diagonal_dominance" or "perturbation" when that
     certificate fired, otherwise "sampling"; sampling never certifies
     membership, so its verdicts are nonmember or inconclusive.  Only
-    "perturbation" sets diagnostics: {"b", "slack", "threshold"}.
+    "perturbation" sets diagnostics: {"b", "slack", "threshold",
+    "evaluations"}, the last counting dense slack evaluations.
     """
 
     d: int
@@ -534,8 +535,8 @@ def _probe_vectors(d: int, n_samples: int, rng: np.random.Generator) -> Iterator
 
 def _sampled_patterns(d: int, rng: np.random.Generator) -> np.ndarray:
     import numpy as np
-    # Balanced, then minus blocks of every length (a = d: one-sign), then random.
-    pats = [reduced_sign_pattern(d)] + [(-1,) * a + (1,) * (d - a) for a in range(1, d + 1)]
+    # Minus blocks of every length (a = ceil(d/2): balanced, a = d: one-sign), then random.
+    pats = [(-1,) * a + (1,) * (d - a) for a in range(1, d + 1)]
     rand = rng.choice(np.array([-1, 1], dtype=np.int8), size=(512, d))
     rand[:, 0] = -1
     return np.concatenate([np.array(pats, dtype=np.int8), rand], axis=0)
@@ -589,8 +590,7 @@ def sample_membership_general(
 
     diag, off = _diag_off(m)
     if d <= cap:
-        # A 1 x 1 matrix is left unsearched: sign patterns need d >= 2.
-        pats = _sign_patterns(d)[: 0 if d == 1 else None]
+        pats = _sign_patterns(d)
         chunks = [pats[k : k + (1 << 16)] for k in range(0, len(pats), 1 << 16)]
     else:
         chunks = [_sampled_patterns(d, rng)]
@@ -629,44 +629,58 @@ def certify_general(
 
         slack_l(b) = m_ll - b/t - sum_{k != l} (|m_lk - b| + 2 |m_kl - b|) / 3.
 
-    min_l slack_l(b) is concave and piecewise linear in b; its maximum
-    may lie where two rows cross, and beyond max(t, max_{k != l} m_lk)
-    every slope is negative, so bisecting on the slope of the minimizing
-    row finds it.  M is certified when the best slack exceeds 1e-9
-    max(1, d max|m_ij|), far above the float error of t and the sums.
+    f(b) = min_l slack_l(b) is concave and piecewise linear, bending only
+    where b is an off-diagonal entry.  A binary search over 0, those
+    entries and hi = max(t, max_{k != l} m_lk) finds the last candidate
+    where f's right slope (least among the minimizing rows) is positive;
+    by concavity the maximum lies before the next candidate, where each
+    row is a line, at the crossing of the lowest rising and falling lines.
+    M is certified when f there exceeds 1e-9 max(1, d max|m_ij|), far
+    above the float error of t and the sums.
     """
     m = _as_matrix(matrix)
     d = m.shape[0]
     if check_diagonal_dominance(m):
         return GeneralReport(d, "member_certified", "diagonal_dominance", 0)
-    b, slack, t = _best_perturbation_slack(m)
+    b, slack, t, evaluations = _best_perturbation_slack(m)
     if slack > 1e-9 * max(1.0, d * float(abs(m).max())):
-        return GeneralReport(d, "member_certified", "perturbation", 0, diagnostics={"b": b, "slack": slack, "threshold": t})
+        diagnostics = {"b": b, "slack": slack, "threshold": t, "evaluations": evaluations}
+        return GeneralReport(d, "member_certified", "perturbation", 0, diagnostics=diagnostics)
     return sample_membership_general(m, n_samples=n_samples, seed=seed, cap=cap)
 
 
-def _best_perturbation_slack(m: np.ndarray) -> Tuple[float, float, float]:
-    """(b, min_l slack_l(b), t) at the best b; see certify_general."""
+def _best_perturbation_slack(m: np.ndarray) -> Tuple[float, float, float, int]:
+    """(b, min_l slack_l(b), t, dense slack evaluations) at the best b; see certify_general."""
     import numpy as np
     d = m.shape[0]
     t = all_split_threshold(d)
-    diag = m.diagonal()
+    diag, off = m.diagonal(), ~np.eye(d, dtype=bool)
+    evaluations = 0
 
-    def min_slack(b):
+    def slacks(b):
+        nonlocal evaluations
+        evaluations += 1
         a = abs(m - b)
         np.fill_diagonal(a, 0.0)
         rows = diag - b / t - (a.sum(axis=1) + 2.0 * a.sum(axis=0)) / 3.0
-        l = int(rows.argmin())
-        # Right slope of slack_l: d|m - b|/db = +1 where m <= b, else -1.
-        up = (m[l] <= b).sum() + 2 * (m[:, l] <= b).sum() - 3 * (diag[l] <= b)
-        return float(rows[l]), -1.0 / t - (2 * up - 3 * (d - 1)) / 3.0
+        # Right slopes: d|m - b|/db = +1 where m <= b, else -1; f's is the least over minimizing rows.
+        le = (m <= b) & off
+        slopes = -1.0 / t - (2 * (le.sum(axis=1) + 2 * le.sum(axis=0)) - 3 * (d - 1)) / 3.0
+        return rows, slopes, slopes[rows == rows.min()].min()
 
-    lo, hi = 0.0, float(m[~np.eye(d, dtype=bool)].max(initial=t))
-    best_b, (best, _) = lo, min_slack(lo)
-    for _ in range(45):  # hi / 2^45 < 3e-14 hi
-        mid = 0.5 * (lo + hi)
-        val, slope = min_slack(mid)
-        if val > best:
-            best_b, best = mid, val
-        lo, hi = (mid, hi) if slope > 0.0 else (lo, mid)
-    return best_b, best, t
+    cands = np.sort(np.append(np.maximum(m[off], 0.0), (0.0, m[off].max(initial=t))))
+    rows, slopes, rising = slacks(0.0)
+    if rising <= 0.0:
+        return 0.0, float(rows.min()), t, evaluations
+    lo, hi = 0, len(cands) - 1  # f's right slope is > 0 at cands[lo], <= 0 at cands[hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        r, s, rising = slacks(cands[mid])
+        lo, hi, rows, slopes = (mid, hi, r, s) if rising > 0.0 else (lo, mid, rows, slopes)
+    # On [cands[lo], cands[hi]] each slack_l is the line rows + slopes x; f peaks where the
+    # lowest rising and falling lines meet, at min over falling q of q's last rising crossing.
+    p, q = slopes > 0.0, slopes <= 0.0
+    cross = (rows[q] - rows[p, None]) / (slopes[p, None] - slopes[q])
+    x = cross.max(axis=0, initial=-np.inf).min(initial=np.inf)
+    b = float(np.clip(cands[lo] + x, cands[lo], cands[hi]))
+    return b, float(slacks(b)[0].min()), t, evaluations

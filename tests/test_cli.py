@@ -183,7 +183,7 @@ def test_report_json_key_order():
     m16 = [[1.0 if i == j else 0.3 for j in range(16)] for i in range(16)]
     perturbed = certify_general(m16).to_json_dict()
     assert list(perturbed) == general_keys
-    assert list(perturbed["diagnostics"]) == ["b", "slack", "threshold"]
+    assert list(perturbed["diagnostics"]) == ["b", "slack", "threshold", "evaluations"]
     assert list(table1_rows()[0].to_json_dict()) == ["d", "lower_bound", "b_d"]
     assert list(table2_rows([50])[0].to_json_dict()) == [
         "d", "lower_bound", "witness_upper", "asymptotic",

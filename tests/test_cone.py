@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from psq import all_split_threshold
 from psq.cone import (
     MatrixSpec,
+    _best_perturbation_slack,
     _growth_estimates,
+    _sampled_patterns,
     b3_quartic_root,
     b3_radical,
     certify_general,
@@ -395,6 +397,14 @@ class TestSampler:
         rep = sample_membership_general(m, n_samples=10, seed=0, cap=24)
         assert rep.verdict == "nonmember"
 
+    def test_sampled_structured_rows_are_distinct(self):
+        # Above cap the sampled set starts with the d minus blocks, one of
+        # them balanced; each is listed once.
+        for d in range(25, 41):
+            rows = _sampled_patterns(d, np.random.default_rng(0))[:d]
+            assert len({tuple(r) for r in rows}) == d, d
+            assert tuple(rows[(d + 1) // 2 - 1]) == reduced_sign_pattern(d)
+
     def test_rejects_negative_samples(self):
         with pytest.raises(ValueError):
             sample_membership_general(np.eye(3), n_samples=-1)
@@ -441,7 +451,12 @@ class TestCertifyGeneral:
 
     def test_one_by_one(self):
         assert certify_general(np.array([[2.0]])).method == "diagonal_dominance"
-        assert certify_general(np.array([[-1.0]])).verdict == "inconclusive"
+        # Psi = -z^3 < 0 for every z > 0 at the one pattern s = (-1,).
+        m = np.array([[-1.0]])
+        rep = certify_general(m)
+        assert rep.verdict == "nonmember" and rep.witness.s == (-1,)
+        assert psi(m, rep.witness.z, rep.witness.s) == rep.witness.psi_value < 0
+        assert _exact_psi(m.tolist(), rep.witness.z, rep.witness.s) < 0
 
 
 def _exact_psi(entries, z, s):
@@ -486,6 +501,44 @@ def _exact_one_minus_psi(entries, gamma):
     return m[0][0] - gamma * col0 - gamma ** 2 * row0 + gamma ** 3 * inner
 
 
+def _bisection_reference(m):
+    """The best b of min_l slack_l by a 45-step bisection on the slope of the
+    minimizing row: (b, slack, t), the slack within hi 2^-45 of the optimum."""
+    d = m.shape[0]
+    t = all_split_threshold(d)
+    diag = m.diagonal()
+
+    def min_slack(b):
+        a = abs(m - b)
+        np.fill_diagonal(a, 0.0)
+        rows = diag - b / t - (a.sum(axis=1) + 2.0 * a.sum(axis=0)) / 3.0
+        l = int(rows.argmin())
+        up = (m[l] <= b).sum() + 2 * (m[:, l] <= b).sum() - 3 * (diag[l] <= b)
+        return float(rows[l]), -1.0 / t - (2 * up - 3 * (d - 1)) / 3.0
+
+    lo, hi = 0.0, float(m[~np.eye(d, dtype=bool)].max(initial=t))
+    best_b, (best, _) = lo, min_slack(lo)
+    for _ in range(45):
+        mid = 0.5 * (lo + hi)
+        val, slope = min_slack(mid)
+        if val > best:
+            best_b, best = mid, val
+        lo, hi = (mid, hi) if slope > 0.0 else (lo, mid)
+    return best_b, best, t
+
+
+def _exact_min_slack(entries, b, t):
+    """min_l slack_l(b) in exact arithmetic on the stored floats."""
+    d = len(entries)
+    m = [[Fraction(v) for v in row] for row in entries]
+    b, t = Fraction(b), Fraction(t)
+    return min(
+        m[l][l] - b / t
+        - sum(abs(m[l][k] - b) + 2 * abs(m[k][l] - b) for k in range(d) if k != l) / 3
+        for l in range(d)
+    )
+
+
 class TestPerturbationCertificate:
     def test_all_split_threshold_against_bd(self):
         for d in range(2, 201):
@@ -506,8 +559,9 @@ class TestPerturbationCertificate:
         assert rep.verdict == "member_certified" and rep.method == "perturbation"
         diag = rep.diagnostics
         assert diag["threshold"] == all_split_threshold(16)
-        assert diag["b"] == pytest.approx(0.3, abs=1e-9)
+        assert diag["b"] == 0.3
         assert diag["slack"] == pytest.approx(1.0 - 0.3 / diag["threshold"], abs=1e-9)
+        assert diag["evaluations"] <= math.ceil(math.log2(16 * 15 + 2)) + 3
         assert json.loads(json.dumps(rep.to_json_dict()))["diagnostics"] == diag
 
     def test_threshold_is_tight(self):
@@ -527,9 +581,46 @@ class TestPerturbationCertificate:
         rep = certify_general(m, n_samples=0, cap=2)
         assert rep.method == "perturbation"
         t = all_split_threshold(3)
-        assert rep.diagnostics["b"] == pytest.approx(0.15, abs=1e-9)
+        assert rep.diagnostics["b"] == pytest.approx(0.15, abs=1e-15)
         assert rep.diagnostics["slack"] == pytest.approx(0.7 - 0.15 / t, abs=1e-9)
         assert rep.diagnostics["slack"] > max(0.4, 0.7 - 0.3 / t) + 0.1
+
+    def test_breakpoint_search_matches_bisection_reference(self):
+        rng = np.random.default_rng(10)
+        cases = [np.array([[1.0]]), np.array([[-1.0]]), np.array([[0.5]])]
+        for d in (2, 3, 7, 12):
+            t = all_split_threshold(d)
+            cases += [
+                MatrixSpec.equal_off_diagonal(d, f * t).dense() for f in (0.0, 0.5, 1 - 1e-6, 1.0)
+            ]
+            m = np.full((d, d), -0.2)  # negative entries, all off-diagonals equal
+            np.fill_diagonal(m, 1.0)
+            cases.append(m)
+            m = np.full((d, d), 2.0 * t)  # entries above t
+            np.fill_diagonal(m, 5.0 * d)
+            cases.append(m)
+            m = MatrixSpec.equal_off_diagonal(d, 0.0).dense()  # rows tie pairwise
+            m[0, 1:] = m[1:, 0] = m[-1, :-1] = m[:-1, -1] = 0.3
+            cases.append(m)
+        for _ in range(300):
+            d = int(rng.integers(1, 21))
+            b = rng.uniform(0.0, 1.0) * all_split_threshold(d)
+            m = np.full((d, d), b) + rng.normal(0.0, rng.uniform(0.0, 0.05), (d, d))
+            np.fill_diagonal(m, 1.0 + rng.normal(0.0, 0.05, d))
+            m[1:, 0] += rng.choice([0.0, rng.uniform(0.0, 1.5)])
+            m[0, 1:] += rng.choice([0.0, rng.uniform(0.0, 1.5)])
+            if rng.uniform() < 0.2:  # ties: entries on a coarse grid
+                m = np.round(m * 8.0) / 8.0
+            cases.append(m)
+        for m in cases:
+            d = m.shape[0]
+            scale = max(1.0, d * float(abs(m).max()))
+            b, slack, t, evaluations = _best_perturbation_slack(m)
+            _, ref, _ = _bisection_reference(m)
+            assert (slack > 1e-9 * scale) == (ref > 1e-9 * scale)
+            assert slack >= ref - 1e-12 * scale
+            assert b >= 0.0 and evaluations <= math.ceil(math.log2(d * (d - 1) + 2)) + 3
+            assert abs(slack - _exact_min_slack(m.tolist(), b, t)) <= 1e-12 * scale
 
     @given(
         d=st.integers(3, 10),
