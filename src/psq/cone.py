@@ -29,8 +29,9 @@ and a perturbation bound around M_d(b), then a randomized search for
 violating pairs (z, s) that can only ever certify non-membership.
 
 numpy is imported inside the functions that work on explicit matrices,
-not at module level, so the M_d(b) route (compute_bd, membership below
-b_d, the tables) runs in a cold CLI process without loading it.  Those
+not at module level, so the M_d(b) route (compute_bd, membership on
+either side of b_d, the nonmember witness checked by exact block sums,
+the tables) runs in a cold CLI process without loading it.  Those
 functions stay in this module because perfbench's tracer names the
 cone.* per-layer metrics after the module a function is defined in.
 """
@@ -45,7 +46,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 from .power_sums import validate_positive_vector
-from .structured import _EPS_SCHEDULE, C_STAR, GAMMA_STAR, P_STAR, sup_q
+from .structured import _EPS_SCHEDULE, ALPHA_T, C_STAR, GAMMA_STAR, P_STAR, sup_q
 
 if TYPE_CHECKING:
     import numpy as np
@@ -161,7 +162,8 @@ class MembershipReport:
     reported inconclusive rather than resolved by a comparison below
     working precision.  The field only repeats that constant; it stays
     because perfbench reads it from reports and from the CLI's JSON,
-    until ROADMAP item 2 drops it there.
+    until ROADMAP item 2 drops it there.  A nonmember's witness.psi_value
+    is the exact Psi at its stored floats, correctly rounded.
     """
 
     d: int
@@ -391,12 +393,26 @@ def all_split_threshold(d: int) -> float:
     M_d(b) is in the cone exactly for 0 <= b <= t_d: Q is symmetric, so
     these splits cover every pattern with both signs, and a one-sign
     pattern gives Psi = (1 - b) M3 + b M1 M2 >= 0.  Equal to b_d for
-    d <= 3, below it for d >= 4, where the (1, d - 1) split beats the
-    balanced one.  O(d), as sup_q is O(1).
+    d <= 3, below it for d >= 4, where an unbalanced split beats the
+    balanced one.  O(1), and 1 / (1 + C_T d) < t_d, by two facts about
+    phi(p) = F(p) / (1 + p), F(p) = max_gamma f(p, gamma):
+
+    1. Only full short blocks count.  i units against m constants give
+       m F(i/m), nondecreasing in m (sup_q).  A block on the short side
+       has i <= a, m = d - a; on the long side i < m = a.  Both have
+       i <= d // 2 and m <= d - i, so the value is at most that of the
+       full block of split (i, d - i), d phi(i / (d - i)) <= C_T d.
+    2. phi peaks once, at P_T.  Along sup_q's root curve p(gamma),
+       F'(p)(1 + p) - F(p) = (1 - gamma) q(gamma) / (9 gamma (1 + gamma)
+       (1 + gamma^2)) with q / gamma^2 = u^2 - 4u - 8, u = gamma + 1/gamma,
+       which falls once through 0, at GAMMA_T, as gamma rises on (0, 1).
+       i / (d - i) <= P_T iff i <= ALPHA_T d, so only the splits
+       a = floor(ALPHA_T d) and a + 1, within [1, d // 2], are evaluated.
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be an integer >= 1, got {d!r}")
-    sup = max((sup_q(a, d - a).sup_value for a in range(1, d // 2 + 1)), default=0.0)
+    k = int(ALPHA_T * d)
+    sup = max((sup_q(a, d - a).sup_value for a in (k, k + 1) if 1 <= a <= d // 2), default=0.0)
     return 1.0 / (1.0 + max(0.0, sup))
 
 
@@ -491,7 +507,9 @@ def membership_equal_offdiag(d: int, b: float) -> MembershipReport:
     b <= b_d - margin: member_certified.  b >= b_d + margin: nonmember,
     with an explicit (z, s) witness built from the maximizing block
     configuration on the balanced split (zeros replaced by a shrinking
-    eps until Psi < 0).  Inside the margin: inconclusive.
+    eps until Psi < 0).  Psi is decided exactly, in O(1) from the at most
+    three distinct blocks, and psi_value is it correctly rounded.
+    Inside the margin: inconclusive.
     """
     spec = MatrixSpec.equal_off_diagonal(d, b)
     bd, res = _bd_from_sup(d)
@@ -501,14 +519,16 @@ def membership_equal_offdiag(d: int, b: float) -> MembershipReport:
     if spec.b <= bd - margin:
         return report(verdict="member_certified")
     if spec.b >= bd + margin:
-        s = reduced_sign_pattern(d)
-        m = spec.dense()
+        c = res.maximizing_config
+        sign = -1 if c.side == "x_is_block" else 1  # x holds the minus signs
+        n_block = res.n_x if sign < 0 else res.n_y
         for eps in _EPS_SCHEDULE:
-            x, y = res.witness_pair(eps)
-            z = tuple(x) + tuple(y)
-            val = psi(m, z, s)
-            if val < 0.0:
-                return report(verdict="nonmember", witness=PsiWitness(z=z, s=s, psi_value=val))
+            blocks = ((1.0, c.i, sign), (eps, n_block - c.i, sign), (c.gamma, c.m, -sign))
+            num, val = _offdiag_psi(blocks, spec.b)
+            if num < 0:
+                x, y = res.witness_pair(eps)
+                witness = PsiWitness(z=tuple(x) + tuple(y), s=reduced_sign_pattern(d), psi_value=val)
+                return report(verdict="nonmember", witness=witness)
         raise RuntimeError(
             f"b={b!r} exceeds b_{d}={bd!r} but no eps in {_EPS_SCHEDULE} "
             f"produced a negative Psi witness"
@@ -543,10 +563,26 @@ def _sampled_patterns(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _dyadic(xs):
-    """Integers N_i with x_i = N_i / D for the floats x_i and one power of two D."""
+    """Integers N_i and one power of two D with x_i = N_i / D for the floats x_i."""
     ratios = [x.as_integer_ratio() for x in xs]
     den = max(q for _, q in ratios)
-    return [n * (den // q) for n, q in ratios]
+    return [n * (den // q) for n, q in ratios], den
+
+
+def _offdiag_psi(blocks, b: float) -> Tuple[int, float]:
+    """Exact Psi of M_d(b) at the (z, s) holding c entries v of sign s for
+    each (v, c, s) in blocks: an integer with the sign of Psi, and Psi
+    correctly rounded (int true division).  Psi = (1 - b) M3 + b S1 S2
+    with S_k = sum s z^k; over _dyadic's z = N / D and b = n_b / q_b,
+    Psi D^3 q_b is the integer (q_b - n_b) N3 + n_b N1 N2."""
+    vs, cs, ss = zip(*blocks)
+    ns, den = _dyadic(vs)
+    n1 = n2 = n3 = 0
+    for n, c, s in zip(ns, cs, ss):
+        n1, n2, n3 = n1 + c * s * n, n2 + c * s * n * n, n3 + c * n ** 3
+    n_b, q_b = b.as_integer_ratio()
+    num = (q_b - n_b) * n3 + n_b * n1 * n2
+    return num, num / (q_b * den ** 3)
 
 
 def _checked_witness(m: np.ndarray, z, s) -> Optional[PsiWitness]:
@@ -558,7 +594,7 @@ def _checked_witness(m: np.ndarray, z, s) -> Optional[PsiWitness]:
     val = psi(m, z, s)
     if not val < 0.0:
         return None
-    d, zn, mn = len(z), _dyadic(z), _dyadic(m.ravel().tolist())
+    d, (zn, _), (mn, _) = len(z), _dyadic(z), _dyadic(m.ravel().tolist())
     v = [sk * zk * zk for sk, zk in zip(s, zn)]
     rows = (sum(map(operator.mul, mn[l * d : (l + 1) * d], v)) for l in range(d))
     exact = sum(sl * zl * r for sl, zl, r in zip(s, zn, rows))

@@ -47,6 +47,10 @@ __all__ = [
     "C_STAR",
     "P_STAR",
     "GAMMA_STAR",
+    "C_T",
+    "P_T",
+    "GAMMA_T",
+    "ALPHA_T",
     "StructuredConfig",
     "SupQResult",
     "reduced_objective",
@@ -60,6 +64,14 @@ SQRT7 = math.sqrt(7.0)
 C_STAR = (7.0 * SQRT7 - 17.0) / 27.0
 P_STAR = (16.0 - 5.0 * SQRT7) / 27.0
 GAMMA_STAR = (SQRT7 - 2.0) / 3.0
+
+# Peak of F(p) / (1 + p), F(p) = max_gamma f(p, gamma) (see cone.all_split_threshold);
+# P_T = (7 + 3 sqrt 3 - sqrt(72 + 42 sqrt 3)) / 2, written without the cancellation.
+_SQRT3 = math.sqrt(3.0)
+GAMMA_T = 1.0 + _SQRT3 - math.sqrt(3.0 + 2.0 * _SQRT3)
+P_T = 2.0 / (7.0 + 3.0 * _SQRT3 + math.sqrt(72.0 + 42.0 * _SQRT3))
+ALPHA_T = (3.0 - math.sqrt(3.0 + 2.0 * _SQRT3)) / 6.0
+C_T = (2.0 * _SQRT3 - 3.0) / 9.0
 
 # Closure zeros tried, in order, when a block configuration is
 # materialized as a concrete positive witness.

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +29,7 @@ from psq.cone import (
     sample_membership_general,
 )
 from psq.power_sums import quotient_q
-from psq.structured import C_STAR, GAMMA_STAR, P_STAR, sup_q, witness_vectors
+from psq.structured import C_STAR, C_T, GAMMA_STAR, P_STAR, sup_q, witness_vectors
 
 # Thresholds frozen from an independent run of the structured maximizer.
 FROZEN_BD = {
@@ -322,6 +324,30 @@ class TestComputeBd:
             _growth_estimates(d)
 
 
+def _psi_exact_offdiag(b, z, s):
+    """Exact Psi of M_d(b) at (z, s), summed over groups of equal (z_l, s_l):
+    sum_l z_l^3 + b sum_l s_l z_l (S - s_l z_l^2) with S = sum_k s_k z_k^2."""
+    b = Fraction(b)
+    groups = [(Fraction(v), sg, k) for (v, sg), k in Counter(zip(z, s)).items()]
+    total = sum(k * sg * v * v for v, sg, k in groups)
+    return sum(k * (v ** 3 + b * sg * v * (total - sg * v * v)) for v, sg, k in groups)
+
+
+def _check_nonmember_witnesses(d, n_grid, rng):
+    """membership_equal_offdiag above b_d + 1e-8 (seeded grid and b = 1):
+    nonmember, exact Psi < 0, psi_value its correctly rounded value, and
+    the dense psi (what psq verify prints) negative for d <= 200."""
+    lo = compute_bd(d).b_d + 1e-8
+    bs = [lo + (1.0 - lo) * rng.random() for _ in range(n_grid)] + [lo, 1.0]
+    for b in (b for b in bs if lo <= b <= 1.0):
+        w = membership_equal_offdiag(d, b).witness
+        assert w is not None, (d, b)
+        exact = _psi_exact_offdiag(b, w.z, w.s)
+        assert exact < 0 and w.psi_value == float(exact), (d, b)
+        if d <= 200:
+            assert psi(MatrixSpec.equal_off_diagonal(d, b).dense(), w.z, w.s) < 0.0, (d, b)
+
+
 class TestMembership:
     @pytest.mark.parametrize("d", range(2, 13))
     def test_flip_at_threshold(self, d):
@@ -343,8 +369,18 @@ class TestMembership:
         rep = membership_equal_offdiag(6, 0.95)
         m = MatrixSpec.equal_off_diagonal(6, 0.95).dense()
         w = rep.witness
-        assert psi(m, w.z, w.s) == w.psi_value
+        assert w.psi_value == float(_psi_exact_offdiag(0.95, w.z, w.s))
+        assert psi(m, w.z, w.s) < 0.0
         assert w.s == reduced_sign_pattern(6)
+
+    def test_nonmember_witness_exact_small_d(self):
+        rng = random.Random(1201)
+        for d in range(2, 201):
+            _check_nonmember_witnesses(d, 3, rng)
+
+    @pytest.mark.parametrize("d", [10**3, 10**4, 10**5])
+    def test_nonmember_witness_exact_large_d(self, d):
+        _check_nonmember_witnesses(d, 2, random.Random(d))
 
     def test_far_sides(self):
         assert membership_equal_offdiag(4, 0.1).verdict == "member_certified"
@@ -537,6 +573,27 @@ def _exact_min_slack(entries, b, t):
         - sum(abs(m[l][k] - b) + 2 * abs(m[k][l] - b) for k in range(d) if k != l) / 3
         for l in range(d)
     )
+
+
+def _scan_threshold(d):
+    """Reference for all_split_threshold: sup_q of every split (a, d - a)."""
+    sup = max((sup_q(a, d - a).sup_value for a in range(1, d // 2 + 1)), default=0.0)
+    return 1.0 / (1.0 + max(0.0, sup))
+
+
+class TestAllSplitThreshold:
+    def test_matches_scan(self):
+        rng = random.Random(1202)
+        ds = [*range(1, 201), *rng.sample(range(201, 2001), 8), rng.randrange(2001, 10**5 + 1)]
+        for d in ds:
+            assert all_split_threshold(d) == _scan_threshold(d), d
+
+    def test_above_growth_bound(self):
+        for d in range(2, 2001):
+            assert 1.0 / (1.0 + C_T * d) < all_split_threshold(d), d
+        # Nearly sharp: the bound's ratio 1/t - 1 to C_T d tends to 1.
+        for d in (10**4, 10**6):
+            assert 1.0 - 1e-5 < (1.0 / all_split_threshold(d) - 1.0) / (C_T * d) < 1.0
 
 
 class TestPerturbationCertificate:

@@ -184,6 +184,8 @@ class TestNoNumpy:
             ["eval-q", "-x", "1,1/2,1/4", "-y", "3/4"],
             ["certify", "--d", "6", "--b", "0.5"],
             ["certify", "--d", "6", "--b", repr(compute_bd(6).b_d)],
+            ["certify", "--d", "6", "--b", "0.99"],
+            ["certify", "--d", "3000", "--b", "0.5"],
         ],
         ids=" ".join,
     )

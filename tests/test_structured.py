@@ -11,9 +11,14 @@ from psq.power_sums import quotient_q
 from psq.structured import (
     _g_config,
     _gamma_root,
+    _reduced_value_dp,
+    ALPHA_T,
     C_STAR,
+    C_T,
     GAMMA_STAR,
+    GAMMA_T,
     P_STAR,
+    P_T,
     SQRT7,
     positivity_witness,
     reduced_objective,
@@ -90,6 +95,21 @@ class TestConstants:
         assert s1 == pytest.approx(-2.0 * C_STAR, abs=1e-15)
         assert s2 == pytest.approx(-C_STAR, abs=1e-15)
         assert s3 == pytest.approx(2.0 * C_STAR, abs=1e-15)
+
+    def test_all_split_constants(self):
+        # As solve_reduced checks (p*, gamma*, c*): the root route at P_T gives
+        # GAMMA_T, F'(p)(1 + p) - F(p) vanishes there, and F / (1 + p) is C_T.
+        g = _gamma_root(P_T, 1.0)
+        f, fp = _reduced_value_dp(P_T, g)
+        assert abs(g - GAMMA_T) <= 1e-9
+        assert abs(fp * (1.0 + P_T) - f) <= 1e-9
+        assert abs(f / (1.0 + P_T) - C_T) <= 1e-9
+        assert ALPHA_T == pytest.approx(P_T / (1.0 + P_T), rel=1e-15)
+        u = GAMMA_T + 1.0 / GAMMA_T
+        assert u * u - 4.0 * u - 8.0 == pytest.approx(0.0, abs=1e-12)
+        assert (((P_T - 14.0) * P_T + 24.0) * P_T - 14.0) * P_T + 1.0 == pytest.approx(0.0, abs=1e-14)
+        assert (27.0 * C_T + 18.0) * C_T - 1.0 == pytest.approx(0.0, abs=1e-15)
+        assert C_STAR / 2.0 < C_T < C_STAR
 
 
 class TestReduced:
