@@ -430,13 +430,13 @@ def _block_power_sums(blocks):
     """M_1, M_2, M_3 of the vector holding c copies of each float v in
     blocks = ((v, c), ...), bit-equal to power_sums on its entries.
 
-    math.fsum of the rounded powers v, v * v and pow(v, 3.0) is their
-    correctly rounded exact sum, and so is int true division of that
-    sum, held as an integer count of 2**-1074.
+    power_sums rounds each power once, as v, v * v and (v * v) * v,
+    and returns their exact sum rounded once; so does int true division
+    of that sum, held as an integer count of 2**-1074.
     """
     sums = [0, 0, 0]
     for v, c in blocks:
-        for k, w in enumerate((v, v * v, pow(v, 3.0))):
+        for k, w in enumerate((v, v * v, v * v * v)):
             n, q = w.as_integer_ratio()
             sums[k] += c * n * (_FLOAT_DEN // q)
     return [s / _FLOAT_DEN for s in sums]

@@ -13,10 +13,16 @@ length.  Q is homogeneous of degree zero (Q(t*x, t*y) = Q(x, y) for
 t > 0) and symmetric (Q(x, y) = Q(y, x), both numerator factors flip
 sign).  The denominator is always positive.
 
-Float inputs: each power is rounded once (e * e and pow(e, 3.0), as
-e ** 3 computes it), then summed with math.fsum, exact up to the final
-rounding, so results are deterministic and order-stable.  A float M_3
-or Q that overflows raises ValueError.  All-exact input (int or
+Float inputs: each power is rounded once, as the IEEE products e * e
+and (e * e) * e, then summed exactly and rounded once, the value
+math.fsum returns, so results are deterministic and order-stable.
+Lists and tuples stream through math.fsum.  A float ndarray is summed
+in numpy blocks of 2**16 entries: each value splits by bit mask into
+its top 26 significand bits and the exact remainder, and np.bincount
+sums each half per binary exponent, where every partial sum is exact;
+math.fsum of those bucket sums is then the correctly rounded total
+(exponent-bucket summation, Demmel and Hida 2004).  A float M_3 or Q
+that overflows raises ValueError.  All-exact input (int or
 fractions.Fraction) stays exact: int sums for ints, otherwise integer
 sums S_p over the least common denominator L, M_p = S_p / L**p.
 """
@@ -70,20 +76,20 @@ class QuotientValue:
     s3: Entry
 
 
-def validate_positive_vector(entries, name: str = "x") -> list:
-    """Check entries are a nonempty sequence of finite, positive numbers.
+def _validated(entries, name: str):
+    """validate_positive_vector's checks, returning (values, types).
 
-    Returns the entries as a plain list (Fractions preserved).  Raises
-    ValueError naming the offending entry on the first violation.
-    Subnormal floats are accepted; zero, negatives, NaN and inf are not.
+    A 1-D float ndarray that passes comes back as itself with types
+    None; anything else as a list with the set of its entry types.
     """
     # An ndarray or numpy scalar exists only once numpy is loaded.
     np = sys.modules.get("numpy")
     if np is not None and isinstance(entries, np.ndarray):
         # C-level checks first; a NaN propagates through min and max.
-        if type(entries) is np.ndarray and entries.dtype == np.float64 and entries.ndim == 1:
-            if entries.size and 0.0 < entries.min() and entries.max() < math.inf:
-                return entries.tolist()
+        if type(entries) is np.ndarray and entries.ndim == 1 and entries.dtype.kind == "f":
+            # float16, float32 or float64: every value is a double.
+            if entries.itemsize <= 8 and entries.size and 0.0 < entries.min() and entries.max() < math.inf:
+                return entries, None
         entries = entries.tolist()
     try:
         out = list(entries)
@@ -95,10 +101,10 @@ def validate_positive_vector(entries, name: str = "x") -> list:
     # min and max skip a NaN that is not first, hence the isnan pass.
     if types == {float} and min(out) > 0.0 and max(out) < math.inf:
         if not any(map(math.isnan, out)):
-            return out
+            return out, types
     # A Fraction's denominator is positive, so its sign is its numerator's.
     if types <= {int, Fraction} and min(map(attrgetter("numerator"), out)) > 0:
-        return out
+        return out, types
     # isinstance accepts nested tuples, and () matches nothing.
     np_int, np_float = (np.integer, np.floating) if np is not None else ((), ())
     for idx, e in enumerate(out):
@@ -108,26 +114,73 @@ def validate_positive_vector(entries, name: str = "x") -> list:
             raise ValueError(f"{name}[{idx}] = {e!r} is not finite")
         if e <= 0:
             raise ValueError(f"{name}[{idx}] = {e!r} is not > 0; all entries must be positive")
-    return out
+    return out, types
 
 
-def _sums(v: list, name: str) -> PowerSumTriple:
-    """M_1, M_2, M_3 of a list already checked by validate_positive_vector."""
-    types = set(map(type, v))
-    if all(issubclass(t, int) for t in types):
+def validate_positive_vector(entries, name: str = "x") -> list:
+    """Check entries are a nonempty sequence of finite, positive numbers.
+
+    Returns the entries as a plain list (Fractions preserved).  Raises
+    ValueError naming the offending entry on the first violation.
+    Subnormal floats are accepted; zero, negatives, NaN and inf are not.
+    """
+    values, types = _validated(entries, name)
+    return values.tolist() if types is None else values
+
+
+# Entries per numpy block, and the mask that keeps a float64's sign,
+# exponent and top 26 significand bits.  Within one binary exponent,
+# up to 2**26 such top parts, and as many remainders, sum exactly, so
+# np.bincount's per-exponent sums of a block are exact.
+_BLOCK = 1 << 16
+_HI_MASK = -(1 << 27)
+
+
+def _array_sums(a) -> tuple:
+    """math.fsum of a, a * a and (a * a) * a for a 1-D float ndarray a.
+
+    Raises OverflowError if a total overflows; a non-finite power gives
+    an inf or NaN total.
+    """
+    import numpy as np
+    parts = ([], [], [])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, a.size, _BLOCK):
+            # A float32, strided or byte-swapped block becomes native float64.
+            b = np.asarray(a[start:start + _BLOCK], dtype=np.float64)
+            sq = b * b
+            for part, w in zip(parts, (b, sq, sq * b)):
+                bits = w.view(np.int64)
+                e = bits >> 52
+                e -= e.min()
+                hi = (bits & _HI_MASK).view(np.float64)
+                part += np.bincount(e, weights=hi).tolist()
+                # An infinite w gives inf - inf = NaN here, and a NaN total.
+                part += np.bincount(e, weights=w - hi).tolist()
+    return tuple(map(math.fsum, parts))
+
+
+def _sums(v, types, name: str) -> PowerSumTriple:
+    """M_1, M_2, M_3 of values checked by _validated, with their types."""
+    exact = types is not None and all(issubclass(t, (int, Fraction)) for t in types)
+    if exact and all(issubclass(t, int) for t in types):
         return PowerSumTriple(sum(v), sum(map(mul, v, v)), sum(map(pow, v, repeat(3))))
-    if all(issubclass(t, (int, Fraction)) for t in types):
+    if exact:
         den = math.lcm(*map(attrgetter("denominator"), v))
         scale = map(floordiv, repeat(den), map(attrgetter("denominator"), v))
         n = list(map(mul, map(attrgetter("numerator"), v), scale))
         sums = sum(n), sum(map(mul, n, n)), sum(map(pow, n, repeat(3)))
         return PowerSumTriple(*(Fraction(s, den ** p) for p, s in enumerate(sums, 1)))
     try:
-        fv = v if types == {float} else list(map(float, v))
-        sums = math.fsum(fv), math.fsum(map(mul, fv, fv)), math.fsum(map(pow, fv, repeat(3.0)))
+        if types is None:
+            sums = _array_sums(v)
+        else:
+            fv = v if types == {float} else list(map(float, v))
+            cubes = map(mul, map(mul, fv, fv), fv)
+            sums = math.fsum(fv), math.fsum(map(mul, fv, fv)), math.fsum(cubes)
     except OverflowError:
         sums = (math.inf,)
-    if math.inf in sums:
+    if not all(map(math.isfinite, sums)):
         raise ValueError(f"{name}: power sums overflow float64; pass exact integers or fractions")
     return PowerSumTriple(*sums)
 
@@ -137,7 +190,7 @@ def power_sums(entries, name: str = "x") -> PowerSumTriple:
 
     Example: (1, 1/2, 1/4) -> (7/4, 21/16, 73/64).
     """
-    return _sums(validate_positive_vector(entries, name), name)
+    return _sums(*_validated(entries, name), name)
 
 
 def _quotient(px: PowerSumTriple, py: PowerSumTriple) -> QuotientValue:
@@ -173,13 +226,19 @@ def q_ordered_nonpositive(x, y) -> float:
     value beyond float roundoff raises AssertionError; the checked
     value is returned.
     """
-    vx = validate_positive_vector(x, "x")
-    vy = validate_positive_vector(y, "y")
+    vx, tx = _validated(x, "x")
+    vy, ty = _validated(y, "y")
     if len(vx) != len(vy):
         raise ValueError(f"x and y must have equal length, got {len(vx)} and {len(vy)}")
-    if not (all(map(ge, vx, vy)) or all(map(le, vx, vy))):
+    if tx is None and ty is None:
+        comparable = bool((vx >= vy).all() or (vx <= vy).all())
+    else:
+        # Against a list, an array's entries compare in Python, exactly.
+        lx, ly = (v.tolist() if t is None else v for v, t in ((vx, tx), (vy, ty)))
+        comparable = all(map(ge, lx, ly)) or all(map(le, lx, ly))
+    if not comparable:
         raise ValueError("x and y are not componentwise comparable")
-    q = _quotient(_sums(vx, "x"), _sums(vy, "y"))
+    q = _quotient(_sums(vx, tx, "x"), _sums(vy, ty, "y"))
     value = float(q.value)
     # Exact arithmetic gives <= 0; float cancellation can leave a speck.
     if value > 1e-12 * max(1.0, abs(float(q.s1)), abs(float(q.s2))):
@@ -191,9 +250,11 @@ def quotient_q_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Vectorized Q over row-paired batches (floats only).
 
     xs has shape (k, n_x) and ys shape (k, n_y); returns k quotients.
-    Plain np.sum accumulation; cross-checked against quotient_q in the
-    test suite, intended for sampling and bulk bound checks.  A row
-    whose Q overflows float64 raises ValueError.
+    Each row uses the rounded powers of quotient_q (x * x and
+    x * x * x), summed by plain np.sum rather than exactly;
+    cross-checked against quotient_q in the test suite, intended for
+    sampling and bulk bound checks.  A row whose Q overflows float64
+    raises ValueError.
     """
     import numpy as np
     xs = np.asarray(xs, dtype=float)
@@ -207,7 +268,7 @@ def quotient_q_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         s1 = xs.sum(axis=1) - ys.sum(axis=1)
         s2 = (ys * ys).sum(axis=1) - (xs * xs).sum(axis=1)
-        s3 = (xs ** 3).sum(axis=1) + (ys ** 3).sum(axis=1)
+        s3 = (xs * xs * xs).sum(axis=1) + (ys * ys * ys).sum(axis=1)
         q = s1 * s2 / s3
     if not np.isfinite(q).all():
         raise ValueError("Q overflows float64 in some row; use quotient_q on exact fractions")

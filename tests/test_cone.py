@@ -291,7 +291,7 @@ class TestComputeBd:
             # Each entry's float powers summed exactly and rounded once,
             # as math.fsum does on the lists.
             def sums(blocks):
-                powers = (lambda v: v, lambda v: v * v, lambda v: pow(v, 3.0))
+                powers = (lambda v: v, lambda v: v * v, lambda v: v * v * v)
                 return [float(sum(c * Fraction(f(v)) for v, c in blocks)) for f in powers]
 
             n_x, n_y = d - d // 2, d // 2

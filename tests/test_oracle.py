@@ -172,6 +172,21 @@ class TestNoNumpy:
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "False"
 
+    def test_list_input_leaves_numpy_unloaded(self):
+        code = (
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "from psq import power_sums, q_ordered_nonpositive, quotient_q\n"
+            "quotient_q([0.5, 0.25], (0.75,))\n"
+            "quotient_q([1, Fraction(1, 2)], [2, 0.5])\n"
+            "power_sums((3, 4))\n"
+            "q_ordered_nonpositive([1.0, 2.0], (0.5, 1.5))\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        out = _python(code)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -182,6 +197,7 @@ class TestNoNumpy:
             ["witness", "--nx", "7", "--ny", "6"],
             ["witness", "--growth-n", "100"],
             ["eval-q", "-x", "1,1/2,1/4", "-y", "3/4"],
+            ["eval-q", "-x", "0.5,0.25", "-y", "0.75"],
             ["certify", "--d", "6", "--b", "0.5"],
             ["certify", "--d", "6", "--b", repr(compute_bd(6).b_d)],
             ["certify", "--d", "6", "--b", "0.99"],

@@ -50,14 +50,15 @@ ps = importlib.import_module("psq.power_sums")
 def reference_sums(entries):
     """M_1, M_2, M_3 by the definition, one Python step per entry.
 
-    Float input: each power of float(e) rounded once, then math.fsum.
-    All-exact input (int, Fraction): plain running sums.
+    Float input: each power of float(e) rounded once, as e * e and
+    (e * e) * e, then math.fsum.  All-exact input (int, Fraction): plain
+    running sums.
     """
     v = entries.tolist() if isinstance(entries, np.ndarray) else list(entries)
     if all(isinstance(e, (int, Fraction)) for e in v):
         return sum(v), sum(e * e for e in v), sum(e ** 3 for e in v)
     fv = [float(e) for e in v]
-    return math.fsum(fv), math.fsum(e * e for e in fv), math.fsum(e ** 3 for e in fv)
+    return math.fsum(fv), math.fsum(e * e for e in fv), math.fsum(e * e * e for e in fv)
 
 
 def bits(t):
@@ -131,6 +132,114 @@ class TestPowerSumsMatchReference:
         assert [type(m) for m in astuple(power_sums([1, 2, 3]))] == [int] * 3
         # A Fraction with denominator 1 still makes every sum a Fraction.
         assert [type(m) for m in astuple(power_sums([1, Fraction(4, 2)]))] == [Fraction] * 3
+
+
+B = ps._BLOCK
+# Every finite double >= 0, subnormals and the top binade included.
+any_finite = st.floats(min_value=0.0, allow_infinity=False, allow_nan=False)
+
+
+def list_sums(values):
+    """math.fsum of v, v * v and (v * v) * v; inf for a total that overflows."""
+    out = []
+    for powers in (values, [e * e for e in values], [e * e * e for e in values]):
+        try:
+            out.append(math.fsum(powers))
+        except OverflowError:
+            out.append(math.inf)
+    return out
+
+
+@st.composite
+def kernel_arrays(draw):
+    """A float64 array of a block-edge length with drawn values at drawn
+    places, including both sides of every block boundary."""
+    n = draw(st.sampled_from([1, 2, B - 1, B, B + 1, 3 * B + 5]))
+    filler = draw(any_finite | st.sampled_from([1.0, 0.1, 5e-324]))
+    a = np.full(n, filler)
+    edges = [i for k in range(1, 4) for i in (k * B - 1, k * B) if i < n] + [n - 1]
+    spots = st.sampled_from(edges) | st.integers(0, n - 1)
+    for i, v in draw(st.lists(st.tuples(spots, any_finite), max_size=12)):
+        a[i] = v
+    # Ties: halves of the last unit of some entries, so that the exact
+    # sum lands halfway between two doubles.
+    for i in draw(st.lists(spots, max_size=3)):
+        half = math.ulp(a[i]) / 2
+        j = draw(spots)
+        if j != i and half > 0.0:
+            a[j] = half
+    return a
+
+
+class TestExactArraySums:
+    @given(a=kernel_arrays(), view=st.sampled_from(["plain", "step3", "reversed", "float32"]))
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_equals_fsum(self, a, view):
+        if view == "step3":
+            a = np.repeat(a, 3)[1::3]
+        elif view == "reversed":
+            a = a[::-1]
+        elif view == "float32":
+            with np.errstate(over="ignore"):
+                a = a.astype(np.float32)
+        want = list_sums(a.tolist())
+        try:
+            got = ps._array_sums(a)
+        except OverflowError:
+            got = (math.inf,) * 3
+        for g, w in zip(got, want):
+            if math.isfinite(w):
+                assert g.hex() == w.hex()
+            else:
+                assert not math.isfinite(g)
+
+    def test_ties_round_to_even_across_blocks(self):
+        # 1 + 2**-53 is a tie, so it rounds to the even 1.0; one more
+        # 2**-106 past the tie, in a later block, rounds it up.
+        a = np.full(2 * B + 1, 0.0)
+        a[0], a[B] = 1.0, 2.0 ** -53
+        assert ps._array_sums(a)[0] == 1.0 == math.fsum(a.tolist())
+        a[2 * B] = 2.0 ** -106
+        assert ps._array_sums(a)[0] == 1.0 + 2.0 ** -52 == math.fsum(a.tolist())
+
+    @pytest.mark.parametrize(
+        "spread, n",
+        [("unit", n) for n in (1, 1000, B + 1, 3 * B + 5)] + [("wide", n) for n in (1, 1000, B + 1)],
+    )
+    def test_array_and_list_give_identical_bits(self, spread, n):
+        rng = np.random.default_rng(n)
+        lo, hi = (-2.0, 0.0) if spread == "unit" else (-320.0, 100.0)
+        x = 10.0 ** rng.uniform(lo, hi, n)
+        y = x * (1.0 + rng.uniform(0.0, 0.5, n))
+        y[::7] = x[::7]
+        assert bits(astuple(power_sums(x))) == bits(astuple(power_sums(x.tolist())))
+        assert bits(astuple(quotient_q(x, y[: n // 2 + 1]))) == bits(astuple(quotient_q(x.tolist(), y[: n // 2 + 1].tolist())))
+        want = q_ordered_nonpositive(x.tolist(), y.tolist())
+        for pair in ((x, y), (x, y.tolist()), (x.tolist(), y)):
+            assert q_ordered_nonpositive(*pair).hex() == want.hex()
+        assert q_ordered_nonpositive(y, x).hex() == q_ordered_nonpositive(y.tolist(), x.tolist()).hex()
+
+    def test_ordered_array_messages(self):
+        x, y = np.array([2.0, 1.0]), np.array([1.0, 2.0])
+        for pair in ((x, y), (x, y.tolist())):
+            with pytest.raises(ValueError, match="^x and y are not componentwise comparable$"):
+                q_ordered_nonpositive(*pair)
+        with pytest.raises(ValueError, match="^x and y must have equal length, got 2 and 1$"):
+            q_ordered_nonpositive(x, np.array([1.0]))
+        with pytest.raises(ValueError, match=r"^y\[1\] = -2.0 is not > 0"):
+            q_ordered_nonpositive(x, np.array([1.0, -2.0]))
+
+    @pytest.mark.parametrize("at", [0, B - 1, B, 2 * B + 7])
+    @pytest.mark.parametrize("big", [1e120, 1e200, 1.7e308])
+    def test_overflow_matches_list_path(self, at, big):
+        # 1e120 overflows only its cube, 1e200 its square; 1.7e308 twice
+        # overflows M_1 itself.
+        a = np.full(3 * B, 0.5)
+        a[at] = a[-1] = big
+        for form in (a, a.tolist()):
+            with pytest.raises(ValueError) as err:
+                quotient_q([1.0], form)
+            assert str(err.value) == "y: power sums overflow float64; pass exact integers or fractions"
 
 
 class TestValidation:
@@ -289,13 +398,13 @@ class TestOrdered:
         x, y = [Fraction(3, 2), 2], [Fraction(1, 2), 1]
         want = float(quotient_q(x, y).value)
         seen = []
-        check = ps.validate_positive_vector
+        check = ps._validated
 
-        def counting(entries, name="x"):
+        def counting(entries, name):
             seen.append(name)
             return check(entries, name)
 
-        monkeypatch.setattr(ps, "validate_positive_vector", counting)
+        monkeypatch.setattr(ps, "_validated", counting)
         assert q_ordered_nonpositive(x, y) == want
         assert seen == ["x", "y"]
 
@@ -335,6 +444,14 @@ class TestBatch:
         for k in range(50):
             want = float(quotient_q(list(xs[k]), list(ys[k])).value)
             assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def test_single_entry_rows_match_scalar_bits(self):
+        # One entry per vector leaves nothing to sum, so each row sees
+        # exactly quotient_q's rounded powers.
+        rng = np.random.default_rng(11)
+        x, y = 10.0 ** rng.uniform(-3, 3, size=(2, 2000))
+        got = quotient_q_batch(x[:, None], y[:, None]).tolist()
+        assert got == [quotient_q([a], [b]).value for a, b in zip(x.tolist(), y.tolist())]
 
     def test_rejects_bad_shapes_and_values(self):
         with pytest.raises(ValueError):
