@@ -16,12 +16,13 @@ sign).  The denominator is always positive.
 Float inputs: each power is rounded once, as the IEEE products e * e
 and (e * e) * e, then summed exactly and rounded once, the value
 math.fsum returns, so results are deterministic and order-stable.
-Lists and tuples stream through math.fsum.  A float ndarray is summed
-in numpy blocks of 2**16 entries: each value splits by bit mask into
-its top 26 significand bits and the exact remainder, and np.bincount
-sums each half per binary exponent, where every partial sum is exact;
-math.fsum of those bucket sums is then the correctly rounded total
-(exponent-bucket summation, Demmel and Hida 2004).  A float M_3 or Q
+Lists, tuples and other ndarrays stream through math.fsum.  A 1-D
+float64 ndarray is summed in numpy blocks of 2**16 entries: each value
+splits by bit mask into its top 26 significand bits and the exact
+remainder, and np.bincount sums each half per binary exponent, where
+every partial sum is exact; math.fsum of those bucket sums is then the
+correctly rounded total (exponent-bucket summation, Demmel and Hida
+2004).  A float M_3 or Q
 that overflows raises ValueError.  All-exact input (int or
 fractions.Fraction) stays exact: int sums for ints, otherwise integer
 sums S_p over the least common denominator L, M_p = S_p / L**p.
@@ -79,16 +80,15 @@ class QuotientValue:
 def _validated(entries, name: str):
     """validate_positive_vector's checks, returning (values, types).
 
-    A 1-D float ndarray that passes comes back as itself with types
+    A 1-D float64 ndarray that passes comes back as itself with types
     None; anything else as a list with the set of its entry types.
     """
     # An ndarray or numpy scalar exists only once numpy is loaded.
     np = sys.modules.get("numpy")
     if np is not None and isinstance(entries, np.ndarray):
         # C-level checks first; a NaN propagates through min and max.
-        if type(entries) is np.ndarray and entries.ndim == 1 and entries.dtype.kind == "f":
-            # float16, float32 or float64: every value is a double.
-            if entries.itemsize <= 8 and entries.size and 0.0 < entries.min() and entries.max() < math.inf:
+        if type(entries) is np.ndarray and entries.dtype == np.float64 and entries.ndim == 1:
+            if entries.size and 0.0 < entries.min() and entries.max() < math.inf:
                 return entries, None
         entries = entries.tolist()
     try:
@@ -137,7 +137,7 @@ _HI_MASK = -(1 << 27)
 
 
 def _array_sums(a) -> tuple:
-    """math.fsum of a, a * a and (a * a) * a for a 1-D float ndarray a.
+    """math.fsum of a, a * a and (a * a) * a for a 1-D float64 ndarray a.
 
     Raises OverflowError if a total overflows; a non-finite power gives
     an inf or NaN total.
@@ -146,8 +146,7 @@ def _array_sums(a) -> tuple:
     parts = ([], [], [])
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, a.size, _BLOCK):
-            # A float32, strided or byte-swapped block becomes native float64.
-            b = np.asarray(a[start:start + _BLOCK], dtype=np.float64)
+            b = a[start:start + _BLOCK]
             sq = b * b
             for part, w in zip(parts, (b, sq, sq * b)):
                 bits = w.view(np.int64)
@@ -230,13 +229,10 @@ def q_ordered_nonpositive(x, y) -> float:
     vy, ty = _validated(y, "y")
     if len(vx) != len(vy):
         raise ValueError(f"x and y must have equal length, got {len(vx)} and {len(vy)}")
-    if tx is None and ty is None:
-        comparable = bool((vx >= vy).all() or (vx <= vy).all())
-    else:
-        # Against a list, an array's entries compare in Python, exactly.
-        lx, ly = (v.tolist() if t is None else v for v, t in ((vx, tx), (vy, ty)))
-        comparable = all(map(ge, lx, ly)) or all(map(le, lx, ly))
-    if not comparable:
+    # An array's entries compare as Python floats, exactly; it is still
+    # summed by the array path.
+    lx, ly = (v.tolist() if t is None else v for v, t in ((vx, tx), (vy, ty)))
+    if not (all(map(ge, lx, ly)) or all(map(le, lx, ly))):
         raise ValueError("x and y are not componentwise comparable")
     q = _quotient(_sums(vx, tx, "x"), _sums(vy, ty, "y"))
     value = float(q.value)
