@@ -424,6 +424,7 @@ def _bd_from_sup(d: int):
 
 
 _FLOAT_DEN = 1 << 1074  # every finite float is an integer multiple of 2**-1074
+_RANDOM_PATTERNS = 512  # random rows of the sampler's pattern set, next to the d minus blocks
 
 
 def _block_power_sums(blocks):
@@ -549,6 +550,9 @@ def _probe_vectors(d: int, n_samples: int, rng: np.random.Generator) -> Iterator
             z = np.ones(d)
             z[a:] = gamma
             yield z
+    for a in range(1, d):
+        x, y = sup_q(a, d - a).witness_pair()
+        yield np.array(x + y)
     for _ in range(n_samples):
         yield 10.0 ** rng.uniform(-3.0, 3.0, size=d)
 
@@ -557,7 +561,7 @@ def _sampled_patterns(d: int, rng: np.random.Generator) -> np.ndarray:
     import numpy as np
     # Minus blocks of every length (a = ceil(d/2): balanced, a = d: one-sign), then random.
     pats = [(-1,) * a + (1,) * (d - a) for a in range(1, d + 1)]
-    rand = rng.choice(np.array([-1, 1], dtype=np.int8), size=(512, d))
+    rand = rng.choice(np.array([-1, 1], dtype=np.int8), size=(_RANDOM_PATTERNS, d))
     rand[:, 0] = -1
     return np.concatenate([np.array(pats, dtype=np.int8), rand], axis=0)
 
@@ -601,60 +605,53 @@ def _checked_witness(m: np.ndarray, z, s) -> Optional[PsiWitness]:
     return PsiWitness(z=z, s=s, psi_value=val) if exact < 0 else None
 
 
-def sample_membership_general(
-    matrix,
-    n_samples: int = 200,
-    seed: int = 0,
-    cap: int = 24,
-) -> GeneralReport:
+def _check_sampling_args(n_samples: int, seed: int) -> None:
+    if n_samples < 0:
+        raise ValueError("n_samples must be >= 0")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def sample_membership_general(matrix, n_samples: int = 200, seed: int = 0) -> GeneralReport:
     """Search for a violating (z, s) pair of an explicit matrix.
 
-    Probes structured vectors (near-unit, two-level blocks) and random
-    log-uniform vectors on [1e-3, 1e3]^d against every canonical sign
-    pattern, the one-sign one included (all of them for d <= cap, a
-    sampled set above).  Stops at the first pair whose psi and exact Psi
-    are both negative (_checked_witness), which is deterministic for a
+    Probes the ones vector, near-unit spikes, two-level blocks on a gamma
+    grid, each split (a, d - a)'s sup_q maximizer (a minus entries first)
+    and n_samples random log-uniform vectors on [1e-3, 1e3]^d, each in one
+    pass over every canonical sign pattern while there are at most d + 512
+    (d <= 10), else over the d minus blocks and 512 random ones; both sets
+    hold the one-sign pattern.  Stops at the first pair whose psi and exact
+    Psi are both negative (_checked_witness), which is deterministic for a
     fixed seed.  A clean pass is only ever inconclusive: sampling cannot
     certify membership.
     """
     import numpy as np
     m = _as_matrix(matrix)
     d = m.shape[0]
-    if n_samples < 0:
-        raise ValueError("n_samples must be >= 0")
+    _check_sampling_args(n_samples, seed)
     rng = np.random.default_rng(seed)
 
     diag, off = _diag_off(m)
-    if d <= cap:
-        pats = _sign_patterns(d)
-        chunks = [pats[k : k + (1 << 16)] for k in range(0, len(pats), 1 << 16)]
-    else:
-        chunks = [_sampled_patterns(d, rng)]
+    pats = _sign_patterns(d) if 1 << (d - 1) <= d + _RANDOM_PATTERNS else _sampled_patterns(d, rng)
+    signs = pats.astype(float)
 
     n_evaluated = 0
     for z in _probe_vectors(d, n_samples, rng):
-        diag_term = float(diag @ z ** 3)
-        for pats in chunks:
-            vals = _psi_chunk(diag_term, off, z, pats.astype(float))
-            n_evaluated += vals.size
-            for j in np.flatnonzero(vals < 0.0):
-                witness = _checked_witness(m, z, pats[j])
-                if witness is not None:
-                    return GeneralReport(d, "nonmember", "sampling", n_evaluated, seed, witness)
+        vals = _psi_chunk(float(diag @ z ** 3), off, z, signs)
+        n_evaluated += vals.size
+        for j in np.flatnonzero(vals < 0.0):
+            witness = _checked_witness(m, z, pats[j])
+            if witness is not None:
+                return GeneralReport(d, "nonmember", "sampling", n_evaluated, seed, witness)
     return GeneralReport(d, "inconclusive", "sampling", n_evaluated, seed)
 
 
-def certify_general(
-    matrix,
-    n_samples: int = 200,
-    seed: int = 0,
-    cap: int = 24,
-) -> GeneralReport:
+def certify_general(matrix, n_samples: int = 200, seed: int = 0) -> GeneralReport:
     """Three-stage check for an explicit matrix.
 
     Diagonal dominance, then the perturbation certificate (both
     sufficient, so a hit is member_certified), then the randomized
-    violation search.
+    violation search of sample_membership_general (its arguments checked first).
 
     Perturbation certificate.  Let t = all_split_threshold(d), b >= 0
     and E = M - M_d(b).  Every pattern splits z into blocks with
@@ -676,13 +673,14 @@ def certify_general(
     """
     m = _as_matrix(matrix)
     d = m.shape[0]
+    _check_sampling_args(n_samples, seed)
     if check_diagonal_dominance(m):
         return GeneralReport(d, "member_certified", "diagonal_dominance", 0)
     b, slack, t, evaluations = _best_perturbation_slack(m)
     if slack > 1e-9 * max(1.0, d * float(abs(m).max())):
         diagnostics = {"b": b, "slack": slack, "threshold": t, "evaluations": evaluations}
         return GeneralReport(d, "member_certified", "perturbation", 0, diagnostics=diagnostics)
-    return sample_membership_general(m, n_samples=n_samples, seed=seed, cap=cap)
+    return sample_membership_general(m, n_samples=n_samples, seed=seed)
 
 
 def _best_perturbation_slack(m: np.ndarray) -> Tuple[float, float, float, int]:

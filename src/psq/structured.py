@@ -119,8 +119,8 @@ class SupQResult:
         (the closure zeros).  Q of the returned pair tends to sup_value
         as eps -> 0.  ValueError when a length exceeds sys.maxsize.
         """
-        if eps <= 0:
-            raise ValueError("eps must be > 0")
+        if not 0 < eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {eps!r}")
         if max(self.n_x, self.n_y) > sys.maxsize:
             raise ValueError(f"vector length {max(self.n_x, self.n_y)} exceeds sys.maxsize")
         c = self.maximizing_config

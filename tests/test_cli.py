@@ -265,6 +265,14 @@ def test_certify_rejects_malformed_spec(runner, tmp_path, spec):
     _assert_usage_error(runner.invoke(main, ["certify", "--matrix", str(path)]))
 
 
+@pytest.mark.parametrize("flag", [["--samples", "-1"], ["--seed", "-1"]])
+def test_certify_rejects_bad_sampling_args_before_dominance(runner, tmp_path, flag):
+    # The identity is diagonally dominant, so the sampler never runs.
+    path = tmp_path / "eye.json"
+    path.write_text(json.dumps({"entries": [[float(i == j) for j in range(3)] for i in range(3)]}))
+    _assert_usage_error(runner.invoke(main, ["certify", "--matrix", str(path), *flag]))
+
+
 class TestVerify:
     def test_round_trip(self, runner, tmp_path):
         mpath = tmp_path / "m.json"

@@ -430,16 +430,27 @@ class TestSampler:
 
     def test_large_d_sampled_patterns(self):
         m = MatrixSpec.equal_off_diagonal(30, 0.99).dense()
-        rep = sample_membership_general(m, n_samples=10, seed=0, cap=24)
+        rep = sample_membership_general(m, n_samples=10, seed=0)
         assert rep.verdict == "nonmember"
 
     def test_sampled_structured_rows_are_distinct(self):
-        # Above cap the sampled set starts with the d minus blocks, one of
-        # them balanced; each is listed once.
-        for d in range(25, 41):
+        # From d = 11, where 2^(d-1) first exceeds d + 512, the sampled set
+        # starts with the d minus blocks, one of them balanced and the
+        # last the one-sign pattern; each is listed once.
+        for d in range(11, 41):
             rows = _sampled_patterns(d, np.random.default_rng(0))[:d]
             assert len({tuple(r) for r in rows}) == d, d
             assert tuple(rows[(d + 1) // 2 - 1]) == reduced_sign_pattern(d)
+            assert tuple(rows[-1]) == (-1,) * d
+
+    def test_pattern_set_follows_its_count(self):
+        # One pass per probe: every canonical pattern while 2^(d-1) <= d + 512,
+        # else the d minus blocks and 512 random rows.  Probes: ones, 2d
+        # spikes, 9 (d - 1) gamma-grid blocks, d - 1 split maximizers.
+        for d, per_probe in ((10, 2 ** 9), (11, 11 + 512)):
+            rep = sample_membership_general(np.eye(d), n_samples=0)
+            assert rep.verdict == "inconclusive"
+            assert rep.n_evaluated == (1 + 2 * d + 10 * (d - 1)) * per_probe, d
 
     def test_rejects_negative_samples(self):
         with pytest.raises(ValueError):
@@ -449,10 +460,9 @@ class TestSampler:
         # Psi = z0^3 + z1^3 - 5 s0 s1 (z0 z1^2 + z1 z0^2) is negative only
         # where s0 = s1, that is at the one-sign pattern.
         m = [[1.0, -5.0], [-5.0, 1.0]]
-        for cap in (24, 1):  # full enumeration, then the sampled path
-            rep = sample_membership_general(m, seed=0, cap=cap)
-            assert rep.verdict == "nonmember" and rep.witness.s == (-1, -1)
-            assert _exact_psi(m, rep.witness.z, rep.witness.s) < 0
+        rep = sample_membership_general(m, seed=0)
+        assert rep.verdict == "nonmember" and rep.witness.s == (-1, -1)
+        assert _exact_psi(m, rep.witness.z, rep.witness.s) < 0
         assert certify_general(m).verdict == "nonmember"
 
     def test_witness_psi_is_what_psi_reports(self):
@@ -478,6 +488,13 @@ class TestCertifyGeneral:
         rep = certify_general(np.diag([3.0, 4.0, 5.0]))
         assert rep.verdict == "member_certified"
         assert rep.method == "diagonal_dominance"
+
+    def test_sampling_args_checked_before_any_certificate(self):
+        # Diagonal dominance fires first on the identity; bad sampler
+        # arguments must fail there too, not only when the sampler runs.
+        for kwargs in ({"n_samples": -1}, {"seed": -1}, {"seed": 1.5}, {"seed": True}):
+            with pytest.raises(ValueError):
+                certify_general(np.eye(3), **kwargs)
 
     def test_falls_back_to_sampling(self):
         m = MatrixSpec.equal_off_diagonal(4, 0.99).dense()
@@ -622,12 +639,15 @@ class TestPerturbationCertificate:
         assert json.loads(json.dumps(rep.to_json_dict()))["diagnostics"] == diag
 
     def test_threshold_is_tight(self):
-        for d in range(3, 25):
+        # Above t_d the sampler refutes M_d(b), at the latest at a split maximizer probe.
+        for d in [*range(3, 25), 32, 48, 64]:
             t = all_split_threshold(d)
             above = MatrixSpec.equal_off_diagonal(d, t * (1 + 1e-6)).dense()
-            assert certify_general(above, n_samples=0, cap=2).verdict != "member_certified", d
+            rep = certify_general(above, n_samples=0)
+            assert rep.verdict == "nonmember", d
+            assert _exact_psi(above.tolist(), rep.witness.z, rep.witness.s) < 0, d
             below = MatrixSpec.equal_off_diagonal(d, t * (1 - 1e-6)).dense()
-            assert certify_general(below, n_samples=0, cap=2).method == "perturbation", d
+            assert certify_general(below, n_samples=0).method == "perturbation", d
 
     def test_slack_maximized_where_rows_cross(self):
         # Entries 0.3 in row and column 0, else 0: slack_0(b) = 0.4 + 2b
@@ -635,7 +655,7 @@ class TestPerturbationCertificate:
         # the best b is their crossing 0.15, not a breakpoint (0 or 0.3).
         m = MatrixSpec.equal_off_diagonal(3, 0.0).dense()
         m[0, 1:] = m[1:, 0] = 0.3
-        rep = certify_general(m, n_samples=0, cap=2)
+        rep = certify_general(m, n_samples=0)
         assert rep.method == "perturbation"
         t = all_split_threshold(3)
         assert rep.diagnostics["b"] == pytest.approx(0.15, abs=1e-15)
@@ -694,7 +714,7 @@ class TestPerturbationCertificate:
         m = MatrixSpec.equal_off_diagonal(d, b).dense() + rng.normal(0.0, noise, (d, d))
         m[1:, 0] += bump_col
         m[0, 1:] += bump_row
-        if certify_general(m, n_samples=0, cap=2).verdict != "member_certified":
+        if certify_general(m, n_samples=0).verdict != "member_certified":
             return
         entries = m.tolist()
         for _ in range(3):

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from collections import Counter
@@ -214,8 +215,9 @@ class TestSupQ:
             prev_gap = gap
 
     def test_witness_pair_rejects_bad_eps(self):
-        with pytest.raises(ValueError):
-            sup_q(2, 1).witness_pair(0.0)
+        for eps in (0.0, -1e-6, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                sup_q(2, 1).witness_pair(eps)
 
     def test_witness_pair_rejects_lengths_beyond_maxsize(self):
         # No list that long can exist; the check must fire before any allocation.
