@@ -84,8 +84,8 @@ class MatrixSpec:
     def equal_off_diagonal(cls, d: int, b: float) -> "MatrixSpec":
         if not isinstance(d, int) or d < 2:
             raise ValueError(f"d must be an integer >= 2, got {d!r}")
-        # Before float(b), which overflows on huge integers; NaN fails too.
-        if not 0.0 <= b <= 1.0:
+        # Before float(b), which overflows on huge integers; NaN and bools fail too.
+        if isinstance(b, bool) or not 0.0 <= b <= 1.0:
             raise ValueError(f"b must lie in [0, 1], got {b!r}")
         return cls(d=d, b=float(b))
 
@@ -409,7 +409,7 @@ def all_split_threshold(d: int) -> float:
        i / (d - i) <= P_T iff i <= ALPHA_T d, so only the splits
        a = floor(ALPHA_T d) and a + 1, within [1, d // 2], are evaluated.
     """
-    if not isinstance(d, int) or d < 1:
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be an integer >= 1, got {d!r}")
     k = int(ALPHA_T * d)
     sup = max((sup_q(a, d - a).sup_value for a in (k, k + 1) if 1 <= a <= d // 2), default=0.0)

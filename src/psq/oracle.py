@@ -140,10 +140,10 @@ def brute_force_sup(
     result depends only on the arguments that remain.
     """
     for name, n in (("n_x", n_x), ("n_y", n_y)):
-        if not isinstance(n, int) or not 1 <= n <= 8:
+        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= 8:
             raise ValueError(f"{name} must be an integer in [1, 8], got {n!r}")
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
+    if isinstance(n_starts, bool) or not isinstance(n_starts, int) or n_starts < 1:
+        raise ValueError(f"n_starts must be an integer >= 1, got {n_starts!r}")
     if n_jobs < 0:
         raise ValueError("n_jobs must be >= 0")
 

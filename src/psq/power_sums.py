@@ -16,16 +16,17 @@ sign).  The denominator is always positive.
 Float inputs: each power is rounded once, as the IEEE products e * e
 and (e * e) * e, then summed exactly and rounded once, the value
 math.fsum returns, so results are deterministic and order-stable.
-Lists, tuples and other ndarrays stream through math.fsum.  A 1-D
-float64 ndarray is summed in numpy blocks of 2**16 entries: each value
-splits by bit mask into its top 26 significand bits and the exact
-remainder, and np.bincount sums each half per binary exponent, where
-every partial sum is exact; math.fsum of those bucket sums is then the
-correctly rounded total (exponent-bucket summation, Demmel and Hida
-2004).  A float M_3 or Q
-that overflows raises ValueError.  All-exact input (int or
-fractions.Fraction) stays exact: int sums for ints, otherwise integer
-sums S_p over the least common denominator L, M_p = S_p / L**p.
+A 1-D float64 ndarray, or an all-float list or tuple of at least
+_ARRAY_MIN entries once numpy is loaded (neither imports it), is summed
+in numpy blocks of 2**16 entries: each value splits by bit mask into
+its top 26 significand bits and the exact remainder, and np.bincount
+sums each half per binary exponent, where every partial sum is exact;
+math.fsum of those bucket sums is then the correctly rounded total
+(exponent-bucket summation, Demmel and Hida 2004).  Other float input
+streams through math.fsum.  A float M_3 or Q that overflows raises
+ValueError.  All-exact input (int or fractions.Fraction) stays exact:
+int sums for ints, otherwise integer sums S_p over the least common
+denominator L, M_p = S_p / L**p.
 """
 
 from __future__ import annotations
@@ -77,11 +78,19 @@ class QuotientValue:
     s3: Entry
 
 
+# Shortest all-float sequence summed by _array_sums when numpy is loaded.
+# Warm, the routes break even at about 160 entries, but the first numpy
+# call after a stretch of pure-Python work costs about 100 us more, which
+# a quotient_q pair of lists repays only from about 750 entries each.
+_ARRAY_MIN = 1024
+
+
 def _validated(entries, name: str):
     """validate_positive_vector's checks, returning (values, types).
 
-    A 1-D float64 ndarray that passes comes back as itself with types
-    None; anything else as a list with the set of its entry types.
+    A 1-D float64 ndarray that passes, or a long all-float sequence made
+    one, comes back as an array with types None; anything else as a
+    list with the set of its entry types.
     """
     # An ndarray or numpy scalar exists only once numpy is loaded.
     np = sys.modules.get("numpy")
@@ -98,6 +107,10 @@ def _validated(entries, name: str):
     if not out:
         raise ValueError(f"{name} must be nonempty")
     types = set(map(type, out))
+    if len(out) >= _ARRAY_MIN and np is not None and types == {float}:
+        a = np.fromiter(out, np.float64, len(out))
+        if 0.0 < a.min() and a.max() < math.inf:
+            return a, None
     # min and max skip a NaN that is not first, hence the isnan pass.
     if types == {float} and min(out) > 0.0 and max(out) < math.inf:
         if not any(map(math.isnan, out)):
@@ -253,8 +266,12 @@ def quotient_q_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     raises ValueError.
     """
     import numpy as np
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    # A float cast would read bools as 0 and 1, parse strings and drop imaginary parts.
+    for name, a in (("xs", xs), ("ys", ys)):
+        if a.dtype.kind in "bcSU":
+            raise ValueError(f"{name} must hold real numbers, got dtype {a.dtype}")
+    xs, ys = xs.astype(float, copy=False), ys.astype(float, copy=False)
     if xs.ndim != 2 or ys.ndim != 2 or xs.shape[0] != ys.shape[0]:
         raise ValueError("xs and ys must be 2-D with matching row counts")
     if xs.size == 0 or ys.size == 0:

@@ -237,7 +237,8 @@ def sup_q(n_x: int, n_y: int) -> SupQResult:
     satisfy |h(gamma)| <= 1e-12 p, else RuntimeError.  Dimensions whose
     float arithmetic overflows (from about 1e154) raise ValueError.
     """
-    if not (isinstance(n_x, int) and isinstance(n_y, int)) or n_x < 1 or n_y < 1:
+    ints = isinstance(n_x, int) and isinstance(n_y, int) and bool not in (type(n_x), type(n_y))
+    if not ints or n_x < 1 or n_y < 1:
         raise ValueError(f"dimensions must be integers >= 1, got ({n_x!r}, {n_y!r})")
 
     best: Optional[StructuredConfig] = None
@@ -292,7 +293,7 @@ def witness_vectors(n: int, extra_component: bool = False):
     below as n grows; at n = 10**4 the ratio Q/n is within 1% of c*.
     ValueError when a length exceeds sys.maxsize.
     """
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if n + extra_component > sys.maxsize:
         raise ValueError(f"vector length {n + extra_component} exceeds sys.maxsize")
@@ -313,7 +314,8 @@ def positivity_witness(n_x: int, n_y: int):
     first eps in _EPS_SCHEDULE that gives a positive float Q.
     Returns (x, y, q) with q = Q(x, y) > 0.
     """
-    if not (isinstance(n_x, int) and isinstance(n_y, int)) or n_y < 1:
+    ints = isinstance(n_x, int) and isinstance(n_y, int) and bool not in (type(n_x), type(n_y))
+    if not ints or n_y < 1:
         raise ValueError(f"dimensions must be integers >= 1, got ({n_x!r}, {n_y!r})")
     if n_x not in (n_y, n_y + 1):
         raise ValueError(f"need n_x == n_y or n_x == n_y + 1, got ({n_x}, {n_y})")

@@ -398,6 +398,21 @@ class TestMembership:
         with pytest.raises(ValueError):
             membership_equal_offdiag(4, 1.2)
 
+    @pytest.mark.parametrize(
+        "func, args, message",
+        [
+            (all_split_threshold, (True,), "d must be an integer >= 1, got True"),
+            (membership_equal_offdiag, (6, True), "b must lie in [0, 1], got True"),
+            (membership_equal_offdiag, (6, False), "b must lie in [0, 1], got False"),
+            (membership_equal_offdiag, (True, 0.5), "d must be an integer >= 2, got True"),
+        ],
+        ids=["all_split_threshold-d", "membership-b-True", "membership-b-False", "membership-d"],
+    )
+    def test_rejects_bools(self, func, args, message):
+        with pytest.raises(ValueError) as err:
+            func(*args)
+        assert str(err.value) == message
+
 
 class TestSampler:
     def test_finds_violation_above_threshold(self):

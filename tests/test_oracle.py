@@ -58,6 +58,21 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_sup(2, 2, n_jobs=-1)
 
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            ((True, 2), {}, "n_x must be an integer in [1, 8], got True"),
+            ((2, True), {}, "n_y must be an integer in [1, 8], got True"),
+            ((2, 2), {"n_starts": True}, "n_starts must be an integer >= 1, got True"),
+            ((2, 2), {"n_starts": 2.5}, "n_starts must be an integer >= 1, got 2.5"),
+        ],
+        ids=["n_x", "n_y", "n_starts-bool", "n_starts-float"],
+    )
+    def test_rejects_bools_and_fractional_counts(self, args, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            brute_force_sup(*args, **kwargs)
+        assert str(err.value) == message
+
 
 def _numpy_neg_q_and_grad(w, n_x):
     """Reference objective: the same formulas as numpy array operations."""
@@ -173,19 +188,28 @@ class TestNoNumpy:
         assert out.stdout.strip() == "False"
 
     def test_list_input_leaves_numpy_unloaded(self):
+        # A long float list is summed by numpy only when numpy is already
+        # loaded, and to the same bits as without it.
         code = (
-            "import sys\n"
+            "import random, sys\n"
             "from fractions import Fraction\n"
             "from psq import power_sums, q_ordered_nonpositive, quotient_q\n"
             "quotient_q([0.5, 0.25], (0.75,))\n"
             "quotient_q([1, Fraction(1, 2)], [2, 0.5])\n"
             "power_sums((3, 4))\n"
             "q_ordered_nonpositive([1.0, 2.0], (0.5, 1.5))\n"
-            "print('numpy' in sys.modules)\n"
+            "rng = random.Random(4)\n"
+            "x = [10.0 ** rng.uniform(-300.0, 100.0) for _ in range(10**4)]\n"
+            "print(repr(power_sums(x)), repr(quotient_q(x, x[::-3])))\n"
+            "print(sys.modules.get('numpy') is not None)\n"
         )
-        out = _python(code)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+        runs = {prefix: _python(prefix + code) for prefix in ("", _BLOCK_NUMPY, "import numpy\n")}
+        for out in runs.values():
+            assert out.returncode == 0, out.stderr
+        sums, loaded = runs[""].stdout.splitlines()
+        assert loaded == "False"
+        assert runs[_BLOCK_NUMPY].stdout.splitlines() == [sums, "False"]
+        assert runs["import numpy\n"].stdout.splitlines() == [sums, "True"]
 
     @pytest.mark.parametrize(
         "args",

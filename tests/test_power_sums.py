@@ -239,6 +239,63 @@ class TestExactArraySums:
             assert str(err.value) == "y: power sums overflow float64; pass exact integers or fractions"
 
 
+class TestLongFloatLists:
+    """All-float lists of _ARRAY_MIN or more entries take the array route
+    once numpy is loaded; the sums and messages stay the list route's."""
+
+    @pytest.mark.parametrize(
+        "n", [ps._ARRAY_MIN - 1, ps._ARRAY_MIN, ps._ARRAY_MIN + 1, B - 1, B + 1, 10 ** 5]
+    )
+    @pytest.mark.parametrize("span", ["unit", "subnormal", "overflow"])
+    def test_list_and_array_give_equal_sums(self, n, span):
+        rng = np.random.default_rng(n)
+        lo, hi = {"unit": (-2.0, 0.0), "subnormal": (-320.0, 100.0), "overflow": (-320.0, 120.0)}[span]
+        x = 10.0 ** rng.uniform(lo, hi, n)
+        y = x[::-1] * (1.0 + rng.uniform(0.0, 0.5, n))
+        if span != "unit":
+            x[0] = 5e-324
+        if span == "overflow":
+            x[-1] = 1e120
+        assert (ps._validated(x.tolist(), "x")[1] is None) == (n >= ps._ARRAY_MIN)
+        for f in (power_sums, lambda v: quotient_q(v, y[: n // 2 + 1])):
+            out = []
+            for form in (x, x.tolist(), tuple(x.tolist())):
+                try:
+                    out.append(bits(astuple(f(form))))
+                except ValueError as err:
+                    out.append(str(err))
+            assert out[0] == out[1] == out[2]
+        if span == "overflow":
+            assert out[0] == "x: power sums overflow float64; pass exact integers or fractions"
+        else:
+            assert bits(astuple(power_sums(x.tolist()))) == bits(reference_sums(x.tolist()))
+
+    @pytest.mark.parametrize(
+        "planted, message",
+        [
+            (math.nan, "x[1100] = nan is not finite"),
+            (-0.0, "x[1100] = -0.0 is not > 0; all entries must be positive"),
+            (math.inf, "x[1100] = inf is not finite"),
+            (True, "x[1100] = True is not a number"),
+            (0, "x[1100] = 0 is not > 0; all entries must be positive"),
+            ("2.0", "x[1100] = '2.0' is not a number"),
+            (2, None),
+        ],
+    )
+    def test_planted_entry_takes_the_entry_loop(self, planted, message):
+        assert ps._ARRAY_MIN < 1100
+        v = (10.0 ** np.random.default_rng(1100).uniform(-2.0, 0.0, 1200)).tolist()
+        v[1100] = planted
+        if message is None:
+            assert bits(astuple(power_sums(v))) == bits(reference_sums(v))
+            return
+        calls = (validate_positive_vector, power_sums, lambda v: quotient_q(v, [1.0]), lambda v: q_ordered_nonpositive(v, v))
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call(v)
+            assert str(err.value) == message
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "bad", [[], [0.0], [-1.0], [1.0, float("nan")], [float("inf")], [1.0, 0]]
@@ -459,3 +516,16 @@ class TestBatch:
             quotient_q_batch(np.array([[1.0, -1.0]]), np.ones((1, 2)))
         with pytest.raises(ValueError):
             quotient_q_batch(np.ones((1, 0)), np.ones((1, 2)))
+        # A float cast would accept each of these, a complex array with
+        # only a ComplexWarning.
+        for xs, ys, message in (
+            ([[True, True]], [[1.0]], "xs must hold real numbers, got dtype bool"),
+            ([["1.5", "2"]], [[1.0]], "xs must hold real numbers, got dtype <U3"),
+            ([[1.0]], np.array([[1.0 + 2.0j]]), "ys must hold real numbers, got dtype complex128"),
+            ([[1.0]], [[b"1"]], "ys must hold real numbers, got dtype |S1"),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as err:
+                    quotient_q_batch(xs, ys)
+            assert str(err.value) == message

@@ -229,6 +229,21 @@ class TestSupQ:
             with pytest.raises(ValueError):
                 sup_q(*bad)
 
+    @pytest.mark.parametrize(
+        "func, args, message",
+        [
+            (sup_q, (True, 3), "dimensions must be integers >= 1, got (True, 3)"),
+            (sup_q, (3, False), "dimensions must be integers >= 1, got (3, False)"),
+            (witness_vectors, (True,), "n must be an integer >= 1, got True"),
+            (positivity_witness, (2, True), "dimensions must be integers >= 1, got (2, True)"),
+        ],
+        ids=["sup_q-n_x", "sup_q-n_y", "witness_vectors", "positivity_witness"],
+    )
+    def test_rejects_bool_dimensions(self, func, args, message):
+        with pytest.raises(ValueError) as err:
+            func(*args)
+        assert str(err.value) == message
+
 
 class TestClosedFormSupQ:
     def _agrees_with_scan(self, n_x, n_y):
