@@ -45,8 +45,8 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
-from .power_sums import validate_positive_vector
-from .structured import _EPS_SCHEDULE, ALPHA_T, C_STAR, GAMMA_STAR, P_STAR, sup_q
+from .power_sums import _block_power_sums, _quotient, validate_positive_vector
+from .structured import _EPS_SCHEDULE, ALPHA_T, C_STAR, growth_blocks, sup_q
 
 if TYPE_CHECKING:
     import numpy as np
@@ -69,7 +69,6 @@ __all__ = [
     "compute_bd",
     "growth_lower_bound",
     "b3_radical",
-    "b3_quartic_root",
 ]
 
 @dataclass(frozen=True)
@@ -351,25 +350,6 @@ def b3_radical() -> float:
     return (math.sqrt(0.6 * (39.0 + 16.0 * math.sqrt(6.0))) - 3.0) / 4.0
 
 
-def b3_quartic_root() -> float:
-    """Root of 20 x^4 + 60 x^3 + 9 x^2 - 54 x - 27 on [0.9, 1.0] by bisection.
-
-    Independent route to the same constant as b3_radical.
-    """
-
-    def poly(x: float) -> float:
-        return ((((20.0 * x + 60.0) * x) + 9.0) * x - 54.0) * x - 27.0
-
-    lo, hi = 0.9, 1.0  # poly(0.9) < 0 < poly(1.0)
-    while hi - lo > 1e-15:
-        mid = 0.5 * (lo + hi)
-        if poly(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _balanced_split(d: int) -> Tuple[int, int]:
     return (d - d // 2, d // 2)
 
@@ -423,45 +403,20 @@ def _bd_from_sup(d: int):
     return 1.0 / (1.0 + sup), res
 
 
-_FLOAT_DEN = 1 << 1074  # every finite float is an integer multiple of 2**-1074
 _RANDOM_PATTERNS = 512  # random rows of the sampler's pattern set, next to the d minus blocks
-
-
-def _block_power_sums(blocks):
-    """M_1, M_2, M_3 of the vector holding c copies of each float v in
-    blocks = ((v, c), ...), bit-equal to power_sums on its entries.
-
-    power_sums rounds each power once, as v, v * v and (v * v) * v,
-    and returns their exact sum rounded once; so does int true division
-    of that sum, held as an integer count of 2**-1074.
-    """
-    sums = [0, 0, 0]
-    for v, c in blocks:
-        for k, w in enumerate((v, v * v, v * v * v)):
-            n, q = w.as_integer_ratio()
-            sums[k] += c * n * (_FLOAT_DEN // q)
-    return [s / _FLOAT_DEN for s in sums]
 
 
 def _growth_estimates(d: int) -> Tuple[float, float]:
     """Q of the near-optimal growth pair on the balanced split, and 2 / (c* d).
 
-    The pair is witness_vectors(ceil(d/2))[0] against
-    witness_vectors(floor(d/2))[1], summed in O(1) from its two or three
-    distinct entries; the quotient equals quotient_q on the lists bit for
-    bit.  ValueError when d is too large for float64 arithmetic.
+    The pair is growth_blocks(ceil(d/2))[0] against growth_blocks(floor(d/2))[1],
+    Q of its blocks in O(1).  ValueError when d is too large for float64.
     """
-    n_x, n_y = _balanced_split(d)
     try:
-        i = int(P_STAR * n_x)
-        x1, x2, x3 = _block_power_sums(((1.0, i), (1.0 / n_x, n_x - i)))
-        y1, y2, y3 = _block_power_sums(((GAMMA_STAR, n_y),))
-        q, asym = (x1 - y1) * (y2 - x2) / (x3 + y3), 2.0 / (C_STAR * d)
-    except OverflowError:
-        q = math.inf
-    if not math.isfinite(q):
-        raise ValueError("d is too large: the growth-pair quotient overflows float64")
-    return q, asym
+        (x, _), (_, y) = map(growth_blocks, _balanced_split(d))
+        return _quotient(_block_power_sums(x), _block_power_sums(y)).value, 2.0 / (C_STAR * d)
+    except (OverflowError, ValueError):  # with d >= 2, only float64 overflows
+        raise ValueError("d is too large: the growth-pair quotient overflows float64") from None
 
 
 def compute_bd(d: int) -> BdReport:
@@ -520,12 +475,9 @@ def membership_equal_offdiag(d: int, b: float) -> MembershipReport:
     if spec.b <= bd - margin:
         return report(verdict="member_certified")
     if spec.b >= bd + margin:
-        c = res.maximizing_config
-        sign = -1 if c.side == "x_is_block" else 1  # x holds the minus signs
-        n_block = res.n_x if sign < 0 else res.n_y
         for eps in _EPS_SCHEDULE:
-            blocks = ((1.0, c.i, sign), (eps, n_block - c.i, sign), (c.gamma, c.m, -sign))
-            num, val = _offdiag_psi(blocks, spec.b)
+            pair = zip((-1, 1), res.witness_blocks(eps))  # x holds the minus signs
+            num, val = _offdiag_psi([(v, c, s) for s, blocks in pair for v, c in blocks], spec.b)
             if num < 0:
                 x, y = res.witness_pair(eps)
                 witness = PsiWitness(z=tuple(x) + tuple(y), s=reduced_sign_pattern(d), psi_value=val)

@@ -23,10 +23,11 @@ its top 26 significand bits and the exact remainder, and np.bincount
 sums each half per binary exponent, where every partial sum is exact;
 math.fsum of those bucket sums is then the correctly rounded total
 (exponent-bucket summation, Demmel and Hida 2004).  Other float input
-streams through math.fsum.  A float M_3 or Q that overflows raises
-ValueError.  All-exact input (int or fractions.Fraction) stays exact:
-int sums for ints, otherwise integer sums S_p over the least common
-denominator L, M_p = S_p / L**p.
+streams through math.fsum.  A float M_3 or Q that overflows, and a
+float Q whose cubes all underflow to 0, raise ValueError.  All-exact
+input (int or fractions.Fraction) stays exact: int sums for ints,
+otherwise integer sums S_p over the least common denominator L,
+M_p = S_p / L**p.
 """
 
 from __future__ import annotations
@@ -147,6 +148,7 @@ def validate_positive_vector(entries, name: str = "x") -> list:
 # np.bincount's per-exponent sums of a block are exact.
 _BLOCK = 1 << 16
 _HI_MASK = -(1 << 27)
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant for float64 (_block_power_sums)
 
 
 def _array_sums(a) -> tuple:
@@ -217,7 +219,41 @@ def _quotient(px: PowerSumTriple, py: PowerSumTriple) -> QuotientValue:
             value = Fraction(s1) * Fraction(s2) / Fraction(s3)
     except OverflowError:
         raise ValueError("Q(x, y) overflows float64; pass exact integers or fractions") from None
+    except ZeroDivisionError:  # only a float s3 can be 0
+        raise ValueError("Q(x, y) is undefined in float64: every cube underflows to 0") from None
     return QuotientValue(value=value, s1=s1, s2=s2, s3=s3)
+
+
+def _block_power_sums(blocks) -> PowerSumTriple:
+    """M_1, M_2, M_3 of c copies of each float v in blocks ((v, c), ...),
+    bit-equal to power_sums on the entries for v < 2**332, in O(1) per block.
+
+    math.fsum of exact parts of each c * w, w = v, v * v, (v * v) * v:
+    Veltkamp's split w = hi + lo, hi = a - (a - w), a = w * (2**27 + 1),
+    leaves at most 27 significant bits in each, underflow included
+    (Boldo 2006), so each times a 26-bit part of c is exact.  ValueError
+    when a sum, or a split (v >= 2**332), overflows float64.
+    """
+    t1, t2, t3 = [], [], []
+    try:
+        for v, c in blocks:
+            sq, k = v * v, 0
+            cube = sq * v
+            a1, a2, a3 = v * _SPLIT, sq * _SPLIT, cube * _SPLIT
+            h1, h2, h3 = a1 - (a1 - v), a2 - (a2 - sq), a3 - (a3 - cube)
+            l1, l2, l3 = v - h1, sq - h2, cube - h3
+            while c:
+                p = float((c & 0x3FFFFFF) << k)
+                t1 += p * h1, p * l1
+                t2 += p * h2, p * l2
+                t3 += p * h3, p * l3
+                c, k = c >> 26, k + 26
+        sums = math.fsum(t1), math.fsum(t2), math.fsum(t3)
+    except (OverflowError, ValueError):  # a huge count, or fsum of inf and -inf parts
+        sums = (math.inf,)
+    if not all(map(math.isfinite, sums)):
+        raise ValueError("block power sums overflow float64")
+    return PowerSumTriple(*sums)
 
 
 def quotient_q(x, y) -> QuotientValue:
@@ -266,12 +302,19 @@ def quotient_q_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     raises ValueError.
     """
     import numpy as np
-    xs, ys = np.asarray(xs), np.asarray(ys)
-    # A float cast would read bools as 0 and 1, parse strings and drop imaginary parts.
+    arrays = []
     for name, a in (("xs", xs), ("ys", ys)):
-        if a.dtype.kind in "bcSU":
-            raise ValueError(f"{name} must hold real numbers, got dtype {a.dtype}")
-    xs, ys = xs.astype(float, copy=False), ys.astype(float, copy=False)
+        # A float cast would read bools as 0 and 1, parse strings and drop imaginary
+        # parts; a list mixing them with numbers, [[True, 1.0]], has a number dtype.
+        arr = np.asarray(a)
+        if arr.dtype.kind in "bcSU":
+            raise ValueError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+        if not isinstance(a, np.ndarray):
+            for e in np.asarray(a, dtype=object).flat:
+                if isinstance(e, (bool, np.bool_, complex, np.complexfloating, str, bytes)):
+                    raise ValueError(f"{name} must hold real numbers, got entry {e!r}")
+        arrays.append(arr.astype(float, copy=False))
+    xs, ys = arrays
     if xs.ndim != 2 or ys.ndim != 2 or xs.shape[0] != ys.shape[0]:
         raise ValueError("xs and ys must be 2-D with matching row counts")
     if xs.size == 0 or ys.size == 0:

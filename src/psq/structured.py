@@ -30,7 +30,10 @@ of a quartic, and max_gamma f(p, gamma) is unimodal in p with its peak
 at p*, so each side needs only the block counts floor(p* m) and
 ceil(p* m).  The cost is O(1) in the dimensions; sup_q's docstring
 holds the proofs.  Positive-quotient witnesses are that maximizer
-materialized with a small eps in place of the closure zeros.
+materialized with a small eps in place of the closure zeros.  Such a
+pair is kept as blocks ((value, count), ...) per vector, and its Q comes
+from the blocks' exact sums in O(1), with the bits of quotient_q on the
+lists, which are built only for output.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .power_sums import quotient_q
+from .power_sums import _block_power_sums, _quotient
 
 __all__ = [
     "SQRT7",
@@ -56,6 +59,7 @@ __all__ = [
     "reduced_objective",
     "solve_reduced",
     "sup_q",
+    "growth_blocks",
     "witness_vectors",
     "positivity_witness",
 ]
@@ -112,25 +116,28 @@ class SupQResult:
     attained: bool = False
     bracket: Optional[Tuple[float, float]] = None
 
-    def witness_pair(self, eps: float = 1e-6):
-        """Materialize the maximizing configuration as positive vectors.
-
-        Block-side entries below the unit block are filled with eps
-        (the closure zeros).  Q of the returned pair tends to sup_value
-        as eps -> 0.  ValueError when a length exceeds sys.maxsize.
-        """
+    def witness_blocks(self, eps: float = 1e-6):
+        """The maximizing configuration as blocks ((value, count), ...) of
+        x and y, with eps for the closure zeros of the block side.  Q of
+        the pair tends to sup_value as eps -> 0."""
         if not 0 < eps < math.inf:
             raise ValueError(f"eps must be positive and finite, got {eps!r}")
-        if max(self.n_x, self.n_y) > sys.maxsize:
-            raise ValueError(f"vector length {max(self.n_x, self.n_y)} exceeds sys.maxsize")
         c = self.maximizing_config
-        if c.side == "x_is_block":
-            x = [1.0] * c.i + [eps] * (self.n_x - c.i)
-            y = [c.gamma] * c.m
-        else:
-            x = [c.gamma] * c.m
-            y = [1.0] * c.i + [eps] * (self.n_y - c.i)
-        return x, y
+        block_len = self.n_x if c.side == "x_is_block" else self.n_y
+        block, const = ((1.0, c.i), (eps, block_len - c.i)), ((c.gamma, c.m),)
+        return (block, const) if c.side == "x_is_block" else (const, block)
+
+    def witness_pair(self, eps: float = 1e-6):
+        """witness_blocks(eps) as lists x, y; ValueError beyond sys.maxsize."""
+        return _expand(*self.witness_blocks(eps))
+
+
+def _expand(*vectors):
+    """Each vector's blocks as a list; ValueError first if one exceeds sys.maxsize."""
+    n = max(sum(c for _, c in blocks) for blocks in vectors)
+    if n > sys.maxsize:
+        raise ValueError(f"vector length {n} exceeds sys.maxsize")
+    return tuple(sum(([v] * c for v, c in blocks), []) for blocks in vectors)
 
 
 def reduced_objective(p: float, gamma: float) -> float:
@@ -283,7 +290,7 @@ def sup_q(n_x: int, n_y: int) -> SupQResult:
     )
 
 
-def witness_vectors(n: int, extra_component: bool = False):
+def growth_blocks(n: int, extra_component: bool = False):
     """Near-optimal pair: floor(p*n) unit entries padded with 1/n, vs gamma*.
 
     x has floor(p*n) entries equal to 1 and 1/n elsewhere (length n);
@@ -291,19 +298,20 @@ def witness_vectors(n: int, extra_component: bool = False):
     extra_component=True, x gets one more 1/n entry (length n+1).
     Q of the pair is negative for n <= 9 and approaches c* * n from
     below as n grows; at n = 10**4 the ratio Q/n is within 1% of c*.
-    ValueError when a length exceeds sys.maxsize.
+    Returns the blocks ((value, count), ...) of x and y.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if n + extra_component > sys.maxsize:
-        raise ValueError(f"vector length {n + extra_component} exceeds sys.maxsize")
-    i = int(P_STAR * n)
-    inv = 1.0 / n
-    x = [1.0] * i + [inv] * (n - i)
-    if extra_component:
-        x.append(inv)
-    y = [GAMMA_STAR] * n
-    return x, y
+    try:
+        i, inv = int(P_STAR * n), 1.0 / n
+    except OverflowError:
+        raise ValueError(f"n is too large for float64, got {n!r}") from None
+    return ((1.0, i), (inv, n - i + bool(extra_component))), ((GAMMA_STAR, n),)
+
+
+def witness_vectors(n: int, extra_component: bool = False):
+    """growth_blocks(n, extra_component) as lists x, y; ValueError beyond sys.maxsize."""
+    return _expand(*growth_blocks(n, extra_component))
 
 
 def positivity_witness(n_x: int, n_y: int):
@@ -311,20 +319,17 @@ def positivity_witness(n_x: int, n_y: int):
 
     Requires n_x == n_y or n_x == n_y + 1.  The pair is sup_q's
     maximizing configuration materialized by witness_pair with the
-    first eps in _EPS_SCHEDULE that gives a positive float Q.
-    Returns (x, y, q) with q = Q(x, y) > 0.
+    first eps in _EPS_SCHEDULE that gives a positive float Q, tried on
+    the blocks in O(1).  Returns (x, y, q) with q = Q(x, y) > 0.
     """
-    ints = isinstance(n_x, int) and isinstance(n_y, int) and bool not in (type(n_x), type(n_y))
-    if not ints or n_y < 1:
-        raise ValueError(f"dimensions must be integers >= 1, got ({n_x!r}, {n_y!r})")
+    res = sup_q(n_x, n_y)  # checks that both are integers >= 1
     if n_x not in (n_y, n_y + 1):
         raise ValueError(f"need n_x == n_y or n_x == n_y + 1, got ({n_x}, {n_y})")
     if (n_x, n_y) == (1, 1):
         return None
-    res = sup_q(n_x, n_y)
     for eps in _EPS_SCHEDULE:
-        x, y = res.witness_pair(eps)
-        q = float(quotient_q(x, y).value)
+        blocks = res.witness_blocks(eps)
+        q = _quotient(*map(_block_power_sums, blocks)).value
         if q > 0.0:
-            return x, y, q
+            return (*_expand(*blocks), q)
     raise RuntimeError(f"no positive witness found for ({n_x}, {n_y})")

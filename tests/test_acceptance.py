@@ -17,7 +17,6 @@ import pytest
 from psq import (
     C_STAR,
     MatrixSpec,
-    b3_quartic_root,
     b3_radical,
     brute_force_sup,
     check_structured_shape,
@@ -57,6 +56,23 @@ def budget(name, seconds):
     dt = time.perf_counter() - t0
     print(f"{name}: {dt:.2f}s (budget {seconds:g}s)")
     assert dt < seconds, f"{name} took {dt:.2f}s, budget {seconds:g}s"
+
+
+def b3_quartic_root():
+    """Root of 20 x^4 + 60 x^3 + 9 x^2 - 54 x - 27 on [0.9, 1.0] by
+    bisection: a route to b_3 independent of psq's b3_radical."""
+
+    def poly(x):
+        return ((((20.0 * x + 60.0) * x) + 9.0) * x - 54.0) * x - 27.0
+
+    lo, hi = 0.9, 1.0  # poly(0.9) < 0 < poly(1.0)
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        if poly(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def trunc3(x):

@@ -41,6 +41,11 @@ class TestEvalQ:
         assert out.exit_code == 2
         assert "x: power sums overflow float64" in out.output
 
+    def test_underflowed_cubes_exit_code(self, runner):
+        out = runner.invoke(main, ["eval-q", "-x", "1e-200", "-y", "2e-200"])
+        _assert_usage_error(out)
+        assert "every cube underflows to 0" in out.output
+
     def test_exact_entries_beyond_float_range(self, runner):
         out = runner.invoke(main, ["eval-q", "-x", "1" + "0" * 400, "-y", "1"])
         assert out.exit_code == 0

@@ -16,7 +16,6 @@ from psq.cone import (
     _best_perturbation_slack,
     _growth_estimates,
     _sampled_patterns,
-    b3_quartic_root,
     b3_radical,
     certify_general,
     check_diagonal_dominance,
@@ -45,6 +44,23 @@ FROZEN_BD = {
     11: 0.7576561737215454,
     12: 0.7576561737215454,
 }
+
+
+def b3_quartic_root():
+    """Root of 20 x^4 + 60 x^3 + 9 x^2 - 54 x - 27 on [0.9, 1.0] by
+    bisection: a route to b_3 independent of psq's b3_radical."""
+
+    def poly(x):
+        return ((((20.0 * x + 60.0) * x) + 9.0) * x - 54.0) * x - 27.0
+
+    lo, hi = 0.9, 1.0  # poly(0.9) < 0 < poly(1.0)
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        if poly(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 class TestMatrixSpec:

@@ -1,5 +1,7 @@
 import importlib
 import math
+import random
+import sys
 import warnings
 from dataclasses import astuple
 from fractions import Fraction
@@ -477,6 +479,16 @@ class TestOverflow:
         with pytest.raises(ValueError, match=r"^Q\(x, y\) overflows float64"):
             quotient_q([4.4e102, 4.4e102], [1.0])
 
+    def test_all_cubes_underflow_is_a_value_error(self):
+        # Every square and cube rounds to 0, so s3 = 0: Q is undefined in floats.
+        for pair in (([1e-200], [2e-200]), ([1e-120, 5e-324], np.array([3e-110]))):
+            with pytest.raises(ValueError, match=r"^Q\(x, y\) is undefined in float64: every cube underflows"):
+                quotient_q(*pair)
+        with pytest.raises(ValueError, match="every cube underflows"):
+            ps._quotient(ps._block_power_sums(((1e-200, 1),)), ps._block_power_sums(((2e-200, 3),)))
+        # One exact entry keeps s3 positive.
+        assert quotient_q([1e-200], [1]).s3 == 1.0
+
     def test_exact_input_does_not_overflow(self):
         r = quotient_q([10 ** 120], [1])
         assert r.value == Fraction(-((10 ** 120 - 1) ** 2) * (10 ** 120 + 1), 10 ** 360 + 1)
@@ -487,6 +499,62 @@ class TestOverflow:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflows float64"):
                 quotient_q_batch(xs, np.ones((2, 1)))
+
+
+class TestBlockPowerSums:
+    """_block_power_sums against Fraction sums of the rounded powers."""
+
+    @staticmethod
+    def fraction_sums(blocks):
+        """The sums rounded once, or None when one overflows float64."""
+        powers = (lambda v: v, lambda v: v * v, lambda v: v * v * v)
+        try:
+            return tuple(float(sum(c * Fraction(f(v)) for v, c in blocks)) for f in powers)
+        except OverflowError:
+            return None
+
+    def test_subnormals_and_huge_counts(self):
+        rng = random.Random(20261018)
+        values = (
+            lambda: rng.uniform(0.0, 2.0 ** -1022),  # subnormal
+            lambda: rng.uniform(0.0, 2.0 ** -340),  # normal, cube subnormal or 0
+            lambda: rng.uniform(0.0, 2.0 ** -520),  # normal, square subnormal, cube 0
+            lambda: rng.uniform(0.0, 10.0),
+            lambda: 2.0 ** rng.uniform(-1074, 331),
+        )
+        counts = (
+            lambda: rng.randint(0, 3),
+            lambda: rng.randint(1, 2 ** 26) + rng.randint(-1, 1),
+            lambda: rng.randint(1, sys.maxsize),
+            lambda: sys.maxsize - rng.randint(0, 2),
+            lambda: rng.randint(1, 10 ** 150),
+        )
+        for _ in range(5000):
+            blocks = [
+                (rng.choice(values)() or 5e-324, rng.choice(counts)())
+                for _ in range(rng.randint(1, 3))
+            ]
+            want = self.fraction_sums(blocks)
+            if want is None:
+                with pytest.raises(ValueError, match="block power sums overflow float64"):
+                    ps._block_power_sums(blocks)
+            else:
+                assert astuple(ps._block_power_sums(blocks)) == want, blocks
+
+    def test_same_bits_as_power_sums_on_the_list(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            blocks = [(2.0 ** rng.uniform(-1074, 100), rng.randint(0, 40)) for _ in range(3)]
+            blocks.append((rng.random() + 0.5, 1))
+            entries = [v for v, c in blocks for _ in range(c)]
+            assert bits(astuple(ps._block_power_sums(blocks))) == bits(astuple(power_sums(entries)))
+
+    def test_overflow_is_a_value_error(self):
+        # 2**333 cubes to a finite 2**999, but its split overflows.
+        for blocks in (((1e103, 1),), ((1e300, 1),), ((2.0 ** 333, 1),), ((1.0, 10 ** 400),)):
+            with pytest.raises(ValueError, match="block power sums overflow float64"):
+                ps._block_power_sums(blocks)
+        assert ps._block_power_sums(((2.0 ** 332, 3),)).m3 == 3 * 2.0 ** 996
 
 
 class TestBatch:
@@ -529,3 +597,19 @@ class TestBatch:
                 with pytest.raises(ValueError) as err:
                     quotient_q_batch(xs, ys)
             assert str(err.value) == message
+
+    def test_rejects_mixed_entries_before_the_float_cast(self):
+        # np.asarray would give these a number dtype, True read as 1.0 and
+        # "1" parsed; ndarrays keep the dtype check alone.
+        for xs, message in (
+            ([[True, 1.0]], "xs must hold real numbers, got entry True"),
+            ([[1, np.True_]], "xs must hold real numbers, got entry np.True_"),
+            ([[Fraction(1), "1"]], "xs must hold real numbers, got entry '1'"),
+            ([(Fraction(1), 1j)], "xs must hold real numbers, got entry 1j"),
+        ):
+            with pytest.raises(ValueError) as err:
+                quotient_q_batch(xs, [[1.0]])
+            assert str(err.value) == message
+        assert quotient_q_batch([[Fraction(1, 2), 3]], np.array([[1.0]])).tolist() == [
+            quotient_q([0.5, 3.0], [1.0]).value
+        ]

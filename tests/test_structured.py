@@ -1,15 +1,18 @@
+import importlib
 import math
 import random
 import sys
 from collections import Counter
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psq.power_sums import quotient_q
+from psq.power_sums import _block_power_sums, _quotient, quotient_q
 from psq.structured import (
+    _EPS_SCHEDULE,
     _g_config,
     _gamma_root,
     _reduced_value_dp,
@@ -21,12 +24,16 @@ from psq.structured import (
     P_STAR,
     P_T,
     SQRT7,
+    growth_blocks,
     positivity_witness,
     reduced_objective,
     solve_reduced,
     sup_q,
     witness_vectors,
 )
+
+# The module itself; the package attribute psq.power_sums is the function.
+ps = importlib.import_module("psq.power_sums")
 
 # Suprema frozen from an independent multistart run; see also the
 # oracle agreement tests.
@@ -338,3 +345,60 @@ class TestPositivityWitness:
             positivity_witness(3, 4)
         with pytest.raises(ValueError):
             positivity_witness(2, 0)
+
+
+def _block_q_hex(x_blocks, y_blocks):
+    """Q of a block pair as positivity_witness computes it, as float.hex strings."""
+    return _hex(_quotient(_block_power_sums(x_blocks), _block_power_sums(y_blocks)))
+
+
+def _hex(q):
+    return tuple(map(float.hex, astuple(q)))
+
+
+# Every shape n <= 40, then seeded n up to 10**5; from 1024 entries on,
+# quotient_q sums float lists in numpy when it is loaded.
+_BLOCK_SIZES = [*range(1, 41), *random.Random(16).sample(range(41, 1024), 6)]
+_BLOCK_SIZES += [*random.Random(17).sample(range(1024, 10**5), 3), 10**5]
+
+
+class TestBlockQuotients:
+    """Block quotients equal quotient_q on the expanded lists, bit for bit."""
+
+    @pytest.fixture(params=["fsum", "numpy"])
+    def route(self, request, monkeypatch):
+        if request.param == "fsum":
+            # quotient_q takes the numpy route only when numpy is already loaded.
+            monkeypatch.delitem(sys.modules, "numpy", raising=False)
+        else:
+            pytest.importorskip("numpy")
+        long_list_types = ps._validated([0.5] * 1024, "x")[1]
+        assert (long_list_types is None) == (request.param == "numpy")
+        return request.param
+
+    def test_sup_q_witness_pairs(self, route):
+        for n in _BLOCK_SIZES:
+            for shape in ((n, n), (n + 1, n)):
+                if shape == (1, 1):
+                    continue
+                res = sup_q(*shape)
+                for eps in _EPS_SCHEDULE:
+                    want = quotient_q(*res.witness_pair(eps))
+                    assert _block_q_hex(*res.witness_blocks(eps)) == _hex(want), (shape, eps)
+                x, y, q = positivity_witness(*shape)
+                assert q.hex() == quotient_q(x, y).value.hex(), shape
+
+    def test_growth_pairs(self, route):
+        for n in _BLOCK_SIZES:
+            for extra in (False, True):
+                want = quotient_q(*witness_vectors(n, extra))
+                assert _block_q_hex(*growth_blocks(n, extra)) == _hex(want), (n, extra)
+
+    def test_blocks_expand_to_the_lists(self):
+        for shape in ((2, 1), (7, 6), (6, 6), (3, 2)):
+            res = sup_q(*shape)
+            x_blocks, y_blocks = res.witness_blocks(1e-9)
+            x, y = res.witness_pair(1e-9)
+            assert x == [v for v, c in x_blocks for _ in range(c)]
+            assert y == [v for v, c in y_blocks for _ in range(c)]
+        assert growth_blocks(25, True) == (((1.0, 2), (0.04, 24)), ((GAMMA_STAR, 25),))
