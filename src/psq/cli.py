@@ -33,7 +33,7 @@ from .cone import (
     membership_equal_offdiag,
     psi,
 )
-from .power_sums import _block_quotient, quotient_q
+from .power_sums import _block_power_sums, _quotient, quotient_q
 from .structured import growth_blocks, positivity_witness, sup_q, witness_vectors
 from .tables import table1_rows, table2_rows
 
@@ -272,7 +272,7 @@ def witness_cmd(nx, ny, growth_n, extra, json_path):
         doc = {"exists": True, "x": list(x), "y": list(y), "q": q}
     else:
         x, y = witness_vectors(growth_n, extra_component=extra)
-        q = _block_quotient(*growth_blocks(growth_n, extra_component=extra)).value
+        q = _quotient(*map(_block_power_sums, growth_blocks(growth_n, extra_component=extra))).value
         doc = {"x": x, "y": y, "q": q, "n": growth_n, "extra": bool(extra)}
     _emit(doc, json_path)
 

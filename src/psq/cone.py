@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
-from .power_sums import _block_quotient, validate_positive_vector
+from .power_sums import _block_power_sums, _quotient, validate_positive_vector
 from .structured import _EPS_SCHEDULE, ALPHA_T, C_STAR, growth_blocks, sup_q
 
 if TYPE_CHECKING:
@@ -414,7 +414,7 @@ def _growth_estimates(d: int) -> Tuple[float, float]:
     """
     try:
         (x, _), (_, y) = map(growth_blocks, _balanced_split(d))
-        return _block_quotient(x, y).value, 2.0 / (C_STAR * d)
+        return _quotient(_block_power_sums(x), _block_power_sums(y)).value, 2.0 / (C_STAR * d)
     except (OverflowError, ValueError):  # with d >= 2, only float64 overflows
         raise ValueError("d is too large: the growth-pair quotient overflows float64") from None
 

@@ -16,10 +16,6 @@ sign).  The denominator is always positive.
 Float inputs: each power is rounded once, as the IEEE products e * e
 and (e * e) * e, then summed exactly and rounded once, the value
 math.fsum returns, so results are deterministic and order-stable.
-Where s1 or s2 of Q (below) cancels to under 2**-11 of its scale, it is
-recomputed as the exact difference over the entries, squares exact
-too, rounded once; Q is then within 2**-40 relative of its exact
-value, barring underflow, and the signs of s1 and s2 are exact.
 A 1-D float64 ndarray, or an all-float list or tuple of at least
 _ARRAY_MIN entries once numpy is loaded (neither imports it), is summed
 in numpy blocks of 2**16 entries: each value splits by bit mask into
@@ -41,7 +37,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import attrgetter, floordiv, ge, itemgetter, le, mul
+from operator import attrgetter, floordiv, ge, le, mul
 from typing import TYPE_CHECKING, Union
 
 if TYPE_CHECKING:
@@ -152,25 +148,7 @@ def validate_positive_vector(entries, name: str = "x") -> list:
 # np.bincount's per-exponent sums of a block are exact.
 _BLOCK = 1 << 16
 _HI_MASK = -(1 << 27)
-_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant for float64
-# Dekker's square is exact while its smallest part, a multiple of
-# ulp(e)**2, does not underflow: e >= 2**-485.
-_TINY = 2.0 ** -485
-
-
-def _bucket_parts(w, part: list) -> None:
-    """Append to part floats whose exact sum is the sum of the 1-D
-    float64 array w (at most _BLOCK entries, either sign)."""
-    import numpy as np
-    bits = w.view(np.int64)
-    # The sign bit keeps negative entries in buckets of their own, 2048
-    # buckets below the positive ones; the empty buckets are dropped.
-    e = bits >> 52
-    e -= e.min()
-    hi = (bits & _HI_MASK).view(np.float64)
-    for s in np.bincount(e, weights=hi), np.bincount(e, weights=w - hi):
-        # An infinite w gives inf - inf = NaN here, and a NaN total.
-        part += s[s != 0.0].tolist()
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant for float64 (_block_power_sums)
 
 
 def _array_sums(a) -> tuple:
@@ -186,47 +164,14 @@ def _array_sums(a) -> tuple:
             b = a[start:start + _BLOCK]
             sq = b * b
             for part, w in zip(parts, (b, sq, sq * b)):
-                _bucket_parts(w, part)
+                bits = w.view(np.int64)
+                e = bits >> 52
+                e -= e.min()
+                hi = (bits & _HI_MASK).view(np.float64)
+                part += np.bincount(e, weights=hi).tolist()
+                # An infinite w gives inf - inf = NaN here, and a NaN total.
+                part += np.bincount(e, weights=w - hi).tolist()
     return tuple(map(math.fsum, parts))
-
-
-def _exact_total(values, p: int) -> Fraction:
-    """Exact sum of e**p over int, float and Fraction values e."""
-    pairs = [e.as_integer_ratio() for e in values]
-    den = math.lcm(*map(itemgetter(1), pairs))
-    return Fraction(sum((n * (den // d)) ** p for n, d in pairs), den ** p)
-
-
-def _array_total(a, p: int) -> Fraction:
-    """Exact sum of e**p, p = 1 or 2, over a positive float64 ndarray a.
-
-    Squares are e * e plus its exact rounding error (Dekker's product
-    of Veltkamp halves), exact for e >= _TINY; smaller entries take
-    _exact_total.
-    """
-    if p == 2 and a.min() < _TINY:
-        return _exact_total(a.tolist(), 2)
-    parts = []
-    for start in range(0, a.size, _BLOCK):
-        b = a[start:start + _BLOCK]
-        if p == 1:
-            _bucket_parts(b, parts)
-            continue
-        sq = b * b
-        c = b * _SPLIT
-        h = c - (c - b)
-        lo = b - h
-        _bucket_parts(sq, parts)
-        _bucket_parts(((h * h - sq) + 2.0 * h * lo) + lo * lo, parts)
-    return _exact_total(parts, 1)
-
-
-def _total(v, types, p: int) -> Fraction:
-    """Exact sum of e**p over the values the power sums of (v, types) use."""
-    if types is None:
-        return _array_total(v, p)
-    exact = all(issubclass(t, (int, Fraction)) for t in types)
-    return _exact_total(v if exact else map(float, v), p)
 
 
 def _sums(v, types, name: str) -> PowerSumTriple:
@@ -262,32 +207,11 @@ def power_sums(entries, name: str = "x") -> PowerSumTriple:
     return _sums(*_validated(entries, name), name)
 
 
-# A float s1 is the difference of two sums rounded once each, so it is
-# off by at most 2**-53 (M_1(x) + M_1(y)); a float s2 is off by at most
-# 2 * 2**-53 (M_2(x) + M_2(y)), its squares being rounded too.  Where
-# |s1| or |s2| is below _CANCEL times that scale it is recomputed as
-# the exact difference, rounded once; elsewhere it is within 2**-41
-# relative, and Q within 2**-40.
-_CANCEL = 2.0 ** -11
-
-
-def _quotient(px: PowerSumTriple, py: PowerSumTriple, totals=None) -> QuotientValue:
-    """Q from the power sums of x and y.
-
-    totals(p) gives the exact (sum over x, sum over y) of e**p, p = 1
-    or 2; with it a float s1 or s2 that cancels below _CANCEL is
-    recomputed from them.
-    """
+def _quotient(px: PowerSumTriple, py: PowerSumTriple) -> QuotientValue:
     try:
         s1, s2, s3 = px.m1 - py.m1, py.m2 - px.m2, px.m3 + py.m3
         # s3 is a float iff either vector took the float path.
         if isinstance(s3, float):
-            if totals is not None and abs(s1) < _CANCEL * (px.m1 + py.m1):
-                tx, ty = totals(1)
-                s1 = float(tx - ty)
-            if totals is not None and abs(s2) < _CANCEL * (px.m2 + py.m2):
-                tx, ty = totals(2)
-                s2 = float(ty - tx)
             value = s1 * s2 / s3
             if not math.isfinite(value):
                 raise OverflowError
@@ -338,32 +262,17 @@ def quotient_q(x, y) -> QuotientValue:
     Returns a QuotientValue carrying the three components.  Exact
     rational inputs give an exact rational result.
     """
-    vx, tx = _validated(x, "x")
-    vy, ty = _validated(y, "y")
-    return _quotient(_sums(vx, tx, "x"), _sums(vy, ty, "y"), _totals(vx, tx, vy, ty))
-
-
-def _totals(vx, tx, vy, ty):
-    """_quotient's totals for validated vectors."""
-    return lambda p: (_total(vx, tx, p), _total(vy, ty, p))
-
-
-def _block_quotient(x_blocks, y_blocks) -> QuotientValue:
-    """quotient_q of the vectors that blocks ((v, c), ...) describe, in O(1)."""
-    def totals(p):
-        return tuple(sum(c * Fraction(v) ** p for v, c in b) for b in (x_blocks, y_blocks))
-
-    return _quotient(_block_power_sums(x_blocks), _block_power_sums(y_blocks), totals)
+    return _quotient(power_sums(x, "x"), power_sums(y, "y"))
 
 
 def q_ordered_nonpositive(x, y) -> float:
-    """Q(x, y) <= 0 for a componentwise comparable pair.
+    """Q(x, y) for a componentwise comparable pair; asserts it is <= 0.
 
     Requires len(x) == len(y) and either x_i >= y_i for all i or
     x_i <= y_i for all i.  Non-comparable pairs are a precondition
-    violation (ValueError), not a math failure.  s1 and s2 of such a
-    pair have opposite signs or vanish, and quotient_q keeps their
-    signs exact, so the float value is <= 0 too.
+    violation (ValueError), not a math failure.  A positive computed
+    value beyond float roundoff raises AssertionError; the checked
+    value is returned.
     """
     vx, tx = _validated(x, "x")
     vy, ty = _validated(y, "y")
@@ -374,7 +283,12 @@ def q_ordered_nonpositive(x, y) -> float:
     lx, ly = (v.tolist() if t is None else v for v, t in ((vx, tx), (vy, ty)))
     if not (all(map(ge, lx, ly)) or all(map(le, lx, ly))):
         raise ValueError("x and y are not componentwise comparable")
-    return float(_quotient(_sums(vx, tx, "x"), _sums(vy, ty, "y"), _totals(vx, tx, vy, ty)).value)
+    q = _quotient(_sums(vx, tx, "x"), _sums(vy, ty, "y"))
+    value = float(q.value)
+    # Exact arithmetic gives <= 0; float cancellation can leave a speck.
+    if value > 1e-12 * max(1.0, abs(float(q.s1)), abs(float(q.s2))):
+        raise AssertionError(f"ordered pair produced positive quotient {value!r}")
+    return value
 
 
 def quotient_q_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .power_sums import _block_quotient
+from .power_sums import _block_power_sums, _quotient
 
 __all__ = [
     "SQRT7",
@@ -329,7 +329,7 @@ def positivity_witness(n_x: int, n_y: int):
         return None
     for eps in _EPS_SCHEDULE:
         blocks = res.witness_blocks(eps)
-        q = _block_quotient(*blocks).value
+        q = _quotient(*map(_block_power_sums, blocks)).value
         if q > 0.0:
             return (*_expand(*blocks), q)
     raise RuntimeError(f"no positive witness found for ({n_x}, {n_y})")

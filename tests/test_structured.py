@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psq.power_sums import _block_quotient, quotient_q
+from psq.power_sums import _block_power_sums, _quotient, quotient_q
 from psq.structured import (
     _EPS_SCHEDULE,
     _g_config,
@@ -349,7 +349,7 @@ class TestPositivityWitness:
 
 def _block_q_hex(x_blocks, y_blocks):
     """Q of a block pair as positivity_witness computes it, as float.hex strings."""
-    return _hex(_block_quotient(x_blocks, y_blocks))
+    return _hex(_quotient(_block_power_sums(x_blocks), _block_power_sums(y_blocks)))
 
 
 def _hex(q):
