@@ -133,7 +133,6 @@ def sup_q_cmd(nx, ny, json_path):
         "n_y": res.n_y,
         "sup": res.sup_value,
         "attained": res.attained,
-        "bracket": list(res.bracket) if res.bracket else None,
         "config": {
             "i": c.i,
             "m": c.m,

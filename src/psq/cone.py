@@ -46,7 +46,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 from .power_sums import _block_power_sums, _quotient, validate_positive_vector
-from .structured import _EPS_SCHEDULE, ALPHA_T, C_STAR, growth_blocks, sup_q
+from .structured import ALPHA_T, C_STAR, _expand, _gamma_root, growth_blocks, sup_q
 
 if TYPE_CHECKING:
     import numpy as np
@@ -211,7 +211,6 @@ class BdReport:
     on the balanced split; present only when that quotient is positive
     (which needs ceil(d/2) >= 10).
     asymptotic    = 2 / (c* d);
-    bracket       = certified enclosure, available for d in {5, 6};
     exact         = closed-form value, available for d <= 4.
     """
 
@@ -222,7 +221,6 @@ class BdReport:
     lower_bound: float
     asymptotic: float
     witness_upper: Optional[float] = None
-    bracket: Optional[Tuple[float, float]] = None
     exact: Optional[float] = None
 
     def to_json_dict(self) -> dict:
@@ -362,7 +360,10 @@ def growth_lower_bound(d: int) -> float:
     1 / (1 + c* floor(d/2)) coincides with it for even d, and for odd
     d <= 6 it still holds (sup Q = 0.0391 < c* for d = 3, and
     0.1079 < 2 c* for d = 5); for odd d >= 7 it exceeds b_d.
+    ValueError unless d is an integer >= 2.
     """
+    if isinstance(d, bool) or not isinstance(d, int) or d < 2:
+        raise ValueError(f"d must be an integer >= 2, got {d!r}")
     half = d // 2 if d % 2 == 0 or d <= 6 else d - d // 2
     return 1.0 / (1.0 + C_STAR * half)
 
@@ -424,19 +425,13 @@ def compute_bd(d: int) -> BdReport:
 
     Bundles the growth-bound lower estimate, the witness upper bound
     from the near-optimal growth pair (when its quotient is positive),
-    the asymptotic 2 / (c* d), the enclosure bracket for d in {5, 6},
-    and the closed form for d <= 4.
+    the asymptotic 2 / (c* d) and the closed form for d <= 4.
     """
     if not isinstance(d, int) or d < 2:
         raise ValueError(f"d must be an integer >= 2, got {d!r}")
     bd, res = _bd_from_sup(d)
     qg, asym = _growth_estimates(d)
     witness_upper = 1.0 / (1.0 + qg) if qg > 0.0 else None
-
-    bracket = None
-    if res.bracket is not None:
-        lo, hi = res.bracket
-        bracket = (1.0 / (1.0 + hi), 1.0 / (1.0 + lo))
 
     exact = None
     if d == 2:
@@ -452,7 +447,6 @@ def compute_bd(d: int) -> BdReport:
         lower_bound=growth_lower_bound(d),
         asymptotic=asym,
         witness_upper=witness_upper,
-        bracket=bracket,
         exact=exact,
     )
 
@@ -461,11 +455,13 @@ def membership_equal_offdiag(d: int, b: float) -> MembershipReport:
     """Decide M_d(b) against the threshold b_d with a fixed 1e-8 margin.
 
     b <= b_d - margin: member_certified.  b >= b_d + margin: nonmember,
-    with an explicit (z, s) witness built from the maximizing block
-    configuration on the balanced split (zeros replaced by a shrinking
-    eps until Psi < 0).  Psi is decided exactly, in O(1) from the at most
-    three distinct blocks, and psi_value is it correctly rounded.
-    Inside the margin: inconclusive.
+    with the witness z = (1^i, gamma^(d - i)), s = (-1^i, +1^(d - i)):
+    the unit count i of the balanced maximizer as a full block against
+    all d - i remaining entries, at gamma = the root for (i, d - i).  Its
+    Q is at least the balanced sup, since the best value of an (i, m)
+    configuration is nondecreasing in m (sup_q), so Psi < 0 with no
+    closure zeros.  Psi is decided exactly, in O(1) from the two blocks,
+    and psi_value is it correctly rounded.  Inside the margin: inconclusive.
     """
     spec = MatrixSpec.equal_off_diagonal(d, b)
     bd, res = _bd_from_sup(d)
@@ -475,17 +471,13 @@ def membership_equal_offdiag(d: int, b: float) -> MembershipReport:
     if spec.b <= bd - margin:
         return report(verdict="member_certified")
     if spec.b >= bd + margin:
-        for eps in _EPS_SCHEDULE:
-            pair = zip((-1, 1), res.witness_blocks(eps))  # x holds the minus signs
-            num, val = _offdiag_psi([(v, c, s) for s, blocks in pair for v, c in blocks], spec.b)
-            if num < 0:
-                x, y = res.witness_pair(eps)
-                witness = PsiWitness(z=tuple(x) + tuple(y), s=reduced_sign_pattern(d), psi_value=val)
-                return report(verdict="nonmember", witness=witness)
-        raise RuntimeError(
-            f"b={b!r} exceeds b_{d}={bd!r} but no eps in {_EPS_SCHEDULE} "
-            f"produced a negative Psi witness"
-        )
+        i = res.maximizing_config.i
+        gamma = _gamma_root(i, d - i)
+        num, val = _offdiag_psi([(1.0, i, -1), (gamma, d - i, 1)], spec.b)
+        if num >= 0:
+            raise RuntimeError(f"b={b!r} exceeds b_{d}={bd!r} but the block witness has Psi >= 0")
+        z, s = _expand(((1.0, i), (gamma, d - i)), ((-1, i), (1, d - i)))
+        return report(verdict="nonmember", witness=PsiWitness(z=tuple(z), s=tuple(s), psi_value=val))
     return report(verdict="inconclusive")
 
 
@@ -558,10 +550,9 @@ def _checked_witness(m: np.ndarray, z, s) -> Optional[PsiWitness]:
 
 
 def _check_sampling_args(n_samples: int, seed: int) -> None:
-    if n_samples < 0:
-        raise ValueError("n_samples must be >= 0")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    for name, v in (("n_samples", n_samples), ("seed", seed)):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
 
 
 def sample_membership_general(matrix, n_samples: int = 200, seed: int = 0) -> GeneralReport:

@@ -30,7 +30,7 @@ of a quartic, and max_gamma f(p, gamma) is unimodal in p with its peak
 at p*, so each side needs only the block counts floor(p* m) and
 ceil(p* m).  The cost is O(1) in the dimensions; sup_q's docstring
 holds the proofs.  Positive-quotient witnesses are that maximizer
-materialized with a small eps in place of the closure zeros.  Such a
+materialized with eps = 1e-6 in place of the closure zeros.  Such a
 pair is kept as blocks ((value, count), ...) per vector, and its Q comes
 from the blocks' exact sums in O(1), with the bits of quotient_q on the
 lists, which are built only for output.
@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from .power_sums import _block_power_sums, _quotient
 
@@ -77,11 +77,6 @@ P_T = 2.0 / (7.0 + 3.0 * _SQRT3 + math.sqrt(72.0 + 42.0 * _SQRT3))
 ALPHA_T = (3.0 - math.sqrt(3.0 + 2.0 * _SQRT3)) / 6.0
 C_T = (2.0 * _SQRT3 - 3.0) / 9.0
 
-# Closure zeros tried, in order, when a block configuration is
-# materialized as a concrete positive witness.
-_EPS_SCHEDULE = (1e-6, 1e-9, 1e-12)
-
-
 @dataclass(frozen=True)
 class StructuredConfig:
     """One block configuration: i unit entries vs m constant entries.
@@ -104,9 +99,6 @@ class SupQResult:
 
     attained is always False: the supremum is approached through
     closure limits (block zeros, or x -> y in the degenerate case).
-    bracket, when set, is a certified enclosure shared by the (3, 3)
-    and (3, 2) problems; it is attached to both and is not a per-split
-    certification.
     """
 
     n_x: int
@@ -114,7 +106,6 @@ class SupQResult:
     sup_value: float
     maximizing_config: StructuredConfig
     attained: bool = False
-    bracket: Optional[Tuple[float, float]] = None
 
     def witness_blocks(self, eps: float = 1e-6):
         """The maximizing configuration as blocks ((value, count), ...) of
@@ -277,17 +268,7 @@ def sup_q(n_x: int, n_y: int) -> SupQResult:
             )
         sup_value = best.q_value
 
-    bracket = None
-    if tuple(sorted((n_x, n_y))) in ((2, 3), (3, 3)):
-        bracket = (0.1079, 0.1080)
-    return SupQResult(
-        n_x=n_x,
-        n_y=n_y,
-        sup_value=sup_value,
-        maximizing_config=best,
-        attained=False,
-        bracket=bracket,
-    )
+    return SupQResult(n_x=n_x, n_y=n_y, sup_value=sup_value, maximizing_config=best, attained=False)
 
 
 def growth_blocks(n: int, extra_component: bool = False):
@@ -318,18 +299,26 @@ def positivity_witness(n_x: int, n_y: int):
     """A pair with Q > 0 for dimensions (n_x, n_y), or None for (1, 1).
 
     Requires n_x == n_y or n_x == n_y + 1.  The pair is sup_q's
-    maximizing configuration materialized by witness_pair with the
-    first eps in _EPS_SCHEDULE that gives a positive float Q, tried on
-    the blocks in O(1).  Returns (x, y, q) with q = Q(x, y) > 0.
+    maximizing configuration, witness_pair() with its eps = 1e-6 for the
+    closure zeros, and its Q is computed from the blocks in O(1).
+    Returns (x, y, q) with q = Q(x, y) > 0.
+
+    One eps suffices.  Q is symmetric; with the unit block of length n
+    on x, Q = (M1(x) - M1(y)) (M2(y) - M2(x)) / (M3(x) + M3(y)).  The
+    maximizer has gamma^2 < i/m < gamma (the root curve of sup_q lies
+    between them), so at eps = 0 both factors are negative: M1(x) = i <
+    m gamma and M2(x) = i > m gamma^2.  The zeros only raise M2(x), and
+    they add (n - i) 1e-6 to M1(x), far below m gamma - i = m (gamma - p),
+    which is about 0.1 m or more.  RuntimeError if q is not positive all
+    the same.
     """
     res = sup_q(n_x, n_y)  # checks that both are integers >= 1
     if n_x not in (n_y, n_y + 1):
         raise ValueError(f"need n_x == n_y or n_x == n_y + 1, got ({n_x}, {n_y})")
     if (n_x, n_y) == (1, 1):
         return None
-    for eps in _EPS_SCHEDULE:
-        blocks = res.witness_blocks(eps)
-        q = _quotient(*map(_block_power_sums, blocks)).value
-        if q > 0.0:
-            return (*_expand(*blocks), q)
-    raise RuntimeError(f"no positive witness found for ({n_x}, {n_y})")
+    blocks = res.witness_blocks()
+    q = _quotient(*map(_block_power_sums, blocks)).value
+    if not q > 0.0:
+        raise RuntimeError(f"no positive witness found for ({n_x}, {n_y})")
+    return (*_expand(*blocks), q)

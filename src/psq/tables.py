@@ -3,7 +3,7 @@
 Cell values are truncated (not rounded) at three decimals, so each
 printed cell is a certified lower bound of the underlying quantity.
 Table 1 covers small dimensions with the exact threshold; table 2
-covers large dimensions, where the threshold is bracketed between the
+covers large dimensions, where the threshold lies between the
 linear-growth lower bound 1/(1 + c* floor(d/2)) (ceil(d/2) for odd
 d >= 7, see growth_lower_bound) and a concrete witness
 upper bound, with 2/(c* d) as the asymptotic scale.

@@ -63,11 +63,11 @@ class TestEvalQ:
 
 
 class TestSupQ:
-    def test_values_and_bracket(self, runner):
+    def test_values(self, runner):
         out = runner.invoke(main, ["sup-q", "--nx", "3", "--ny", "2"])
         doc = json.loads(out.output)
+        assert list(doc) == ["n_x", "n_y", "sup", "attained", "config"]
         assert doc["sup"] == pytest.approx(0.10790884700463473, abs=1e-12)
-        assert doc["bracket"] == [0.1079, 0.1080]
         assert doc["attained"] is False
         assert doc["config"]["i"] == 1 and doc["config"]["m"] == 3
 
@@ -109,8 +109,12 @@ def test_huge_dimensions_are_usage_errors(runner, args):
 
 @pytest.mark.parametrize(
     "args",
-    [["witness", "--growth-n", str(10**20)], ["witness", "--nx", str(10**20), "--ny", str(10**20)]],
-    ids=["growth-n", "nx-ny"],
+    [
+        ["witness", "--growth-n", str(10**20)],
+        ["witness", "--nx", str(10**20), "--ny", str(10**20)],
+        ["certify", "--d", str(10**20), "--b", "0.5"],
+    ],
+    ids=["growth-n", "nx-ny", "certify"],
 )
 def test_witness_lengths_beyond_maxsize_are_usage_errors(runner, args):
     out = runner.invoke(main, args)
@@ -175,7 +179,7 @@ def test_report_json_key_order():
     bd = compute_bd(5).to_json_dict()
     assert list(bd) == [
         "d", "b_d", "sup_value", "split", "lower_bound", "asymptotic",
-        "witness_upper", "bracket", "exact",
+        "witness_upper", "exact",
     ]
     assert json.loads(json.dumps(bd))["split"] == [3, 2]
     mem = membership_equal_offdiag(4, 0.99).to_json_dict()

@@ -21,6 +21,7 @@ from psq.cone import (
     check_diagonal_dominance,
     compute_bd,
     enumerate_sign_patterns,
+    growth_lower_bound,
     membership_equal_offdiag,
     psi,
     psi_over_patterns,
@@ -28,7 +29,7 @@ from psq.cone import (
     sample_membership_general,
 )
 from psq.power_sums import quotient_q
-from psq.structured import C_STAR, C_T, GAMMA_STAR, P_STAR, sup_q, witness_vectors
+from psq.structured import C_STAR, C_T, GAMMA_STAR, P_STAR, _gamma_root, sup_q, witness_vectors
 
 # Thresholds frozen from an independent run of the structured maximizer.
 FROZEN_BD = {
@@ -258,13 +259,6 @@ class TestComputeBd:
     def test_b3_matches_closed_form(self):
         assert compute_bd(3).b_d == pytest.approx(b3_radical(), abs=1e-6)
 
-    def test_bracket_for_five_and_six(self):
-        for d in (5, 6):
-            rep = compute_bd(d)
-            lo, hi = rep.bracket
-            assert lo <= rep.b_d <= hi
-        assert compute_bd(4).bracket is None
-
     def test_ordering_where_the_bound_is_valid(self):
         # The floor-form growth bound is a true lower bound for even d
         # and for d <= 6; odd d >= 7 reports the ceil form instead
@@ -289,13 +283,18 @@ class TestComputeBd:
 
     def test_json_dict(self):
         doc = compute_bd(5).to_json_dict()
-        assert doc["d"] == 5
-        assert doc["bracket"] == pytest.approx([1.0 / 1.1080, 1.0 / 1.1079], rel=1e-14)
+        assert doc["d"] == 5 and "bracket" not in doc
         json.dumps(doc)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             compute_bd(1)
+
+    @pytest.mark.parametrize("d", [-3, 0, 1, 2.5, True, "4", None])
+    def test_growth_lower_bound_rejects_bad_d(self, d):
+        # -3 gave 1.127, a "lower bound" above 1; 2.5 and True gave values too.
+        with pytest.raises(ValueError, match="d must be an integer >= 2"):
+            growth_lower_bound(d)
 
     def test_growth_estimate_matches_reference_routes(self):
         def by_lists(d):
@@ -351,13 +350,18 @@ def _psi_exact_offdiag(b, z, s):
 
 def _check_nonmember_witnesses(d, n_grid, rng):
     """membership_equal_offdiag above b_d + 1e-8 (seeded grid and b = 1):
-    nonmember, exact Psi < 0, psi_value its correctly rounded value, and
-    the dense psi (what psq verify prints) negative for d <= 200."""
+    nonmember, a two-value witness z = (1^i, gamma^(d - i)) with s = i
+    minuses then pluses, exact Psi < 0, psi_value its correctly rounded
+    value, and the dense psi (what psq verify prints) negative for d <= 200."""
     lo = compute_bd(d).b_d + 1e-8
     bs = [lo + (1.0 - lo) * rng.random() for _ in range(n_grid)] + [lo, 1.0]
     for b in (b for b in bs if lo <= b <= 1.0):
-        w = membership_equal_offdiag(d, b).witness
-        assert w is not None, (d, b)
+        rep = membership_equal_offdiag(d, b)
+        w = rep.witness
+        assert rep.verdict == "nonmember" and w is not None, (d, b)
+        i = w.s.count(-1)
+        assert len(w.z) == d and w.s == (-1,) * i + (1,) * (d - i), (d, b)
+        assert len(set(w.z)) == 2 and w.z[:i] == (1.0,) * i, (d, b)
         exact = _psi_exact_offdiag(b, w.z, w.s)
         assert exact < 0 and w.psi_value == float(exact), (d, b)
         if d <= 200:
@@ -382,19 +386,27 @@ class TestMembership:
             assert hi.witness is not None and hi.witness.psi_value < 0
 
     def test_witness_reevaluates(self):
+        # The unit count of the balanced maximizer (i = 1 for d = 6) as a
+        # full block against the other d - 1 entries, not the balanced pattern.
         rep = membership_equal_offdiag(6, 0.95)
         m = MatrixSpec.equal_off_diagonal(6, 0.95).dense()
         w = rep.witness
         assert w.psi_value == float(_psi_exact_offdiag(0.95, w.z, w.s))
         assert psi(m, w.z, w.s) < 0.0
-        assert w.s == reduced_sign_pattern(6)
+        assert w.s == (-1, 1, 1, 1, 1, 1)
+        assert w.z == (1.0,) + (_gamma_root(1, 5),) * 5
 
     def test_nonmember_witness_exact_small_d(self):
         rng = random.Random(1201)
         for d in range(2, 201):
             _check_nonmember_witnesses(d, 3, rng)
 
-    @pytest.mark.parametrize("d", [10**3, 10**4, 10**5])
+    def test_nonmember_witness_exact_sampled_d(self):
+        rng = random.Random(1202)
+        for d in rng.sample(range(201, 3001), 100):
+            _check_nonmember_witnesses(d, 1, rng)
+
+    @pytest.mark.parametrize("d", [10**3, 10**4, 10**5, 10**6])
     def test_nonmember_witness_exact_large_d(self, d):
         _check_nonmember_witnesses(d, 2, random.Random(d))
 
@@ -486,6 +498,17 @@ class TestSampler:
     def test_rejects_negative_samples(self):
         with pytest.raises(ValueError):
             sample_membership_general(np.eye(3), n_samples=-1)
+
+    @pytest.mark.parametrize("n_samples", [2.5, "3", None, True, -1])
+    def test_rejects_non_integer_samples(self, n_samples):
+        # 2.5, "3" and None raised TypeError, and True ran as 1.
+        for func in (sample_membership_general, certify_general):
+            with pytest.raises(ValueError, match="n_samples must be a non-negative integer"):
+                func(np.eye(3), n_samples=n_samples)
+
+    def test_accepts_numpy_integer_samples(self):
+        rep = sample_membership_general(np.eye(3), n_samples=np.int64(2))
+        assert rep == sample_membership_general(np.eye(3), n_samples=2)
 
     def test_one_sign_pattern_is_searched(self):
         # Psi = z0^3 + z1^3 - 5 s0 s1 (z0 z1^2 + z1 z0^2) is negative only
