@@ -41,12 +41,13 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 from .power_sums import _block_power_sums, _quotient, validate_positive_vector
-from .structured import ALPHA_T, C_STAR, _expand, _gamma_root, growth_blocks, sup_q
+from .structured import ALPHA_T, C_STAR, _gamma_root, growth_blocks, sup_q
 
 if TYPE_CHECKING:
     import numpy as np
@@ -476,8 +477,10 @@ def membership_equal_offdiag(d: int, b: float) -> MembershipReport:
         num, val = _offdiag_psi([(1.0, i, -1), (gamma, d - i, 1)], spec.b)
         if num >= 0:
             raise RuntimeError(f"b={b!r} exceeds b_{d}={bd!r} but the block witness has Psi >= 0")
-        z, s = _expand(((1.0, i), (gamma, d - i)), ((-1, i), (1, d - i)))
-        return report(verdict="nonmember", witness=PsiWitness(z=tuple(z), s=tuple(s), psi_value=val))
+        if d > sys.maxsize:
+            raise ValueError(f"vector length {d} exceeds sys.maxsize")
+        z, s = (1.0,) * i + (gamma,) * (d - i), (-1,) * i + (1,) * (d - i)
+        return report(verdict="nonmember", witness=PsiWitness(z=z, s=s, psi_value=val))
     return report(verdict="inconclusive")
 
 

@@ -29,7 +29,9 @@ form: the best gamma of a configuration is the single root in (0, 1)
 of a quartic, and max_gamma f(p, gamma) is unimodal in p with its peak
 at p*, so each side needs only the block counts floor(p* m) and
 ceil(p* m).  The cost is O(1) in the dimensions; sup_q's docstring
-holds the proofs.  Positive-quotient witnesses are that maximizer
+holds the proofs.  Results are memoized per shape, bounded at 256
+shapes, and shared by compute_bd, membership, all_split_threshold and
+positivity_witness.  Positive-quotient witnesses are that maximizer
 materialized with eps = 1e-6 in place of the closure zeros.  Such a
 pair is kept as blocks ((value, count), ...) per vector, and its Q comes
 from the blocks' exact sums in O(1), with the bits of quotient_q on the
@@ -38,6 +40,7 @@ lists, which are built only for output.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -76,6 +79,7 @@ GAMMA_T = 1.0 + _SQRT3 - math.sqrt(3.0 + 2.0 * _SQRT3)
 P_T = 2.0 / (7.0 + 3.0 * _SQRT3 + math.sqrt(72.0 + 42.0 * _SQRT3))
 ALPHA_T = (3.0 - math.sqrt(3.0 + 2.0 * _SQRT3)) / 6.0
 C_T = (2.0 * _SQRT3 - 3.0) / 9.0
+_SUP_Q_SHAPES = 256  # the most recent shapes whose sup_q results are memoized
 
 @dataclass(frozen=True)
 class StructuredConfig:
@@ -231,17 +235,27 @@ def sup_q(n_x: int, n_y: int) -> SupQResult:
        m F(i/m) over integers i is largest at floor(p* m) or ceil(p* m),
        or at the block length when that is smaller.
 
-    Ties resolve to x_is_block, then to the smaller i.  The winner must
+    Ties resolve to x_is_block, then to the smaller i, so a square shape
+    skips y_is_block: its candidates are the same.  The winner must
     satisfy |h(gamma)| <= 1e-12 p, else RuntimeError.  Dimensions whose
     float arithmetic overflows (from about 1e154) raise ValueError.
+    Results are memoized per shape, the _SUP_Q_SHAPES = 256 most recent,
+    and shared by compute_bd, membership, all_split_threshold and
+    positivity_witness; bad dimensions are rejected before the lookup.
     """
     ints = isinstance(n_x, int) and isinstance(n_y, int) and bool not in (type(n_x), type(n_y))
     if not ints or n_x < 1 or n_y < 1:
         raise ValueError(f"dimensions must be integers >= 1, got ({n_x!r}, {n_y!r})")
+    return _sup_q(int(n_x), int(n_y))  # checked first: 2.0 and True hash like 2 and 1
 
+
+@functools.lru_cache(maxsize=_SUP_Q_SHAPES)
+def _sup_q(n_x: int, n_y: int) -> SupQResult:
     best: Optional[StructuredConfig] = None
     try:
         for side, (block_len, m) in (("x_is_block", (n_x, n_y)), ("y_is_block", (n_y, n_x))):
+            if side == "y_is_block" and n_x == n_y:
+                break  # the same candidates as x_is_block, which wins ties
             k = int(P_STAR * m)
             for i in sorted({min(max(k, 1), block_len), min(k + 1, block_len)}):
                 if i >= m:
@@ -258,17 +272,12 @@ def sup_q(n_x: int, n_y: int) -> SupQResult:
     if best is None:
         # Only (1, 1): no configuration has p < 1; sup 0 is the x = y limit.
         best = StructuredConfig(1, 1, 1.0, "x_is_block", 0.0)
-        sup_value = 0.0
-    else:
-        residual = _quartic(best.i, best.m, best.gamma)
-        if abs(residual) > 1e-12 * best.i:
-            raise RuntimeError(
-                f"root check failed at config (i={best.i}, m={best.m}, "
-                f"gamma={best.gamma!r}): m*h(gamma) = {residual!r}"
-            )
-        sup_value = best.q_value
-
-    return SupQResult(n_x=n_x, n_y=n_y, sup_value=sup_value, maximizing_config=best, attained=False)
+    elif abs(residual := _quartic(best.i, best.m, best.gamma)) > 1e-12 * best.i:
+        raise RuntimeError(
+            f"root check failed at config (i={best.i}, m={best.m}, "
+            f"gamma={best.gamma!r}): m*h(gamma) = {residual!r}"
+        )
+    return SupQResult(n_x=n_x, n_y=n_y, sup_value=best.q_value, maximizing_config=best, attained=False)
 
 
 def growth_blocks(n: int, extra_component: bool = False):

@@ -550,11 +550,38 @@ class TestBlockPowerSums:
             assert bits(astuple(ps._block_power_sums(blocks))) == bits(astuple(power_sums(entries)))
 
     def test_overflow_is_a_value_error(self):
-        # 2**333 cubes to a finite 2**999, but its split overflows.
-        for blocks in (((1e103, 1),), ((1e300, 1),), ((2.0 ** 333, 1),), ((1.0, 10 ** 400),)):
+        for blocks in (((1e103, 1),), ((1e300, 1),), ((1.0, 10 ** 400),)):
             with pytest.raises(ValueError, match="block power sums overflow float64"):
                 ps._block_power_sums(blocks)
         assert ps._block_power_sums(((2.0 ** 332, 3),)).m3 == 3 * 2.0 ** 996
+        # 2**333 cubes to a finite 2**999: the list's bits, not an overflow.
+        assert bits(astuple(ps._block_power_sums(((2.0 ** 333, 1),)))) == bits(astuple(power_sums([2.0 ** 333])))
+
+    def test_values_whose_veltkamp_split_overflows(self):
+        # c times a rounded-up high part of the cube would overflow, though
+        # c * v**3 does not: the sums are the exact ones, rounded once.
+        v = 8.749002899089497e99
+        assert self.fraction_sums(((v, 2 ** 28),))[2] == 1.797693134836087e308
+        assert astuple(ps._block_power_sums(((v, 2 ** 28),))) == self.fraction_sums(((v, 2 ** 28),))
+        # From 2**332 the cube times 2**27 + 1 overflows; up to the largest
+        # v with a finite cube, the sums are still those of the list.
+        top = sys.float_info.max ** (1 / 3)
+        rng = random.Random(333)
+        values = [2.0 ** 333, math.nextafter(2.0 ** 332, 0.0), 2.0 ** 332, top]
+        values += [2.0 ** rng.uniform(332, 341.33) for _ in range(300)]
+        values += [top * (1 - rng.random() * 2.0 ** -rng.randint(20, 52)) for _ in range(300)]
+        for v in values:
+            for c in (1, 2, rng.randint(3, 40)):
+                try:
+                    want = bits(astuple(power_sums([v] * c)))
+                except ValueError:
+                    with pytest.raises(ValueError, match="block power sums overflow float64"):
+                        ps._block_power_sums(((v, c),))
+                    continue
+                assert bits(astuple(ps._block_power_sums(((v, c),)))) == want, (v, c)
+                assert bits(astuple(ps._block_power_sums(((v, c), (0.5, 3))))) == bits(
+                    astuple(power_sums([v] * c + [0.5] * 3))
+                ), (v, c)
 
 
 class TestBatch:

@@ -10,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psq.cone import compute_bd, membership_equal_offdiag
 from psq.power_sums import _block_power_sums, _quotient, quotient_q
 from psq.structured import (
+    _SUP_Q_SHAPES,
     _g_config,
     _gamma_root,
+    _sup_q,
     _reduced_value_dp,
     ALPHA_T,
     C_STAR,
@@ -403,3 +406,87 @@ class TestBlockQuotients:
             assert x == [v for v, c in x_blocks for _ in range(c)]
             assert y == [v for v, c in y_blocks for _ in range(c)]
         assert growth_blocks(25, True) == (((1.0, 2), (0.04, 24)), ((GAMMA_STAR, 25),))
+
+
+def _two_side_sup(n_x, n_y):
+    """sup_q's closed form with both side assignments evaluated, square
+    shapes included: (value, side, i, m, gamma) of the first best."""
+    best = None
+    for side, (block_len, m) in (("x_is_block", (n_x, n_y)), ("y_is_block", (n_y, n_x))):
+        k = int(P_STAR * m)
+        for i in sorted({min(max(k, 1), block_len), min(k + 1, block_len)}):
+            if i < m:
+                gamma = _gamma_root(i, m)
+                value = _g_config(i, m, gamma)
+                if best is None or value > best[0]:
+                    best = (value, side, i, m, gamma)
+    return best
+
+
+def _result_bits(res):
+    c = res.maximizing_config
+    return (type(res.n_x), type(res.n_y), res.n_x, res.n_y, res.sup_value.hex(),
+            c.i, c.m, c.gamma.hex(), c.side, c.q_value.hex(), res.attained)
+
+
+class TestSupQMemo:
+    """sup_q solves a shape once; the memo sits behind its checks."""
+
+    def test_validation_runs_before_the_memo(self):
+        import numpy as np
+
+        sup_q(1, 1), sup_q(2, 2)
+        for bad in ((True, 1), (2.0, 2), (np.int64(2), 2), (0, 3)):
+            with pytest.raises(ValueError) as err:
+                sup_q(*bad)
+            assert str(err.value) == f"dimensions must be integers >= 1, got ({bad[0]!r}, {bad[1]!r})"
+
+    def test_int_subclass_gives_plain_ints(self):
+        class Dim(int):
+            pass
+
+        res = sup_q(Dim(7), Dim(6))
+        assert type(res.n_x) is int and type(res.n_y) is int
+        assert res == sup_q(7, 6)
+
+    def test_repeat_is_the_same_object_and_recompute_the_same_bits(self):
+        rng = random.Random(18)
+        ns = [*range(1, 30), *rng.sample(range(30, 10**6), 20), 10**15]
+        shapes = [(n + k, n) for n in ns for k in (0, 1)]
+        shapes += [(rng.randint(1, 10**4), rng.randint(1, 10**4)) for _ in range(40)]
+        first = {shape: sup_q(*shape) for shape in shapes}
+        for shape, res in first.items():
+            assert sup_q(*shape) is res, shape
+        _sup_q.cache_clear()
+        for shape, res in first.items():
+            again = sup_q(*shape)
+            assert again is not res and _result_bits(again) == _result_bits(res), shape
+
+    def test_size_is_bounded(self):
+        for k in range(1, 10**4 + 1):
+            sup_q(k, 3)
+            assert _sup_q.cache_info().currsize <= _SUP_Q_SHAPES
+        assert _sup_q.cache_info().currsize == _SUP_Q_SHAPES == 256
+
+    def test_square_shapes_equal_two_sides(self):
+        rng = random.Random(1818)
+        for n in [*range(2, 2001), *(rng.randint(2001, 10**15) for _ in range(200)), 10**15]:
+            value, side, i, m, gamma = _two_side_sup(n, n)
+            c = sup_q(n, n).maximizing_config
+            assert (c.q_value.hex(), c.side, c.i, c.m, c.gamma.hex()) == (value.hex(), side, i, m, gamma.hex()), n
+        assert _two_side_sup(1, 1) is None and sup_q(1, 1).sup_value == 0.0
+
+    @pytest.mark.parametrize("d", [1000, 1001])
+    def test_threshold_request_solves_two_shapes(self, d):
+        # compute_bd, membership on both sides of b_d, and sup_q and
+        # positivity_witness on (n, n) and (n + 1, n), n = d // 2.
+        n = d // 2
+        _sup_q.cache_clear()
+        b_d = compute_bd(d).b_d
+        for b in (b_d * 0.99, min(1.0, b_d * 1.01)):
+            membership_equal_offdiag(d, b)
+        for shape in ((n, n), (n + 1, n)):
+            sup_q(*shape)
+            positivity_witness(*shape)
+        info = _sup_q.cache_info()
+        assert (info.misses, info.hits) == (2, 5)
