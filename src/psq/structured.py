@@ -79,7 +79,7 @@ GAMMA_T = 1.0 + _SQRT3 - math.sqrt(3.0 + 2.0 * _SQRT3)
 P_T = 2.0 / (7.0 + 3.0 * _SQRT3 + math.sqrt(72.0 + 42.0 * _SQRT3))
 ALPHA_T = (3.0 - math.sqrt(3.0 + 2.0 * _SQRT3)) / 6.0
 C_T = (2.0 * _SQRT3 - 3.0) / 9.0
-_SUP_Q_SHAPES = 256  # the most recent shapes whose sup_q results are memoized
+_SUP_Q_SHAPES = 256  # how many recently used shapes keep their sup_q result
 
 @dataclass(frozen=True)
 class StructuredConfig:
