@@ -12,6 +12,7 @@ upper bound, with 2/(c* d) as the asymptotic scale.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import Iterable, List, Tuple
 
@@ -75,14 +76,15 @@ def table1_rows() -> List[Table1Row]:
 
 
 def _table2_row(d: int) -> Table2Row:
-    if not isinstance(d, int) or d < 20:
+    n = operator.index(d) if hasattr(type(d), "__index__") else None
+    if n is None or n < 20:
         raise ValueError(f"table 2 dimensions must be integers >= 20, got {d!r}")
-    q, asym = _growth_estimates(d)
+    q, asym = _growth_estimates(n)
     if q <= 0.0:
-        raise RuntimeError(f"growth-witness quotient is not positive for d={d}")
+        raise RuntimeError(f"growth-witness quotient is not positive for d={n}")
     return Table2Row(
-        d=d,
-        lower_bound=truncate3(growth_lower_bound(d)),
+        d=n,
+        lower_bound=truncate3(growth_lower_bound(n)),
         witness_upper=truncate3(1.0 / (1.0 + q)),
         asymptotic=truncate3(asym),
     )
@@ -90,4 +92,4 @@ def _table2_row(d: int) -> Table2Row:
 
 def table2_rows(dims: Iterable[int] = DEFAULT_TABLE2_DIMS) -> List[Table2Row]:
     """Bracket rows for large d, truncated at 3 decimals."""
-    return [_table2_row(int(d)) for d in dims]
+    return [_table2_row(d) for d in dims]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from psq.tables import (
@@ -68,3 +69,12 @@ class TestTable2:
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
             table2_rows([10])
+
+    @pytest.mark.parametrize("d", [50.5, "60", 60.0])
+    def test_rejects_non_integers(self, d):
+        with pytest.raises(ValueError, match="must be integers >= 20"):
+            table2_rows([d])
+
+    def test_accepts_numpy_integers(self):
+        rows = table2_rows([np.int64(50)])
+        assert rows == table2_rows([50]) and type(rows[0].d) is int
