@@ -46,7 +46,7 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
-from .power_sums import _block_power_sums, _quotient, validate_positive_vector
+from .power_sums import _block_power_sums, _integer, _quotient, _real_array, validate_positive_vector
 from .structured import ALPHA_T, C_STAR, _gamma_root, growth_blocks, sup_q
 
 if TYPE_CHECKING:
@@ -82,10 +82,9 @@ class MatrixSpec:
 
     @classmethod
     def equal_off_diagonal(cls, d: int, b: float) -> "MatrixSpec":
-        if not isinstance(d, int) or d < 2:
-            raise ValueError(f"d must be an integer >= 2, got {d!r}")
-        # Before float(b), which overflows on huge integers; NaN and bools fail too.
-        if isinstance(b, bool) or not 0.0 <= b <= 1.0:
+        d = _integer(d, "d", 2)
+        # Before float(b), which overflows on huge ints; NaN, bools, strings fail; a float skips the ABC check.
+        if isinstance(b, bool) or not isinstance(b, (float, numbers.Real)) or not 0.0 <= b <= 1.0:
             raise ValueError(f"b must lie in [0, 1], got {b!r}")
         return cls(d=d, b=float(b))
 
@@ -120,7 +119,7 @@ class MatrixSpec:
             raise ValueError("matrix spec must be a JSON object")
         if "entries" in obj:
             spec = cls.general(obj["entries"])
-            if "d" in obj and _json_number(obj, "d", int) != spec.d:
+            if "d" in obj and _integer(obj["d"], "d", 2) != spec.d:
                 raise ValueError(
                     f"declared d={obj['d']} does not match entries of size {spec.d}"
                 )
@@ -128,18 +127,8 @@ class MatrixSpec:
         if "b" in obj:
             if "d" not in obj:
                 raise ValueError("equal-off-diagonal spec needs both 'd' and 'b'")
-            return cls.equal_off_diagonal(
-                _json_number(obj, "d", int), _json_number(obj, "b", numbers.Real)
-            )
+            return cls.equal_off_diagonal(obj["d"], obj["b"])
         raise ValueError("matrix spec needs either 'entries' or ('d', 'b')")
-
-
-def _json_number(obj: dict, key: str, kind: type):
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, kind):
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(f"'{key}' must be {what}, got {v!r}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -232,7 +221,7 @@ def _as_matrix(matrix) -> np.ndarray:
     if isinstance(matrix, MatrixSpec):
         return matrix.dense()
     import numpy as np
-    arr = np.asarray(matrix, dtype=float)
+    arr = _real_array(matrix, "matrix")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"entries must be a square matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -242,18 +231,16 @@ def _as_matrix(matrix) -> np.ndarray:
 
 def _as_signs(s, d: int, ndim: int = 1) -> np.ndarray:
     """s as floats: one pattern of length d (ndim 1) or an (n, d) stack."""
-    import numpy as np
-    arr = np.asarray(s)
+    try:
+        arr = _real_array(s, "s")  # True and "1" are no signs
+    except ValueError:
+        raise ValueError("sign pattern entries must be -1 or +1") from None
     if arr.ndim != ndim or arr.shape[-1] != d:
         want = f"length {d}" if ndim == 1 else f"shape (n, {d})"
         raise ValueError(f"sign pattern must have {want}, got shape {arr.shape}")
-    # numpy would read True and "1" as 1; neither is a sign.
-    bad = arr.dtype.kind not in "iuf" or not isinstance(s, np.ndarray) and any(
-        isinstance(v, (bool, np.bool_)) for v in np.asarray(s, dtype=object).flat
-    )
-    if bad or not np.all(np.abs(arr) == 1):
+    if not (abs(arr) == 1).all():
         raise ValueError("sign pattern entries must be -1 or +1")
-    return arr.astype(float)
+    return arr
 
 
 def _diag_off(m: np.ndarray):
@@ -321,17 +308,13 @@ def enumerate_sign_patterns(d: int) -> np.ndarray:
     Canonical: first entry -1, all-minus excluded.  Refuses d > 24,
     since the count is exponential.
     """
-    if not isinstance(d, int) or d < 2:
-        raise ValueError(f"d must be an integer >= 2, got {d!r}")
-    if d > 24:
-        raise ValueError(f"d={d} exceeds the enumeration cap 24")
+    d = _integer(d, "d", 2, 24)
     return _sign_patterns(d)[:-1]
 
 
 def reduced_sign_pattern(d: int) -> Tuple[int, ...]:
     """The balanced pattern: ceil(d/2) minuses followed by floor(d/2) pluses."""
-    if not isinstance(d, int) or d < 2:
-        raise ValueError(f"d must be an integer >= 2, got {d!r}")
+    d = _integer(d, "d", 2)
     h = d // 2
     return (-1,) * (d - h) + (1,) * h
 
@@ -363,8 +346,7 @@ def growth_lower_bound(d: int) -> float:
     0.1079 < 2 c* for d = 5); for odd d >= 7 it exceeds b_d.
     ValueError unless d is an integer >= 2.
     """
-    if isinstance(d, bool) or not isinstance(d, int) or d < 2:
-        raise ValueError(f"d must be an integer >= 2, got {d!r}")
+    d = _integer(d, "d", 2)
     half = d // 2 if d % 2 == 0 or d <= 6 else d - d // 2
     return 1.0 / (1.0 + C_STAR * half)
 
@@ -391,8 +373,7 @@ def all_split_threshold(d: int) -> float:
        i / (d - i) <= P_T iff i <= ALPHA_T d, so only the splits
        a = floor(ALPHA_T d) and a + 1, within [1, d // 2], are evaluated.
     """
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise ValueError(f"d must be an integer >= 1, got {d!r}")
+    d = _integer(d, "d", 1)
     k = int(ALPHA_T * d)
     sup = max((sup_q(a, d - a).sup_value for a in (k, k + 1) if 1 <= a <= d // 2), default=0.0)
     return 1.0 / (1.0 + max(0.0, sup))
@@ -428,8 +409,7 @@ def compute_bd(d: int) -> BdReport:
     from the near-optimal growth pair (when its quotient is positive),
     the asymptotic 2 / (c* d) and the closed form for d <= 4.
     """
-    if not isinstance(d, int) or d < 2:
-        raise ValueError(f"d must be an integer >= 2, got {d!r}")
+    d = _integer(d, "d", 2)
     bd, res = _bd_from_sup(d)
     qg, asym = _growth_estimates(d)
     witness_upper = 1.0 / (1.0 + qg) if qg > 0.0 else None
@@ -465,7 +445,7 @@ def membership_equal_offdiag(d: int, b: float) -> MembershipReport:
     and psi_value is it correctly rounded.  Inside the margin: inconclusive.
     """
     spec = MatrixSpec.equal_off_diagonal(d, b)
-    bd, res = _bd_from_sup(d)
+    d, bd, res = spec.d, *_bd_from_sup(spec.d)
     margin = 1e-8
     report = partial(MembershipReport, d=d, b=spec.b, b_d=bd, margin=margin)
 
@@ -552,12 +532,6 @@ def _checked_witness(m: np.ndarray, z, s) -> Optional[PsiWitness]:
     return PsiWitness(z=z, s=s, psi_value=val) if exact < 0 else None
 
 
-def _check_sampling_args(n_samples: int, seed: int) -> None:
-    for name, v in (("n_samples", n_samples), ("seed", seed)):
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0:
-            raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
-
-
 def sample_membership_general(matrix, n_samples: int = 200, seed: int = 0) -> GeneralReport:
     """Search for a violating (z, s) pair of an explicit matrix.
 
@@ -574,7 +548,7 @@ def sample_membership_general(matrix, n_samples: int = 200, seed: int = 0) -> Ge
     import numpy as np
     m = _as_matrix(matrix)
     d = m.shape[0]
-    _check_sampling_args(n_samples, seed)
+    n_samples, seed = _integer(n_samples, "n_samples", 0), _integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
 
     diag, off = _diag_off(m)
@@ -619,7 +593,7 @@ def certify_general(matrix, n_samples: int = 200, seed: int = 0) -> GeneralRepor
     """
     m = _as_matrix(matrix)
     d = m.shape[0]
-    _check_sampling_args(n_samples, seed)
+    n_samples, seed = _integer(n_samples, "n_samples", 0), _integer(seed, "seed", 0)
     if check_diagonal_dominance(m):
         return GeneralReport(d, "member_certified", "diagonal_dominance", 0)
     b, slack, t, evaluations = _best_perturbation_slack(m)

@@ -26,6 +26,8 @@ from typing import Tuple
 
 import numpy as np
 
+from .power_sums import _integer
+
 __all__ = ["OracleResult", "brute_force_sup", "check_structured_shape"]
 
 _LOG_LO = math.log(1e-9)
@@ -139,13 +141,9 @@ def brute_force_sup(
     one array, so there is nothing to spread over workers, and the
     result depends only on the arguments that remain.
     """
-    for name, n in (("n_x", n_x), ("n_y", n_y)):
-        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= 8:
-            raise ValueError(f"{name} must be an integer in [1, 8], got {n!r}")
-    if isinstance(n_starts, bool) or not isinstance(n_starts, int) or n_starts < 1:
-        raise ValueError(f"n_starts must be an integer >= 1, got {n_starts!r}")
-    if n_jobs < 0:
-        raise ValueError("n_jobs must be >= 0")
+    n_x, n_y = _integer(n_x, "n_x", 1, 8), _integer(n_y, "n_y", 1, 8)
+    n_starts, seed = _integer(n_starts, "n_starts", 1), _integer(seed, "seed", 0)
+    _integer(n_jobs, "n_jobs", 0)
 
     starts = _structured_starts(n_x, n_y)
     n_random = max(0, n_starts - len(starts))

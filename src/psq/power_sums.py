@@ -33,11 +33,12 @@ M_p = S_p / L**p.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import attrgetter, floordiv, ge, le, mul
+from operator import attrgetter, floordiv, ge, index, le, mul
 from typing import TYPE_CHECKING, Union
 
 if TYPE_CHECKING:
@@ -77,6 +78,40 @@ class QuotientValue:
     s1: Entry
     s2: Entry
     s3: Entry
+
+
+def _integer(v, name: str, lo: int, hi=math.inf) -> int:
+    """index(v) for an integer v in [lo, hi], numpy integers included but not
+    bool or np.bool_ (which has no __index__); else ValueError naming it."""
+    try:
+        n = None if isinstance(v, bool) else index(v)
+    except TypeError:
+        n = None
+    if n is None or not lo <= n <= hi:
+        limits = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {limits}, got {v!r}")
+    return n
+
+
+def _real_array(a, name: str) -> np.ndarray:
+    """a as a float ndarray, else ValueError.  A float cast reads True and "1"
+    as 1 and None as NaN, and drops imaginary parts, so an ndarray needs a number
+    dtype, and each entry of a list or object array ([[True, 1.0]] has dtype float)
+    must be a numbers.Real within float range, not a bool; np.bool_ is no Real."""
+    import numpy as np
+    arr = np.asarray(a)
+    if arr.dtype.kind not in "iufO":
+        raise ValueError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    if arr.dtype.kind == "O" or not isinstance(a, np.ndarray):
+        entries = np.asarray(a, dtype=object).ravel().tolist()
+        bad = {t for t in set(map(type, entries)) if issubclass(t, bool) or not issubclass(t, numbers.Real)}
+        if bad:
+            e = next(e for e in entries if type(e) in bad)
+            raise ValueError(f"{name} must hold real numbers, got entry {e!r}")
+    try:
+        return arr.astype(float, copy=False)
+    except OverflowError:
+        raise ValueError(f"{name} entries must be finite, got an integer beyond float range") from None
 
 
 # Shortest all-float sequence summed by _array_sums when numpy is loaded.
@@ -269,13 +304,14 @@ def quotient_q(x, y) -> QuotientValue:
 
 
 def q_ordered_nonpositive(x, y) -> float:
-    """Q(x, y) for a componentwise comparable pair; asserts it is <= 0.
+    """Q(x, y) as a float for a componentwise comparable pair; always <= 0.
 
-    Requires len(x) == len(y) and either x_i >= y_i for all i or
-    x_i <= y_i for all i.  Non-comparable pairs are a precondition
-    violation (ValueError), not a math failure.  A positive computed
-    value beyond float roundoff raises AssertionError; the checked
-    value is returned.
+    Requires len(x) == len(y) and x_i >= y_i for all i, or <= for all i,
+    else ValueError.  The sign is exact.  Two exact sides give the exact Q;
+    otherwise an all-exact side is also converted to floats, and each M_p
+    is the correctly rounded sum of the rounded powers e, e * e, (e * e) * e,
+    all nondecreasing in e.  So x >= y gives M_1(x) >= M_1(y) and M_2(x) >=
+    M_2(y), hence s1 >= 0 >= s2 and a rounded s1 * s2 / s3 <= 0.
     """
     vx, tx = _validated(x, "x")
     vy, ty = _validated(y, "y")
@@ -286,12 +322,9 @@ def q_ordered_nonpositive(x, y) -> float:
     lx, ly = (v.tolist() if t is None else v for v, t in ((vx, tx), (vy, ty)))
     if not (all(map(ge, lx, ly)) or all(map(le, lx, ly))):
         raise ValueError("x and y are not componentwise comparable")
-    q = _quotient(_sums(vx, tx, "x"), _sums(vy, ty, "y"))
-    value = float(q.value)
-    # Exact arithmetic gives <= 0; float cancellation can leave a speck.
-    if value > 1e-12 * max(1.0, abs(float(q.s1)), abs(float(q.s2))):
-        raise AssertionError(f"ordered pair produced positive quotient {value!r}")
-    return value
+    if not (tx and ty and tx | ty <= {int, Fraction}):  # unless both are exact, both sum as floats
+        tx, ty = (t and t | {float} for t in (tx, ty))
+    return float(_quotient(_sums(vx, tx, "x"), _sums(vy, ty, "y")).value)
 
 
 def quotient_q_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -305,19 +338,7 @@ def quotient_q_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     raises ValueError.
     """
     import numpy as np
-    arrays = []
-    for name, a in (("xs", xs), ("ys", ys)):
-        # A float cast would read bools as 0 and 1, parse strings and drop imaginary
-        # parts; a list mixing them with numbers, [[True, 1.0]], has a number dtype.
-        arr = np.asarray(a)
-        if arr.dtype.kind in "bcSU":
-            raise ValueError(f"{name} must hold real numbers, got dtype {arr.dtype}")
-        if not isinstance(a, np.ndarray):
-            for e in np.asarray(a, dtype=object).flat:
-                if isinstance(e, (bool, np.bool_, complex, np.complexfloating, str, bytes)):
-                    raise ValueError(f"{name} must hold real numbers, got entry {e!r}")
-        arrays.append(arr.astype(float, copy=False))
-    xs, ys = arrays
+    xs, ys = _real_array(xs, "xs"), _real_array(ys, "ys")
     if xs.ndim != 2 or ys.ndim != 2 or xs.shape[0] != ys.shape[0]:
         raise ValueError("xs and ys must be 2-D with matching row counts")
     if xs.size == 0 or ys.size == 0:

@@ -46,7 +46,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .power_sums import _block_power_sums, _quotient
+from .power_sums import _block_power_sums, _integer, _quotient
 
 __all__ = [
     "SQRT7",
@@ -137,7 +137,7 @@ def _expand(*vectors):
 
 def reduced_objective(p: float, gamma: float) -> float:
     """f(p, gamma) = (p - gamma)(gamma^2 - p)/(p + gamma^3), p, gamma > 0."""
-    if p <= 0 or gamma <= 0:
+    if not (p > 0 and gamma > 0):  # NaN fails too
         raise ValueError("p and gamma must be > 0")
     return (p - gamma) * (gamma * gamma - p) / (p + gamma ** 3)
 
@@ -233,7 +233,10 @@ def sup_q(n_x: int, n_y: int) -> SupQResult:
        F'(p) = df/dp at (p, gamma(p)), and gamma(p) is increasing, so F
        increases for p < p* = p(gamma*) and decreases after it.  Hence
        m F(i/m) over integers i is largest at floor(p* m) or ceil(p* m),
-       or at the block length when that is smaller.
+       or at the block length when that is smaller.  That floor is exact:
+       p* = (16 - sqrt 175) / 27, s = isqrt(175 m^2) < sqrt(175) m < s + 1
+       (the root is irrational), so p* m lies in ((16 m - s - 1) / 27,
+       (16 m - s) / 27), which holds no integer: floor(p* m) = (16 m - s - 1) // 27.
 
     Ties resolve to x_is_block, then to the smaller i, so a square shape
     skips y_is_block: its candidates are the same.  The winner must
@@ -243,10 +246,7 @@ def sup_q(n_x: int, n_y: int) -> SupQResult:
     and shared by compute_bd, membership, all_split_threshold and
     positivity_witness; bad dimensions are rejected before the lookup.
     """
-    ints = isinstance(n_x, int) and isinstance(n_y, int) and bool not in (type(n_x), type(n_y))
-    if not ints or n_x < 1 or n_y < 1:
-        raise ValueError(f"dimensions must be integers >= 1, got ({n_x!r}, {n_y!r})")
-    return _sup_q(int(n_x), int(n_y))  # checked first: 2.0 and True hash like 2 and 1
+    return _sup_q(_integer(n_x, "n_x", 1), _integer(n_y, "n_y", 1))  # checked first: 2.0 and True hash like 2 and 1
 
 
 @functools.lru_cache(maxsize=_SUP_Q_SHAPES)
@@ -256,7 +256,7 @@ def _sup_q(n_x: int, n_y: int) -> SupQResult:
         for side, (block_len, m) in (("x_is_block", (n_x, n_y)), ("y_is_block", (n_y, n_x))):
             if side == "y_is_block" and n_x == n_y:
                 break  # the same candidates as x_is_block, which wins ties
-            k = int(P_STAR * m)
+            k = (16 * m - math.isqrt(175 * m * m) - 1) // 27  # floor(p* m), exactly
             for i in sorted({min(max(k, 1), block_len), min(k + 1, block_len)}):
                 if i >= m:
                     continue
@@ -290,10 +290,9 @@ def growth_blocks(n: int, extra_component: bool = False):
     below as n grows; at n = 10**4 the ratio Q/n is within 1% of c*.
     Returns the blocks ((value, count), ...) of x and y.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    try:
-        i, inv = int(P_STAR * n), 1.0 / n
+    n = _integer(n, "n", 1)
+    try:  # i = floor(p* n), exactly (sup_q)
+        i, inv = (16 * n - math.isqrt(175 * n * n) - 1) // 27, 1.0 / n
     except OverflowError:
         raise ValueError(f"n is too large for float64, got {n!r}") from None
     return ((1.0, i), (inv, n - i + bool(extra_component))), ((GAMMA_STAR, n),)

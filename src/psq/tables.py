@@ -12,11 +12,11 @@ upper bound, with 2/(c* d) as the asymptotic scale.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import asdict, dataclass
 from typing import Iterable, List, Tuple
 
 from .cone import _growth_estimates, compute_bd, growth_lower_bound
+from .power_sums import _integer
 
 __all__ = [
     "Table1Row",
@@ -76,9 +76,7 @@ def table1_rows() -> List[Table1Row]:
 
 
 def _table2_row(d: int) -> Table2Row:
-    n = operator.index(d) if hasattr(type(d), "__index__") else None
-    if n is None or n < 20:
-        raise ValueError(f"table 2 dimensions must be integers >= 20, got {d!r}")
+    n = _integer(d, "d", 20)
     q, asym = _growth_estimates(n)
     if q <= 0.0:
         raise RuntimeError(f"growth-witness quotient is not positive for d={n}")

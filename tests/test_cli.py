@@ -275,6 +275,11 @@ class TestCertify:
         '{"d": 4, "b": true}',
         '{"d": 4, "b": "0.5"}',
         pytest.param('{"d": 4, "b": 1' + "0" * 400 + '}', id="b-with-401-digits"),
+        # A float cast read true as 1 and parsed "1"; both printed member_certified.
+        '{"entries": [[true, 0.1], [0.1, true]]}',
+        '{"entries": [["1", "0.1"], ["0.1", "1"]]}',
+        '{"entries": [[1, null], [0, 1]]}',
+        pytest.param('{"entries": [[1, 1' + "0" * 400 + '], [0, 1]]}', id="entry-with-401-digits"),
     ],
 )
 def test_certify_rejects_malformed_spec(cli, tmp_path, spec):

@@ -81,6 +81,16 @@ class TestMatrixSpec:
             MatrixSpec.general([[1.0]])
         with pytest.raises(ValueError):
             MatrixSpec.general([[1.0, float("inf")], [0.0, 1.0]])
+        for entries, message in (
+            ([[True, 0.1], [0.1, True]], "matrix must hold real numbers, got entry True"),
+            ([["1", "0.1"], ["0.1", "1"]], "matrix must hold real numbers, got dtype <U3"),
+            ([[1.0, None], [0.0, 1.0]], "matrix must hold real numbers, got entry None"),
+            ([[1.0, {}], [0.0, 1.0]], "matrix must hold real numbers, got entry {}"),
+            ([[1, 10**400], [0, 1]], "matrix entries must be finite, got an integer beyond float range"),
+        ):
+            with pytest.raises(ValueError) as err:
+                MatrixSpec.general(entries)
+            assert str(err.value) == message
 
     def test_json_round_trip(self):
         a = MatrixSpec.equal_off_diagonal(4, 0.9)
@@ -182,7 +192,7 @@ class TestPsi:
         with pytest.raises(ValueError):
             psi(m, [1.0, 1.0], [-1, 2])
         # numpy reads True and "1" as 1; neither is a sign.
-        for s in ([True, -1], [1, "1"], ["-1", "1"], np.array([True, True])):
+        for s in ([True, -1], [1, "1"], ["-1", "1"], np.array([True, True]), [1, None], [1, {}]):
             with pytest.raises(ValueError, match="must be -1 or \\+1"):
                 psi(m, [1.0, 1.0], s)
         with pytest.raises(ValueError):
@@ -191,7 +201,7 @@ class TestPsi:
     def test_over_patterns_rejects_non_signs(self):
         m = np.eye(2)
         for pats in ([[2, 0.5], [True, 1]], [[-1, 2]], [[-1, 0]], [[True, -1]],
-                     np.array([[True, True]]), [["-1", "1"]]):
+                     np.array([[True, True]]), [["-1", "1"]], [[-1, None]], [[-1, {}]]):
             with pytest.raises(ValueError, match="must be -1 or \\+1"):
                 psi_over_patterns(m, [1.0, 1.0], pats)
         for pats in ([-1, 1], [[-1, 1, 1]]):
@@ -310,7 +320,7 @@ class TestComputeBd:
                 return [float(sum(c * Fraction(f(v)) for v, c in blocks)) for f in powers]
 
             n_x, n_y = d - d // 2, d // 2
-            i = int(P_STAR * n_x)
+            i = (16 * n_x - math.isqrt(175 * n_x * n_x) - 1) // 27  # floor(p* n_x), exactly
             x1, x2, x3 = sums([(1.0, i), (1.0 / n_x, n_x - i)])
             y1, y2, y3 = sums([(GAMMA_STAR, n_y)])
             return (x1 - y1) * (y2 - x2) / (x3 + y3), 2.0 / (C_STAR * d)
@@ -503,8 +513,9 @@ class TestSampler:
     def test_rejects_non_integer_samples(self, n_samples):
         # 2.5, "3" and None raised TypeError, and True ran as 1.
         for func in (sample_membership_general, certify_general):
-            with pytest.raises(ValueError, match="n_samples must be a non-negative integer"):
+            with pytest.raises(ValueError) as err:
                 func(np.eye(3), n_samples=n_samples)
+            assert str(err.value) == f"n_samples must be an integer >= 0, got {n_samples!r}"
 
     def test_accepts_numpy_integer_samples(self):
         rep = sample_membership_general(np.eye(3), n_samples=np.int64(2))

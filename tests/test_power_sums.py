@@ -1,4 +1,5 @@
 import importlib
+import json
 import math
 import random
 import sys
@@ -11,6 +12,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psq import (
+    MatrixSpec,
+    all_split_threshold,
+    brute_force_sup,
+    certify_general,
+    compute_bd,
+    enumerate_sign_patterns,
+    growth_blocks,
+    growth_lower_bound,
+    membership_equal_offdiag,
+    reduced_sign_pattern,
+    sample_membership_general,
+    sup_q,
+    table2_rows,
+)
 from psq.power_sums import (
     power_sums,
     q_ordered_nonpositive,
@@ -442,6 +458,33 @@ class TestOrdered:
         assert q_ordered_nonpositive(x, y) <= 0.0
         assert q_ordered_nonpositive(y, x) <= 0.0
 
+    def test_mixed_exact_and_float_pair(self):
+        # x >= y entrywise.  Summing the exact side exactly against the
+        # float side's rounded squares gave +1.9443377340321066e-31.
+        x = [Fraction(0.93), Fraction(0.968), Fraction(0.682), Fraction(1, 2 ** 49)]
+        y = [0.93, 0.968, 0.682, 2.0 ** -55]
+        assert q_ordered_nonpositive(x, y) <= 0.0
+        assert q_ordered_nonpositive(y, x) <= 0.0
+
+    @given(
+        pairs=st.lists(
+            st.tuples(finite_pos, st.one_of(st.just(0), st.integers(1, 2 ** 10)), st.integers(0, 120)),
+            min_size=1,
+            max_size=12,
+        ),
+        exact_larger=st.booleans(),
+        exact_first=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mixed_pairs_nonpositive(self, pairs, exact_larger, exact_first):
+        # Float y_i against exact x_i = y_i +- k 2^-e: an offset that moves
+        # M_1 but hides in M_2's rounding gave Q > 0 (6 of 10 seeds).
+        sign = 1 if exact_larger else -1
+        y = [f for f, _, _ in pairs]
+        x = [Fraction(f) + sign * min(Fraction(k, 2 ** e), Fraction(f) / 2) for f, k, e in pairs]
+        args = (x, y) if exact_first else (y, x)
+        assert q_ordered_nonpositive(*args) <= 0.0
+
     def test_requires_equal_length(self):
         with pytest.raises(ValueError):
             q_ordered_nonpositive([1.0, 2.0], [1.0])
@@ -633,6 +676,9 @@ class TestBatch:
             ([[1, np.True_]], "xs must hold real numbers, got entry np.True_"),
             ([[Fraction(1), "1"]], "xs must hold real numbers, got entry '1'"),
             ([(Fraction(1), 1j)], "xs must hold real numbers, got entry 1j"),
+            ([[1.0, None]], "xs must hold real numbers, got entry None"),
+            ([[1.0, {}]], "xs must hold real numbers, got entry {}"),
+            (np.array([[1.0, None]], dtype=object), "xs must hold real numbers, got entry None"),
         ):
             with pytest.raises(ValueError) as err:
                 quotient_q_batch(xs, [[1.0]])
@@ -640,3 +686,51 @@ class TestBatch:
         assert quotient_q_batch([[Fraction(1, 2), 3]], np.array([[1.0]])).tolist() == [
             quotient_q([0.5, 3.0], [1.0]).value
         ]
+
+
+# Each function that checks an integer argument with power_sums._integer:
+# (the argument's name, a valid value, a call passing that value).
+_INTEGER_ARGS = [
+    ("d", 5, lambda v: MatrixSpec.equal_off_diagonal(v, 0.5)),
+    ("d", 5, lambda v: membership_equal_offdiag(v, 0.5)),
+    ("d", 5, lambda v: membership_equal_offdiag(v, 0.99)),
+    ("d", 5, enumerate_sign_patterns),
+    ("d", 5, reduced_sign_pattern),
+    ("d", 7, growth_lower_bound),
+    ("d", 7, all_split_threshold),
+    ("d", 7, compute_bd),
+    ("n_samples", 3, lambda v: sample_membership_general(np.eye(3), n_samples=v)),
+    ("seed", 3, lambda v: sample_membership_general(np.eye(3), n_samples=1, seed=v)),
+    ("n_samples", 3, lambda v: certify_general(np.eye(3), n_samples=v)),
+    ("seed", 3, lambda v: certify_general(np.eye(3), seed=v)),
+    ("n_x", 3, lambda v: brute_force_sup(v, 2, n_starts=4)),
+    ("n_y", 3, lambda v: brute_force_sup(2, v, n_starts=4)),
+    ("n_starts", 3, lambda v: brute_force_sup(2, 2, n_starts=v)),
+    ("n_jobs", 3, lambda v: brute_force_sup(2, 2, n_starts=4, n_jobs=v)),
+    ("seed", 3, lambda v: brute_force_sup(2, 2, n_starts=4, seed=v)),
+    ("n_x", 3, lambda v: sup_q(v, 2)),
+    ("n_y", 3, lambda v: sup_q(2, v)),
+    ("n", 30, growth_blocks),
+    ("d", 50, lambda v: table2_rows([v])),
+]
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("name, good, call", _INTEGER_ARGS)
+    def test_numpy_integers_give_the_int_result(self, name, good, call):
+        got, want = call(np.int64(good)), call(good)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+        else:
+            # repr shows np.int64(5) where an int field kept the numpy integer.
+            assert got == want and repr(got) == repr(want)
+        if hasattr(want, "to_json_dict"):
+            assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+    @pytest.mark.parametrize("name, good, call", _INTEGER_ARGS)
+    @pytest.mark.parametrize("bad", [True, np.True_, 2.0, "3"], ids=["True", "np.True_", "2.0", "str"])
+    def test_rejects_non_integers(self, name, good, call, bad):
+        with pytest.raises(ValueError) as err:
+            call(bad)
+        assert str(err.value).startswith(f"{name} must be an integer ")
+        assert str(err.value).endswith(f", got {bad!r}")

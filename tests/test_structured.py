@@ -133,6 +133,9 @@ class TestReduced:
             reduced_objective(0.0, 0.5)
         with pytest.raises(ValueError):
             reduced_objective(0.1, -0.5)
+        for p, g in ((math.nan, 1.0), (0.5, math.nan)):  # NaN compared false with <= 0
+            with pytest.raises(ValueError):
+                reduced_objective(p, g)
 
     def test_solve_reduced_verifies(self):
         p, g, c = solve_reduced()
@@ -234,10 +237,10 @@ class TestSupQ:
     @pytest.mark.parametrize(
         "func, args, message",
         [
-            (sup_q, (True, 3), "dimensions must be integers >= 1, got (True, 3)"),
-            (sup_q, (3, False), "dimensions must be integers >= 1, got (3, False)"),
+            (sup_q, (True, 3), "n_x must be an integer >= 1, got True"),
+            (sup_q, (3, False), "n_y must be an integer >= 1, got False"),
             (witness_vectors, (True,), "n must be an integer >= 1, got True"),
-            (positivity_witness, (2, True), "dimensions must be integers >= 1, got (2, True)"),
+            (positivity_witness, (2, True), "n_y must be an integer >= 1, got True"),
         ],
         ids=["sup_q-n_x", "sup_q-n_y", "witness_vectors", "positivity_witness"],
     )
@@ -413,7 +416,7 @@ def _two_side_sup(n_x, n_y):
     shapes included: (value, side, i, m, gamma) of the first best."""
     best = None
     for side, (block_len, m) in (("x_is_block", (n_x, n_y)), ("y_is_block", (n_y, n_x))):
-        k = int(P_STAR * m)
+        k = (16 * m - math.isqrt(175 * m * m) - 1) // 27  # floor(p* m), exactly
         for i in sorted({min(max(k, 1), block_len), min(k + 1, block_len)}):
             if i < m:
                 gamma = _gamma_root(i, m)
@@ -436,10 +439,11 @@ class TestSupQMemo:
         import numpy as np
 
         sup_q(1, 1), sup_q(2, 2)
-        for bad in ((True, 1), (2.0, 2), (np.int64(2), 2), (0, 3)):
+        for bad in ((True, 1), (2.0, 2), (0, 3)):
             with pytest.raises(ValueError) as err:
                 sup_q(*bad)
-            assert str(err.value) == f"dimensions must be integers >= 1, got ({bad[0]!r}, {bad[1]!r})"
+            assert str(err.value) == f"n_x must be an integer >= 1, got {bad[0]!r}"
+        assert sup_q(np.int64(2), 2) is sup_q(2, 2)
 
     def test_int_subclass_gives_plain_ints(self):
         class Dim(int):
@@ -490,3 +494,34 @@ class TestSupQMemo:
             positivity_witness(*shape)
         info = _sup_q.cache_info()
         assert (info.misses, info.hits) == (2, 5)
+
+
+class TestExactWindow:
+    """floor(p* m) = (16 m - isqrt(175 m^2) - 1) // 27, p* = (16 - sqrt 175) / 27."""
+
+    @staticmethod
+    def _seeded_m(n):
+        rng = random.Random(150)
+        return [*range(1, 2001), *(rng.randint(1, 10 ** rng.randint(1, 150)) for _ in range(n)), 10**150]
+
+    def test_growth_blocks_count_against_integer_bounds(self):
+        # k <= p* m iff sqrt(175) m <= 16 m - 27 k, and k + 1 > p* m iff
+        # sqrt(175) m > 16 m - 27 k - 27; square both sides where they are >= 0.
+        for m in self._seeded_m(3000):
+            k = growth_blocks(m)[0][0][1]
+            assert 16 * m - 27 * k > 0 and 175 * m * m <= (16 * m - 27 * k) ** 2, m
+            t = 16 * m - 27 * k - 27
+            assert t < 0 or 175 * m * m > t * t, m
+
+    def test_sup_q_window(self):
+        # A square shape evaluates only the x_is_block window {max(k, 1), k + 1}.
+        for m in self._seeded_m(300)[1:]:
+            k = growth_blocks(m)[0][0][1]
+            assert sup_q(m, m).maximizing_config.i in {max(k, 1), k + 1}, m
+
+    def test_float_window_below_2_40(self):
+        # The window equals the float int(P_STAR * m) wherever that was
+        # taken as exact, so no result below 2^40 moves.
+        rng = random.Random(40)
+        for m in [*range(1, 5001), *(rng.randint(1, 2**40) for _ in range(5000))]:
+            assert growth_blocks(m)[0][0][1] == int(P_STAR * m), m
