@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from .cone import (
@@ -107,7 +106,7 @@ def sup_q_cmd(args):
         "n_y": res.n_y,
         "sup": res.sup_value,
         "attained": res.attained,
-        "config": asdict(res.maximizing_config),
+        "config": res.maximizing_config._asdict(),
     }
     _emit(doc, args.json)
     return 0
@@ -232,8 +231,8 @@ def _parser():
         return p
 
     p = command("eval-q", eval_q)
-    p.add_argument("-x", action="append", required=True, help="Entry of x; repeat or comma-separate. Accepts decimals and fractions like 3/2.")
-    p.add_argument("-y", action="append", required=True, help="Entry of y; same forms as -x.")
+    p.add_argument("-x", action="append", required=True, help="Entry of x; repeat or comma-separate. Accepts decimals and fractions like 3/2. Write a value starting with '-' as -x=-1,2.")
+    p.add_argument("-y", action="append", required=True, help="Entry of y; same forms as -x, so -y=-1,2.")
     p = command("sup-q", sup_q_cmd)
     p.add_argument("--nx", type=int, required=True, help="Dimension of x.")
     p.add_argument("--ny", type=int, required=True, help="Dimension of y.")

@@ -39,14 +39,12 @@ cone.* per-layer metrics after the module a function is defined in.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import sys
-from dataclasses import asdict, dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Tuple
 
-from .power_sums import _block_power_sums, _integer, _quotient, _real_array, validate_positive_vector
+from .power_sums import _block_power_sums, _integer, _is_real, _quotient, _real_array, validate_positive_vector
 from .structured import ALPHA_T, C_STAR, _gamma_root, growth_blocks, sup_q
 
 if TYPE_CHECKING:
@@ -72,8 +70,7 @@ __all__ = [
     "b3_radical",
 ]
 
-@dataclass(frozen=True)
-class MatrixSpec:
+class MatrixSpec(NamedTuple):
     """Coefficient matrix, either the M_d(b) family or explicit entries."""
 
     d: int
@@ -83,8 +80,7 @@ class MatrixSpec:
     @classmethod
     def equal_off_diagonal(cls, d: int, b: float) -> "MatrixSpec":
         d = _integer(d, "d", 2)
-        # Before float(b), which overflows on huge ints; NaN, bools, strings fail; a float skips the ABC check.
-        if isinstance(b, bool) or not isinstance(b, (float, numbers.Real)) or not 0.0 <= b <= 1.0:
+        if not (_is_real(b) and 0.0 <= b <= 1.0):  # NaN fails too
             raise ValueError(f"b must lie in [0, 1], got {b!r}")
         return cls(d=d, b=float(b))
 
@@ -131,8 +127,7 @@ class MatrixSpec:
         raise ValueError("matrix spec needs either 'entries' or ('d', 'b')")
 
 
-@dataclass(frozen=True)
-class PsiWitness:
+class PsiWitness(NamedTuple):
     """A (z, s) pair with Psi_M(z, s) < 0, certifying non-membership."""
 
     z: Tuple[float, ...]
@@ -143,8 +138,7 @@ class PsiWitness:
         return {"z": list(self.z), "s": list(self.s), "psi": self.psi_value}
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
     """Verdict for M_d(b): member_certified, nonmember, or inconclusive.
 
     margin is a fixed 1e-8 around the threshold b_d; b inside it is
@@ -163,11 +157,10 @@ class MembershipReport:
     witness: Optional[PsiWitness] = None
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "witness": self.witness and self.witness.to_json_dict()}
+        return {**self._asdict(), "witness": self.witness and self.witness.to_json_dict()}
 
 
-@dataclass(frozen=True)
-class GeneralReport:
+class GeneralReport(NamedTuple):
     """Verdict for an explicit matrix: sufficient certificate or search.
 
     method is "diagonal_dominance" or "perturbation" when that
@@ -186,11 +179,11 @@ class GeneralReport:
     diagnostics: Optional[dict] = None
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "witness": self.witness and self.witness.to_json_dict()}
+        diagnostics = None if self.diagnostics is None else dict(self.diagnostics)
+        return {**self._asdict(), "witness": self.witness and self.witness.to_json_dict(), "diagnostics": diagnostics}
 
 
-@dataclass(frozen=True)
-class BdReport:
+class BdReport(NamedTuple):
     """The threshold b_d with its companion estimates.
 
     lower_bound   = growth_lower_bound(d): 1 / (1 + c* floor(d/2)) for
@@ -214,7 +207,7 @@ class BdReport:
     exact: Optional[float] = None
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _as_matrix(matrix) -> np.ndarray:

@@ -21,8 +21,7 @@ zero entries in its closure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -40,8 +39,7 @@ _STEPS = 100
 _LAM_MIN = 1e-9
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """Best point found over all starts, with convergence diagnostics.
 
     converged_fraction is the share of starts whose terminal point

@@ -35,11 +35,10 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import attrgetter, floordiv, ge, index, le, mul
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,8 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PowerSumTriple:
+class PowerSumTriple(NamedTuple):
     """First three power sums of a positive vector."""
 
     m1: Entry
@@ -66,8 +64,7 @@ class PowerSumTriple:
     m3: Entry
 
 
-@dataclass(frozen=True)
-class QuotientValue:
+class QuotientValue(NamedTuple):
     """Value of Q(x, y) together with its three building blocks.
 
     s1 = M_1(x) - M_1(y), s2 = M_2(y) - M_2(x), s3 = M_3(x) + M_3(y),
@@ -91,6 +88,12 @@ def _integer(v, name: str, lo: int, hi=math.inf) -> int:
         limits = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
         raise ValueError(f"{name} must be an integer {limits}, got {v!r}")
     return n
+
+
+def _is_real(v) -> bool:
+    """v is a real number, not a bool (0 < True holds) nor np.bool_ (no numbers.Real);
+    a float skips the ABC check.  Checked before float(v), which overflows on huge ints."""
+    return isinstance(v, float) or (isinstance(v, numbers.Real) and not isinstance(v, bool))
 
 
 def _real_array(a, name: str) -> np.ndarray:

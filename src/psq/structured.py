@@ -43,10 +43,9 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .power_sums import _block_power_sums, _integer, _quotient
+from .power_sums import _block_power_sums, _integer, _is_real, _quotient
 
 __all__ = [
     "SQRT7",
@@ -81,8 +80,7 @@ ALPHA_T = (3.0 - math.sqrt(3.0 + 2.0 * _SQRT3)) / 6.0
 C_T = (2.0 * _SQRT3 - 3.0) / 9.0
 _SUP_Q_SHAPES = 256  # how many recently used shapes keep their sup_q result
 
-@dataclass(frozen=True)
-class StructuredConfig:
+class StructuredConfig(NamedTuple):
     """One block configuration: i unit entries vs m constant entries.
 
     side says which vector carries the unit block; the other vector is
@@ -97,8 +95,7 @@ class StructuredConfig:
     q_value: float
 
 
-@dataclass(frozen=True)
-class SupQResult:
+class SupQResult(NamedTuple):
     """Supremum of Q over positive orthants of dimensions (n_x, n_y).
 
     attained is always False: the supremum is approached through
@@ -113,9 +110,9 @@ class SupQResult:
 
     def witness_blocks(self, eps: float = 1e-6):
         """The maximizing configuration as blocks ((value, count), ...) of
-        x and y, with eps for the closure zeros of the block side.  Q of
-        the pair tends to sup_value as eps -> 0."""
-        if not 0 < eps < math.inf:
+        x and y, with eps, a real in (0, inf) but no bool, for the closure
+        zeros of the block side.  Q of the pair tends to sup_value as eps -> 0."""
+        if not (_is_real(eps) and 0 < eps < math.inf):
             raise ValueError(f"eps must be positive and finite, got {eps!r}")
         c = self.maximizing_config
         block_len = self.n_x if c.side == "x_is_block" else self.n_y

@@ -12,8 +12,7 @@ upper bound, with 2/(c* d) as the asymptotic scale.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 from .cone import _growth_estimates, compute_bd, growth_lower_bound
 from .power_sums import _integer
@@ -39,25 +38,23 @@ def truncate3(x: float) -> float:
     return math.floor(x * 1000.0) / 1000.0
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(NamedTuple):
     d: int
     lower_bound: float
     b_d: float
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class Table2Row:
+class Table2Row(NamedTuple):
     d: int
     lower_bound: float
     witness_upper: float
     asymptotic: float
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def table1_rows() -> List[Table1Row]:

@@ -30,6 +30,15 @@ class TestEvalQ:
         assert cli(["eval-q", "-x", "a", "-y", "1"]).code == 2
         assert cli(["eval-q", "-x", "1/0", "-y", "1"]).code == 2
 
+    def test_negative_entries_need_the_equals_form(self, cli):
+        # argparse reads "-1,2" after -x as an option, so -x has no value.
+        out = cli(["eval-q", "-x", "-1,2", "-y", "1"])
+        _assert_usage_error(out)
+        assert "argument -x: expected one argument" in out.err
+        out = cli(["eval-q", "-x=-1,2", "-y", "1"])
+        _assert_usage_error(out)
+        assert "x[0] = -1 is not > 0" in out.err
+
     def test_float_overflow_exit_code(self, cli):
         out = cli(["eval-q", "-x", "1e200", "-y", "1"])
         assert out.code == 2

@@ -233,6 +233,32 @@ class TestNoNumpy:
         assert out.returncode == want.code, out.stderr
         assert out.stdout == want.out
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["import psq"],
+            ["import psq.cli"],
+            ["table1"],
+            ["table2"],
+            ["bd", "--d", "100"],
+            ["sup-q", "--nx", "24", "--ny", "23"],
+            ["witness", "--nx", "7", "--ny", "6"],
+            ["witness", "--growth-n", "100"],
+            ["eval-q", "-x", "1,1/2,1/4", "-y", "3/4"],
+            ["certify", "--d", "6", "--b", "0.5"],
+            ["certify", "--d", "6", "--b", "0.99"],
+        ],
+        ids=" ".join,
+    )
+    def test_cold_process_leaves_dataclasses_unloaded(self, args):
+        # Results are NamedTuples: dataclasses (and the inspect it pulls in)
+        # would add about 20 ms to every cold psq process.
+        run, argv = (args[0], []) if args[0].startswith("import") else (_RUN_CLI, args)
+        code = f"import sys\ntry:\n    {run}\nfinally:\n    print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)), file=sys.stderr)"
+        out = _python(code, *argv)
+        assert out.returncode in (0, 1), out.stderr
+        assert out.stderr.splitlines()[-1] == "[]"
+
     def test_array_names_load_numpy_on_use(self):
         code = (
             "import sys, psq\n"

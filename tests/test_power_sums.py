@@ -4,7 +4,6 @@ import math
 import random
 import sys
 import warnings
-from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -123,33 +122,33 @@ class TestPowerSumsMatchReference:
             v = np.array(v)
         elif kind == "float64_scalars":
             v = [np.float64(e) for e in v]
-        assert bits(astuple(power_sums(v))) == bits(reference_sums(v))
+        assert bits(tuple(power_sums(v))) == bits(reference_sums(v))
 
     @given(v=st.lists(wide_pos32, min_size=1, max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_float32_array_bit_identical(self, v):
         a = np.array(v, dtype=np.float32)
-        assert bits(astuple(power_sums(a))) == bits(reference_sums(a))
+        assert bits(tuple(power_sums(a))) == bits(reference_sums(a))
 
     @given(v=st.lists(st.one_of(wide_pos, st.integers(1, 10 ** 30)), min_size=1, max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_int_float_mix_bit_identical(self, v):
-        assert bits(astuple(power_sums(v))) == bits(reference_sums(v))
+        assert bits(tuple(power_sums(v))) == bits(reference_sums(v))
 
     def test_subnormals_bit_identical(self):
         v = [5e-324, 2.5e-320, 1e-310, 2.2250738585072014e-308, 1.0]
         for form in (v, np.array(v)):
-            assert bits(astuple(power_sums(form))) == bits(reference_sums(form))
+            assert bits(tuple(power_sums(form))) == bits(reference_sums(form))
 
     @given(v=st.lists(exact_entry, min_size=1, max_size=40))
     @settings(max_examples=300, deadline=None)
     def test_exact_same_values_and_types(self, v):
-        assert bits(astuple(power_sums(v))) == bits(reference_sums(v))
+        assert bits(tuple(power_sums(v))) == bits(reference_sums(v))
 
     def test_exact_types(self):
-        assert [type(m) for m in astuple(power_sums([1, 2, 3]))] == [int] * 3
+        assert [type(m) for m in tuple(power_sums([1, 2, 3]))] == [int] * 3
         # A Fraction with denominator 1 still makes every sum a Fraction.
-        assert [type(m) for m in astuple(power_sums([1, Fraction(4, 2)]))] == [Fraction] * 3
+        assert [type(m) for m in tuple(power_sums([1, Fraction(4, 2)]))] == [Fraction] * 3
 
 
 B = ps._BLOCK
@@ -227,8 +226,8 @@ class TestExactArraySums:
         x = 10.0 ** rng.uniform(lo, hi, n)
         y = x * (1.0 + rng.uniform(0.0, 0.5, n))
         y[::7] = x[::7]
-        assert bits(astuple(power_sums(x))) == bits(astuple(power_sums(x.tolist())))
-        assert bits(astuple(quotient_q(x, y[: n // 2 + 1]))) == bits(astuple(quotient_q(x.tolist(), y[: n // 2 + 1].tolist())))
+        assert bits(tuple(power_sums(x))) == bits(tuple(power_sums(x.tolist())))
+        assert bits(tuple(quotient_q(x, y[: n // 2 + 1]))) == bits(tuple(quotient_q(x.tolist(), y[: n // 2 + 1].tolist())))
         want = q_ordered_nonpositive(x.tolist(), y.tolist())
         for pair in ((x, y), (x, y.tolist()), (x.tolist(), y)):
             assert q_ordered_nonpositive(*pair).hex() == want.hex()
@@ -279,14 +278,14 @@ class TestLongFloatLists:
             out = []
             for form in (x, x.tolist(), tuple(x.tolist())):
                 try:
-                    out.append(bits(astuple(f(form))))
+                    out.append(bits(tuple(f(form))))
                 except ValueError as err:
                     out.append(str(err))
             assert out[0] == out[1] == out[2]
         if span == "overflow":
             assert out[0] == "x: power sums overflow float64; pass exact integers or fractions"
         else:
-            assert bits(astuple(power_sums(x.tolist()))) == bits(reference_sums(x.tolist()))
+            assert bits(tuple(power_sums(x.tolist()))) == bits(reference_sums(x.tolist()))
 
     @pytest.mark.parametrize(
         "planted, message",
@@ -305,7 +304,7 @@ class TestLongFloatLists:
         v = (10.0 ** np.random.default_rng(1100).uniform(-2.0, 0.0, 1200)).tolist()
         v[1100] = planted
         if message is None:
-            assert bits(astuple(power_sums(v))) == bits(reference_sums(v))
+            assert bits(tuple(power_sums(v))) == bits(reference_sums(v))
             return
         calls = (validate_positive_vector, power_sums, lambda v: quotient_q(v, [1.0]), lambda v: q_ordered_nonpositive(v, v))
         for call in calls:
@@ -582,7 +581,7 @@ class TestBlockPowerSums:
                 with pytest.raises(ValueError, match="block power sums overflow float64"):
                     ps._block_power_sums(blocks)
             else:
-                assert astuple(ps._block_power_sums(blocks)) == want, blocks
+                assert tuple(ps._block_power_sums(blocks)) == want, blocks
 
     def test_same_bits_as_power_sums_on_the_list(self):
         rng = random.Random(7)
@@ -590,7 +589,7 @@ class TestBlockPowerSums:
             blocks = [(2.0 ** rng.uniform(-1074, 100), rng.randint(0, 40)) for _ in range(3)]
             blocks.append((rng.random() + 0.5, 1))
             entries = [v for v, c in blocks for _ in range(c)]
-            assert bits(astuple(ps._block_power_sums(blocks))) == bits(astuple(power_sums(entries)))
+            assert bits(tuple(ps._block_power_sums(blocks))) == bits(tuple(power_sums(entries)))
 
     def test_overflow_is_a_value_error(self):
         for blocks in (((1e103, 1),), ((1e300, 1),), ((1.0, 10 ** 400),)):
@@ -598,14 +597,14 @@ class TestBlockPowerSums:
                 ps._block_power_sums(blocks)
         assert ps._block_power_sums(((2.0 ** 332, 3),)).m3 == 3 * 2.0 ** 996
         # 2**333 cubes to a finite 2**999: the list's bits, not an overflow.
-        assert bits(astuple(ps._block_power_sums(((2.0 ** 333, 1),)))) == bits(astuple(power_sums([2.0 ** 333])))
+        assert bits(tuple(ps._block_power_sums(((2.0 ** 333, 1),)))) == bits(tuple(power_sums([2.0 ** 333])))
 
     def test_values_whose_veltkamp_split_overflows(self):
         # c times a rounded-up high part of the cube would overflow, though
         # c * v**3 does not: the sums are the exact ones, rounded once.
         v = 8.749002899089497e99
         assert self.fraction_sums(((v, 2 ** 28),))[2] == 1.797693134836087e308
-        assert astuple(ps._block_power_sums(((v, 2 ** 28),))) == self.fraction_sums(((v, 2 ** 28),))
+        assert tuple(ps._block_power_sums(((v, 2 ** 28),))) == self.fraction_sums(((v, 2 ** 28),))
         # From 2**332 the cube times 2**27 + 1 overflows; up to the largest
         # v with a finite cube, the sums are still those of the list.
         top = sys.float_info.max ** (1 / 3)
@@ -616,14 +615,14 @@ class TestBlockPowerSums:
         for v in values:
             for c in (1, 2, rng.randint(3, 40)):
                 try:
-                    want = bits(astuple(power_sums([v] * c)))
+                    want = bits(tuple(power_sums([v] * c)))
                 except ValueError:
                     with pytest.raises(ValueError, match="block power sums overflow float64"):
                         ps._block_power_sums(((v, c),))
                     continue
-                assert bits(astuple(ps._block_power_sums(((v, c),)))) == want, (v, c)
-                assert bits(astuple(ps._block_power_sums(((v, c), (0.5, 3))))) == bits(
-                    astuple(power_sums([v] * c + [0.5] * 3))
+                assert bits(tuple(ps._block_power_sums(((v, c),)))) == want, (v, c)
+                assert bits(tuple(ps._block_power_sums(((v, c), (0.5, 3))))) == bits(
+                    tuple(power_sums([v] * c + [0.5] * 3))
                 ), (v, c)
 
 

@@ -3,7 +3,6 @@ import math
 import random
 import sys
 from collections import Counter
-from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -224,6 +223,24 @@ class TestSupQ:
             with pytest.raises(ValueError):
                 sup_q(2, 1).witness_pair(eps)
 
+    @pytest.mark.parametrize("eps", [True, "1e-6", "np.True_"])
+    def test_witness_blocks_reject_bool_and_non_real_eps(self, eps):
+        # 0 < True < inf holds, so a bare range check let True into the vectors.
+        import numpy as np
+
+        eps = np.bool_(True) if eps == "np.True_" else eps
+        for method in (sup_q(3, 3).witness_blocks, sup_q(3, 3).witness_pair):
+            with pytest.raises(ValueError) as exc:
+                method(eps)
+            assert str(exc.value) == f"eps must be positive and finite, got {eps!r}"
+
+    def test_witness_blocks_accept_real_eps(self):
+        import numpy as np
+
+        want = sup_q(3, 3).witness_pair(1e-6)
+        assert sup_q(3, 3).witness_pair(np.float64(1e-6)) == want
+        assert sup_q(3, 3).witness_blocks(1)[0][1] == (1, 2)
+
     def test_witness_pair_rejects_lengths_beyond_maxsize(self):
         # No list that long can exist; the check must fire before any allocation.
         with pytest.raises(ValueError, match="exceeds sys.maxsize"):
@@ -351,7 +368,7 @@ def _block_q_hex(x_blocks, y_blocks):
 
 
 def _hex(q):
-    return tuple(map(float.hex, astuple(q)))
+    return tuple(map(float.hex, tuple(q)))
 
 
 # Every shape n <= 40, then seeded n up to 10**5; from 1024 entries on,
