@@ -26,13 +26,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .cone import (
-    MatrixSpec,
-    certify_general,
-    compute_bd,
-    membership_equal_offdiag,
-    psi,
-)
+from .cone import MatrixSpec, _psi, certify_general, compute_bd, membership_equal_offdiag
 from .power_sums import _block_power_sums, _quotient, quotient_q
 from .structured import growth_blocks, positivity_witness, sup_q, witness_vectors
 from .tables import DEFAULT_TABLE2_DIMS, table1_rows, table2_rows
@@ -183,16 +177,19 @@ def certify_cmd(args):
 def verify_cmd(args):
     """Re-evaluate a stored witness: confirmed when Psi(z, s) < 0.
 
+    Confirmed on the sign of the exact Psi; "psi" is it correctly rounded,
+    null beyond float range.  A {"d","b"} file is checked in O(d) from the
+    blocks of z, without numpy or a dense matrix.
+
     Exit code: 0 confirmed, 1 not confirmed.
     """
     spec_doc = _load_json_file(args.matrix, "matrix")
     wit = _load_json_file(args.witness, "witness")
     if not isinstance(wit, dict) or "z" not in wit or "s" not in wit:
         raise ValueError("witness file must hold an object with 'z' and 's'")
-    val = psi(MatrixSpec.from_json_dict(spec_doc).dense(), wit["z"], wit["s"])
-    confirmed = val < 0.0
-    _emit({"psi": val, "confirmed": confirmed}, args.json)
-    return 0 if confirmed else 1
+    num, den = _psi(MatrixSpec.from_json_dict(spec_doc), wit["z"], wit["s"])
+    _emit({"psi": _float_or_none(Fraction(num, den)), "confirmed": num < 0}, args.json)
+    return 0 if num < 0 else 1
 
 
 def witness_cmd(args):

@@ -30,21 +30,24 @@ violating pairs (z, s) that can only ever certify non-membership.
 
 numpy is imported inside the functions that work on explicit matrices,
 not at module level, so the M_d(b) route (compute_bd, membership on
-either side of b_d, the nonmember witness checked by exact block sums,
-the tables) runs in a cold CLI process without loading it.  Those
-functions stay in this module because perfbench's tracer names the
-cone.* per-layer metrics after the module a function is defined in.
+either side of b_d, psi on an M_d(b) spec by exact block sums, as psq
+verify takes it, the tables) runs in a cold CLI process without loading
+it.  Those functions stay in this module because perfbench's tracer
+names the cone.* per-layer metrics after the module a function is in.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
+from collections import Counter
+from fractions import Fraction
 from functools import partial
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Tuple
 
-from .power_sums import _block_power_sums, _integer, _is_real, _quotient, _real_array, validate_positive_vector
+from .power_sums import _block_power_sums, _integer, _is_real, _quotient, _real_array, _validated
 from .structured import ALPHA_T, C_STAR, _gamma_root, growth_blocks, sup_q
 
 if TYPE_CHECKING:
@@ -128,7 +131,7 @@ class MatrixSpec(NamedTuple):
 
 
 class PsiWitness(NamedTuple):
-    """A (z, s) pair with Psi_M(z, s) < 0, certifying non-membership."""
+    """A (z, s) pair with Psi_M(z, s) < 0, certifying non-membership; psi_value is Psi correctly rounded."""
 
     z: Tuple[float, ...]
     s: Tuple[int, ...]
@@ -145,8 +148,7 @@ class MembershipReport(NamedTuple):
     reported inconclusive rather than resolved by a comparison below
     working precision.  The field only repeats that constant; it stays
     because perfbench reads it from reports and from the CLI's JSON,
-    until ROADMAP item 2 drops it there.  A nonmember's witness.psi_value
-    is the exact Psi at its stored floats, correctly rounded.
+    until ROADMAP item 2 drops it there.
     """
 
     d: int
@@ -222,18 +224,34 @@ def _as_matrix(matrix) -> np.ndarray:
     return arr
 
 
-def _as_signs(s, d: int, ndim: int = 1) -> np.ndarray:
-    """s as floats: one pattern of length d (ndim 1) or an (n, d) stack."""
+def _signs(s, d: int) -> list:
+    """One sign pattern as d ints, without numpy; True, "1" and None are no signs."""
     try:
-        arr = _real_array(s, "s")  # True and "1" are no signs
-    except ValueError:
-        raise ValueError("sign pattern entries must be -1 or +1") from None
-    if arr.ndim != ndim or arr.shape[-1] != d:
-        want = f"length {d}" if ndim == 1 else f"shape (n, {d})"
-        raise ValueError(f"sign pattern must have {want}, got shape {arr.shape}")
-    if not (abs(arr) == 1).all():
+        out = list(s)  # an ndarray row gives numpy scalars; np.bool_ is no numbers.Real
+    except TypeError:
+        out = [None]
+    plain = set(map(type, out)) <= {int, float}  # no bool, str or None
+    if not (set(out) <= {-1, 1} if plain else all(_is_real(e) and e in (-1, 1) for e in out)):
         raise ValueError("sign pattern entries must be -1 or +1")
-    return arr
+    if len(out) != d:
+        raise ValueError(f"sign pattern must have length {d}, got shape ({len(out)},)")
+    return list(map(int, out))
+
+
+def _positive_z(z, d: int) -> list:
+    """z as d positive ints, floats and Fractions, each within float range."""
+    values, types = _validated(z, "z")
+    zs = values.tolist() if types is None else values
+    if len(zs) != d:
+        raise ValueError(f"z must have length {d}, got {len(zs)}")
+    if types is not None and types != {float}:
+        for i, e in enumerate(zs):
+            try:
+                f = float(e)
+            except OverflowError:
+                raise ValueError(f"z[{i}] lies beyond float range") from None
+            zs[i] = operator.index(e) if isinstance(e, numbers.Integral) else e if isinstance(e, Fraction) else f
+    return zs
 
 
 def _diag_off(m: np.ndarray):
@@ -244,23 +262,58 @@ def _diag_off(m: np.ndarray):
     return m.diagonal(), off
 
 
-def _matrix_and_z(matrix, z):
-    import numpy as np
+def _integer_ratios(xs):
+    """Integers N_i and one D > 0 with x_i = N_i / D for the ints, floats and Fractions x_i."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    den = math.lcm(*{q for _, q in ratios})
+    return [n * (den // q) for n, q in ratios], den
+
+
+def _offdiag_psi(blocks, b: float) -> Tuple[int, int]:
+    """Exact Psi = num / den, den > 0, of M_d(b) at the (z, s) holding c
+    entries v of sign s for each (v, c, s) in blocks.  Psi = (1 - b) M3 +
+    b S1 S2 with S_k = sum s z^k; over _integer_ratios' z = N / D and
+    b = n_b / q_b, Psi D^3 q_b is the integer (q_b - n_b) N3 + n_b N1 N2."""
+    vs, cs, ss = zip(*blocks)
+    ns, den = _integer_ratios(vs)
+    n1 = n2 = n3 = 0
+    for n, c, s in zip(ns, cs, ss):
+        n1, n2, n3 = n1 + c * s * n, n2 + c * s * n * n, n3 + c * n ** 3
+    n_b, q_b = b.as_integer_ratio()
+    return (q_b - n_b) * n3 + n_b * n1 * n2, q_b * den ** 3
+
+
+def _psi(matrix, z, s) -> Tuple[int, int]:
+    """Psi_M(z, s) = num / den exactly, den > 0; every Psi sign psq reports
+    is num's.  An M_d(b) MatrixSpec groups z by (value, sign) into blocks
+    for _offdiag_psi, in O(d) without numpy.  Any other matrix: Psi =
+    u^T M v with u = s z and v = s z^2, as u_l v_l = z_l^3; over the
+    _integer_ratios numerators of z and M that sum is an integer."""
+    if isinstance(matrix, MatrixSpec) and matrix.entries is None:
+        zs, ss = _positive_z(z, matrix.d), _signs(s, matrix.d)
+        return _offdiag_psi([(v, c, sg) for (v, sg), c in Counter(zip(zs, ss)).items()], matrix.b)
     m = _as_matrix(matrix)
-    zv = np.array(validate_positive_vector(z, name="z"), dtype=float)
-    if zv.shape != m.shape[:1]:
-        raise ValueError(f"z must have length {m.shape[0]}, got {zv.shape[0]}")
-    return m, zv
+    d = m.shape[0]
+    (zn, zden), (mn, mden) = _integer_ratios(_positive_z(z, d)), _integer_ratios(m.ravel().tolist())
+    s = _signs(s, d)
+    v = [sk * zk * zk for sk, zk in zip(s, zn)]
+    rows = (sum(map(operator.mul, mn[l * d : (l + 1) * d], v)) for l in range(d))
+    return sum(sl * zl * r for sl, zl, r in zip(s, zn, rows)), mden * zden ** 3
+
+
+def _rounded(num: int, den: int) -> float:
+    """num / den correctly rounded (int true division), +-inf beyond float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def psi(matrix, z, s) -> float:
-    """Psi_M(z, s) for one positive vector and one sign pattern."""
-    m, zv = _matrix_and_z(matrix, z)
-    sv = _as_signs(s, m.shape[0])
-    diag, off = _diag_off(m)
-    u = sv * zv
-    v = sv * zv * zv
-    return float(diag @ (zv ** 3) + u @ off @ v)
+    """Psi_M(z, s) for one positive z (ints, floats, Fractions within float range) and one
+    sign pattern: the exact value (_psi) correctly rounded, +-inf beyond float range,
+    never NaN.  On an M_d(b) MatrixSpec it takes O(d) and loads no numpy."""
+    return _rounded(*_psi(matrix, z, s))
 
 
 def _psi_chunk(diag_term: float, off: np.ndarray, z: np.ndarray, patterns: np.ndarray) -> np.ndarray:
@@ -270,9 +323,20 @@ def _psi_chunk(diag_term: float, off: np.ndarray, z: np.ndarray, patterns: np.nd
 
 
 def psi_over_patterns(matrix, z, patterns) -> np.ndarray:
-    """Psi_M(z, s) for one z and a stack of sign patterns (rows)."""
-    m, zv = _matrix_and_z(matrix, z)
-    pats = _as_signs(patterns, m.shape[0], ndim=2)
+    """Psi_M(z, s) in floats for one z and a stack of sign patterns (rows);
+    the sampler's screen, not rounded from the exact value."""
+    import numpy as np
+    m = _as_matrix(matrix)
+    d = m.shape[0]
+    zv = np.array(_positive_z(z, d), dtype=float)
+    try:
+        pats = _real_array(patterns, "s")  # True and "1" are no signs
+    except ValueError:
+        raise ValueError("sign pattern entries must be -1 or +1") from None
+    if pats.ndim != 2 or pats.shape[-1] != d:
+        raise ValueError(f"sign pattern must have shape (n, {d}), got shape {pats.shape}")
+    if not (abs(pats) == 1).all():
+        raise ValueError("sign pattern entries must be -1 or +1")
     diag, off = _diag_off(m)
     return _psi_chunk(float(diag @ zv ** 3), off, zv, pats)
 
@@ -373,10 +437,8 @@ def all_split_threshold(d: int) -> float:
 
 
 def _bd_from_sup(d: int):
-    n_x, n_y = _balanced_split(d)
-    res = sup_q(n_x, n_y)
-    sup = max(res.sup_value, 0.0)
-    return 1.0 / (1.0 + sup), res
+    res = sup_q(*_balanced_split(d))
+    return 1.0 / (1.0 + max(res.sup_value, 0.0)), res
 
 
 _RANDOM_PATTERNS = 512  # random rows of the sampler's pattern set, next to the d minus blocks
@@ -407,12 +469,7 @@ def compute_bd(d: int) -> BdReport:
     qg, asym = _growth_estimates(d)
     witness_upper = 1.0 / (1.0 + qg) if qg > 0.0 else None
 
-    exact = None
-    if d == 2:
-        exact = 1.0
-    elif d in (3, 4):
-        exact = b3_radical()
-
+    exact = 1.0 if d == 2 else b3_radical() if d in (3, 4) else None
     return BdReport(
         d=d,
         b_d=bd,
@@ -447,13 +504,13 @@ def membership_equal_offdiag(d: int, b: float) -> MembershipReport:
     if spec.b >= bd + margin:
         i = res.maximizing_config.i
         gamma = _gamma_root(i, d - i)
-        num, val = _offdiag_psi([(1.0, i, -1), (gamma, d - i, 1)], spec.b)
+        num, den = _offdiag_psi([(1.0, i, -1), (gamma, d - i, 1)], spec.b)
         if num >= 0:
             raise RuntimeError(f"b={b!r} exceeds b_{d}={bd!r} but the block witness has Psi >= 0")
         if d > sys.maxsize:
             raise ValueError(f"vector length {d} exceeds sys.maxsize")
         z, s = (1.0,) * i + (gamma,) * (d - i), (-1,) * i + (1,) * (d - i)
-        return report(verdict="nonmember", witness=PsiWitness(z=z, s=s, psi_value=val))
+        return report(verdict="nonmember", witness=PsiWitness(z=z, s=s, psi_value=num / den))
     return report(verdict="inconclusive")
 
 
@@ -486,45 +543,6 @@ def _sampled_patterns(d: int, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate([np.array(pats, dtype=np.int8), rand], axis=0)
 
 
-def _dyadic(xs):
-    """Integers N_i and one power of two D with x_i = N_i / D for the floats x_i."""
-    ratios = [x.as_integer_ratio() for x in xs]
-    den = max(q for _, q in ratios)
-    return [n * (den // q) for n, q in ratios], den
-
-
-def _offdiag_psi(blocks, b: float) -> Tuple[int, float]:
-    """Exact Psi of M_d(b) at the (z, s) holding c entries v of sign s for
-    each (v, c, s) in blocks: an integer with the sign of Psi, and Psi
-    correctly rounded (int true division).  Psi = (1 - b) M3 + b S1 S2
-    with S_k = sum s z^k; over _dyadic's z = N / D and b = n_b / q_b,
-    Psi D^3 q_b is the integer (q_b - n_b) N3 + n_b N1 N2."""
-    vs, cs, ss = zip(*blocks)
-    ns, den = _dyadic(vs)
-    n1 = n2 = n3 = 0
-    for n, c, s in zip(ns, cs, ss):
-        n1, n2, n3 = n1 + c * s * n, n2 + c * s * n * n, n3 + c * n ** 3
-    n_b, q_b = b.as_integer_ratio()
-    num = (q_b - n_b) * n3 + n_b * n1 * n2
-    return num, num / (q_b * den ** 3)
-
-
-def _checked_witness(m: np.ndarray, z, s) -> Optional[PsiWitness]:
-    """(z, s) as a witness when psi (the value psq verify prints) and the
-    exact Psi of the stored floats are both negative, else None.  Exactly,
-    Psi = u^T M v with u = s z and v = s z^2, as u_l v_l = z_l^3; over
-    _dyadic numerators that sum is an integer with the sign of Psi."""
-    z, s = tuple(float(v) for v in z), tuple(int(v) for v in s)
-    val = psi(m, z, s)
-    if not val < 0.0:
-        return None
-    d, (zn, _), (mn, _) = len(z), _dyadic(z), _dyadic(m.ravel().tolist())
-    v = [sk * zk * zk for sk, zk in zip(s, zn)]
-    rows = (sum(map(operator.mul, mn[l * d : (l + 1) * d], v)) for l in range(d))
-    exact = sum(sl * zl * r for sl, zl, r in zip(s, zn, rows))
-    return PsiWitness(z=z, s=s, psi_value=val) if exact < 0 else None
-
-
 def sample_membership_general(matrix, n_samples: int = 200, seed: int = 0) -> GeneralReport:
     """Search for a violating (z, s) pair of an explicit matrix.
 
@@ -533,10 +551,11 @@ def sample_membership_general(matrix, n_samples: int = 200, seed: int = 0) -> Ge
     and n_samples random log-uniform vectors on [1e-3, 1e3]^d, each in one
     pass over every canonical sign pattern while there are at most d + 512
     (d <= 10), else over the d minus blocks and 512 random ones; both sets
-    hold the one-sign pattern.  Stops at the first pair whose psi and exact
-    Psi are both negative (_checked_witness), which is deterministic for a
-    fixed seed.  A clean pass is only ever inconclusive: sampling cannot
-    certify membership.
+    hold the one-sign pattern.  The float pass only screens: a pair is
+    accepted on the sign of its exact Psi (_psi), and its psi_value is that
+    value correctly rounded.  Stops at the first such pair, which is
+    deterministic for a fixed seed.  A clean pass is only ever inconclusive:
+    sampling cannot certify membership.
     """
     import numpy as np
     m = _as_matrix(matrix)
@@ -553,8 +572,10 @@ def sample_membership_general(matrix, n_samples: int = 200, seed: int = 0) -> Ge
         vals = _psi_chunk(float(diag @ z ** 3), off, z, signs)
         n_evaluated += vals.size
         for j in np.flatnonzero(vals < 0.0):
-            witness = _checked_witness(m, z, pats[j])
-            if witness is not None:
+            zt, st = tuple(z.tolist()), tuple(pats[j].tolist())
+            num, den = _psi(m, zt, st)
+            if num < 0:
+                witness = PsiWitness(z=zt, s=st, psi_value=_rounded(num, den))
                 return GeneralReport(d, "nonmember", "sampling", n_evaluated, seed, witness)
     return GeneralReport(d, "inconclusive", "sampling", n_evaluated, seed)
 

@@ -59,17 +59,8 @@ class Table2Row(NamedTuple):
 
 def table1_rows() -> List[Table1Row]:
     """Thresholds and lower bounds for d = 2..6, truncated at 3 decimals."""
-    rows = []
-    for d in TABLE1_DIMS:
-        rep = compute_bd(d)
-        rows.append(
-            Table1Row(
-                d=d,
-                lower_bound=truncate3(rep.lower_bound),
-                b_d=truncate3(rep.b_d),
-            )
-        )
-    return rows
+    reps = map(compute_bd, TABLE1_DIMS)
+    return [Table1Row(d=r.d, lower_bound=truncate3(r.lower_bound), b_d=truncate3(r.b_d)) for r in reps]
 
 
 def _table2_row(d: int) -> Table2Row:

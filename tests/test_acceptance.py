@@ -238,7 +238,7 @@ def test_criterion_9_certification_roundtrip():
                 w = high.witness
                 assert w is not None
                 # psi_value is the exact Psi of the stored floats, correctly
-                # rounded; the dense re-evaluation (psq verify) is negative too.
+                # rounded, as psi (psq verify) gives it on the spec and the dense matrix.
                 assert w.psi_value == float(_psi_exact_offdiag(high.b, w.z, w.s))
-                dense = MatrixSpec.equal_off_diagonal(d, high.b).dense()
-                assert psi(dense, w.z, w.s) < 0.0
+                spec = MatrixSpec.equal_off_diagonal(d, high.b)
+                assert psi(spec, w.z, w.s) == psi(spec.dense(), w.z, w.s) == w.psi_value

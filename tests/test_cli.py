@@ -305,6 +305,9 @@ def test_certify_rejects_bad_sampling_args_before_dominance(cli, tmp_path, flag)
     _assert_usage_error(cli(["certify", "--matrix", str(path), *flag]))
 
 
+_M6_ENTRIES = [[1.0 if i == j else 0.9 for j in range(6)] for i in range(6)]
+
+
 class TestVerify:
     def test_round_trip(self, cli, tmp_path):
         mpath = tmp_path / "m.json"
@@ -356,6 +359,30 @@ class TestVerify:
         out = cli(["verify", "--matrix", str(mpath), "--witness", str(wpath)])
         _assert_usage_error(out)
         assert "must be -1 or +1" in out.err
+
+    @pytest.mark.parametrize("spec", [{"d": 6, "b": 0.9}, {"entries": _M6_ENTRIES}], ids=["d-b", "entries"])
+    @pytest.mark.parametrize("k, shown", [(-360, "-0.0"), (360, "null")])
+    def test_extreme_scale(self, cli, tmp_path, spec, k, shown):
+        # M_6(0.9)'s witness z = (1, 0.3^5), s = (-1, +1^5), scaled by 2^k.
+        # Psi has degree 3, so its sign holds while its value underflows to
+        # -0.0 or lies beyond float range (null); the exact sign confirms it.
+        mpath, wpath = tmp_path / "m.json", tmp_path / "w.json"
+        mpath.write_text(json.dumps(spec))
+        z = [2.0 ** k] + [0.3 * 2.0 ** k] * 5
+        wpath.write_text(json.dumps({"z": z, "s": [-1] + [1] * 5}))
+        out = cli(["verify", "--matrix", str(mpath), "--witness", str(wpath)])
+        assert out.code == 0
+        assert json.loads(out.out)["confirmed"] is True
+        assert f'"psi": {shown},' in out.out
+
+    @pytest.mark.parametrize("spec", [{"d": 2, "b": 0.3}, {"entries": [[1.0, 0.3], [0.3, 1.0]]}], ids=["d-b", "entries"])
+    def test_z_beyond_float_range(self, cli, tmp_path, spec):
+        mpath, wpath = tmp_path / "m.json", tmp_path / "w.json"
+        mpath.write_text(json.dumps(spec))
+        wpath.write_text(json.dumps({"z": [1.0, 10 ** 400], "s": [-1, 1]}))
+        out = cli(["verify", "--matrix", str(mpath), "--witness", str(wpath)])
+        _assert_usage_error(out)
+        assert "z[1] lies beyond float range" in out.err
 
     @pytest.mark.parametrize("bad", ["matrix", "witness"])
     def test_non_utf8_file(self, cli, tmp_path, bad):

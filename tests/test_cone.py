@@ -208,6 +208,55 @@ class TestPsi:
             with pytest.raises(ValueError, match="shape"):
                 psi_over_patterns(m, [1.0, 1.0], pats)
 
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        scale=st.sampled_from((0, 360, -360)),
+        form=st.sampled_from(("ndarray", "list", "spec", "offdiag")),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_is_exact_psi_correctly_rounded(self, seed, scale, form):
+        # Psi has degree 3 in z, so z scaled by 2^360 overflows to +-inf and
+        # by 2^-360 lands in the subnormals or at a signed zero.
+        rng = random.Random(seed)
+        d = rng.randint(1 if form in ("ndarray", "list") else 2, 7)
+        if form == "offdiag":
+            matrix = MatrixSpec.equal_off_diagonal(d, rng.random())
+            entries = matrix.dense().tolist()
+        else:
+            entries = [[rng.uniform(-1.0, 1.0) for _ in range(d)] for _ in range(d)]
+            matrix = {"ndarray": np.array, "list": list, "spec": MatrixSpec.general}[form](entries)
+        # Few distinct values, so an M_d(b) spec groups z into shared blocks.
+        pool = [rng.uniform(0.01, 10.0), rng.randint(1, 9), Fraction(rng.randint(1, 99), rng.randint(1, 99))]
+        z = [rng.choice(pool) * Fraction(2) ** scale if scale else rng.choice(pool) for _ in range(d)]
+        s = [rng.choice((-1, 1)) for _ in range(d)]
+        exact = _exact_psi(entries, z, s)
+        try:
+            want = float(exact)
+        except OverflowError:
+            want = math.inf if exact > 0 else -math.inf
+        assert psi(matrix, z, s).hex() == want.hex()
+
+    @pytest.mark.parametrize("d", range(2, 41))
+    def test_spec_matches_dense(self, d):
+        rng = random.Random(d)
+        for b in (0.0, 1.0, compute_bd(d).b_d, rng.random()):
+            spec = MatrixSpec.equal_off_diagonal(d, b)
+            for scale in (1.0, 2.0 ** 360, 2.0 ** -360):
+                z = [scale * rng.choice((1.0, 0.3, rng.uniform(0.1, 3.0))) for _ in range(d)]
+                s = [rng.choice((-1, 1)) for _ in range(d)]
+                assert psi(spec, z, s).hex() == psi(spec.dense(), z, s).hex(), (d, b, scale)
+
+    @pytest.mark.parametrize("z, k", [([10 ** 400, 1.0], 0), ([1, Fraction(10 ** 400, 3)], 1)], ids=["int", "Fraction"])
+    def test_rejects_z_beyond_float_range(self, z, k):
+        # An exact entry beyond float range would overflow the float screen.
+        for call in (
+            lambda: psi(np.eye(2), z, [-1, 1]),
+            lambda: psi(MatrixSpec.equal_off_diagonal(2, 0.5), z, [-1, 1]),
+            lambda: psi_over_patterns(np.eye(2), z, [[-1, 1]]),
+        ):
+            with pytest.raises(ValueError, match=rf"z\[{k}\] lies beyond float range"):
+                call()
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_matrix(self, bad):
         m = [[1.0, bad], [0.5, 1.0]]
@@ -361,8 +410,8 @@ def _psi_exact_offdiag(b, z, s):
 def _check_nonmember_witnesses(d, n_grid, rng):
     """membership_equal_offdiag above b_d + 1e-8 (seeded grid and b = 1):
     nonmember, a two-value witness z = (1^i, gamma^(d - i)) with s = i
-    minuses then pluses, exact Psi < 0, psi_value its correctly rounded
-    value, and the dense psi (what psq verify prints) negative for d <= 200."""
+    minuses then pluses, exact Psi < 0, and psi_value its correctly rounded
+    value, as psi gives it on the spec and, for d <= 200, on the dense matrix."""
     lo = compute_bd(d).b_d + 1e-8
     bs = [lo + (1.0 - lo) * rng.random() for _ in range(n_grid)] + [lo, 1.0]
     for b in (b for b in bs if lo <= b <= 1.0):
@@ -374,8 +423,10 @@ def _check_nonmember_witnesses(d, n_grid, rng):
         assert len(set(w.z)) == 2 and w.z[:i] == (1.0,) * i, (d, b)
         exact = _psi_exact_offdiag(b, w.z, w.s)
         assert exact < 0 and w.psi_value == float(exact), (d, b)
+        spec = MatrixSpec.equal_off_diagonal(d, b)
+        assert psi(spec, w.z, w.s) == w.psi_value, (d, b)
         if d <= 200:
-            assert psi(MatrixSpec.equal_off_diagonal(d, b).dense(), w.z, w.s) < 0.0, (d, b)
+            assert psi(spec.dense(), w.z, w.s) == w.psi_value, (d, b)
 
 
 class TestMembership:
@@ -531,8 +582,8 @@ class TestSampler:
         assert certify_general(m).verdict == "nonmember"
 
     def test_witness_psi_is_what_psi_reports(self):
-        # The chunked evaluation can differ from psi in its low bits; the
-        # report carries psi's value, the one psq verify prints.
+        # The chunked evaluation only screens: a witness is accepted on its
+        # exact sign and carries the exact Psi correctly rounded, as psi does.
         rng = np.random.default_rng(5)
         found = 0
         for _ in range(30):
@@ -543,8 +594,7 @@ class TestSampler:
             if rep.verdict == "nonmember":
                 found += 1
                 w = rep.witness
-                assert psi(m, w.z, w.s) == w.psi_value
-                assert _exact_psi(m, w.z, w.s) < 0
+                assert psi(m, w.z, w.s) == w.psi_value == float(_exact_psi(m, w.z, w.s)) < 0
         assert found >= 20
 
 

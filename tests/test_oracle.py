@@ -233,6 +233,17 @@ class TestNoNumpy:
         assert out.returncode == want.code, out.stderr
         assert out.stdout == want.out
 
+    def test_verify_on_offdiag_file_leaves_numpy_unloaded(self, tmp_path):
+        # A {"d", "b"} file is verified from the blocks of z, with no dense matrix.
+        mpath, wpath = tmp_path / "m.json", tmp_path / "w.json"
+        mpath.write_text(json.dumps({"d": 6, "b": 0.9}))
+        wpath.write_text(json.dumps({"z": [1.0] + [0.3] * 5, "s": [-1] + [1] * 5}))
+        code = f"import sys\ntry:\n    {_RUN_CLI}\nfinally:\n    print('numpy' in sys.modules, file=sys.stderr)"
+        out = _python(code, "verify", "--matrix", str(mpath), "--witness", str(wpath))
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["confirmed"] is True
+        assert out.stderr.splitlines()[-1] == "False"
+
     @pytest.mark.parametrize(
         "args",
         [
