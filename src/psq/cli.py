@@ -169,7 +169,7 @@ def certify_cmd(args):
     if spec.kind == "equal_off_diagonal":
         report = membership_equal_offdiag(spec.d, spec.b)
     else:
-        report = certify_general(spec.dense(), n_samples=args.samples, seed=args.seed)
+        report = certify_general(spec.dense(), seed=args.seed)
     _emit(report.to_json_dict(), args.json)
     return {"member_certified": 0, "nonmember": 1}.get(report.verdict, 3)
 
@@ -242,8 +242,7 @@ def _parser():
     p.add_argument("--d", type=int, help="Dimension of the equal-off-diagonal family.")
     p.add_argument("--b", type=float, help="Off-diagonal value, in [0, 1].")
     p.add_argument("--matrix", metavar="PATH", help="JSON matrix spec: {\"d\": ..., \"b\": ...} or {\"d\": ..., \"entries\": [[...], ...]}.")
-    p.add_argument("--samples", type=int, default=200, help="Random probes for general matrices (default %(default)s).")
-    p.add_argument("--seed", type=int, default=0, help="Seed of the random probes (default %(default)s).")
+    p.add_argument("--seed", type=int, default=0, help="Seed of the sampled sign patterns, for d > 10 (default %(default)s).")
     p = command("verify", verify_cmd)
     p.add_argument("--matrix", metavar="PATH", required=True)
     p.add_argument("--witness", metavar="PATH", required=True, help="JSON object with \"z\" and \"s\" arrays.")

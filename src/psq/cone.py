@@ -25,8 +25,8 @@ where S_d is the supremum of Q over the balanced split
 threshold is all_split_threshold(d), below b_d for d >= 4.
 
 General matrices get two sufficient certificates, diagonal dominance
-and a perturbation bound around M_d(b), then a randomized search for
-violating pairs (z, s) that can only ever certify non-membership.
+and a perturbation bound around M_d(b), then a search of two-level
+vectors for violating pairs (z, s) that can only certify non-membership.
 
 numpy is imported inside the functions that work on explicit matrices,
 not at module level, so the M_d(b) route (compute_bd, membership on
@@ -45,10 +45,10 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 from .power_sums import _block_power_sums, _integer, _is_real, _quotient, _real_array, _validated
-from .structured import ALPHA_T, C_STAR, _gamma_root, growth_blocks, sup_q
+from .structured import C_STAR, _gamma_root, growth_blocks, sup_q
 
 if TYPE_CHECKING:
     import numpy as np
@@ -166,10 +166,11 @@ class GeneralReport(NamedTuple):
     """Verdict for an explicit matrix: sufficient certificate or search.
 
     method is "diagonal_dominance" or "perturbation" when that
-    certificate fired, otherwise "sampling"; sampling never certifies
-    membership, so its verdicts are nonmember or inconclusive.  Only
-    "perturbation" sets diagnostics: {"b", "slack", "threshold",
-    "evaluations"}, the last counting dense slack evaluations.
+    certificate fired, otherwise "sampling", the two-level search, whose
+    verdicts are nonmember or inconclusive and whose n_evaluated counts
+    the cubics it screened (0 for a certificate).  Only "perturbation"
+    sets diagnostics: {"b", "slack", "threshold", "evaluations"}, the
+    last counting dense slack evaluations.
     """
 
     d: int
@@ -316,15 +317,9 @@ def psi(matrix, z, s) -> float:
     return _rounded(*_psi(matrix, z, s))
 
 
-def _psi_chunk(diag_term: float, off: np.ndarray, z: np.ndarray, patterns: np.ndarray) -> np.ndarray:
-    u = patterns * z
-    v = patterns * (z * z)
-    return diag_term + ((u @ off) * v).sum(axis=1)
-
-
 def psi_over_patterns(matrix, z, patterns) -> np.ndarray:
     """Psi_M(z, s) in floats for one z and a stack of sign patterns (rows);
-    the sampler's screen, not rounded from the exact value."""
+    a float screen, not rounded from the exact value."""
     import numpy as np
     m = _as_matrix(matrix)
     d = m.shape[0]
@@ -338,7 +333,7 @@ def psi_over_patterns(matrix, z, patterns) -> np.ndarray:
     if not (abs(pats) == 1).all():
         raise ValueError("sign pattern entries must be -1 or +1")
     diag, off = _diag_off(m)
-    return _psi_chunk(float(diag @ zv ** 3), off, zv, pats)
+    return float(diag @ zv ** 3) + (((pats * zv) @ off) * (pats * (zv * zv))).sum(axis=1)
 
 
 def _sign_patterns(d: int) -> np.ndarray:
@@ -427,11 +422,12 @@ def all_split_threshold(d: int) -> float:
        F'(p)(1 + p) - F(p) = (1 - gamma) q(gamma) / (9 gamma (1 + gamma)
        (1 + gamma^2)) with q / gamma^2 = u^2 - 4u - 8, u = gamma + 1/gamma,
        which falls once through 0, at GAMMA_T, as gamma rises on (0, 1).
-       i / (d - i) <= P_T iff i <= ALPHA_T d, so only the splits
-       a = floor(ALPHA_T d) and a + 1, within [1, d // 2], are evaluated.
+       i / (d - i) <= P_T iff i <= ALPHA_T d = (3d - X) / 6, X = d sqrt(3 + 2 sqrt 3), so only
+       the splits k = floor(ALPHA_T d) = (3d - floor(X) - 1) // 6 (X is irrational), floor(X) =
+       isqrt(3d^2 + isqrt(12d^4)), and k + 1, within [1, d // 2], are evaluated.
     """
     d = _integer(d, "d", 1)
-    k = int(ALPHA_T * d)
+    k = (3 * d - math.isqrt(3 * d * d + math.isqrt(12 * d ** 4)) - 1) // 6
     sup = max((sup_q(a, d - a).sup_value for a in (k, k + 1) if 1 <= a <= d // 2), default=0.0)
     return 1.0 / (1.0 + max(0.0, sup))
 
@@ -514,78 +510,84 @@ def membership_equal_offdiag(d: int, b: float) -> MembershipReport:
     return report(verdict="inconclusive")
 
 
-def _probe_vectors(d: int, n_samples: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    import numpy as np
-    yield np.ones(d)
-    for j in range(d):
-        for t in (1e-3, 1e3):
-            z = np.ones(d)
-            z[j] = t
-            yield z
-    for a in range(1, d):
-        for gamma in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
-            z = np.ones(d)
-            z[a:] = gamma
-            yield z
-    for a in range(1, d):
-        x, y = sup_q(a, d - a).witness_pair()
-        yield np.array(x + y)
-    for _ in range(n_samples):
-        yield 10.0 ** rng.uniform(-3.0, 3.0, size=d)
-
-
 def _sampled_patterns(d: int, rng: np.random.Generator) -> np.ndarray:
     import numpy as np
-    # Minus blocks of every length (a = ceil(d/2): balanced, a = d: one-sign), then random.
+    # Minus blocks of every length (a = ceil(d/2): balanced, a = d: one-sign), then random rows; repeats dropped.
     pats = [(-1,) * a + (1,) * (d - a) for a in range(1, d + 1)]
     rand = rng.choice(np.array([-1, 1], dtype=np.int8), size=(_RANDOM_PATTERNS, d))
     rand[:, 0] = -1
-    return np.concatenate([np.array(pats, dtype=np.int8), rand], axis=0)
+    rows = dict.fromkeys(map(bytes, np.concatenate([np.array(pats, dtype=np.int8), rand], axis=0)))
+    return np.frombuffer(b"".join(rows), dtype=np.int8).reshape(-1, d)
 
 
-def sample_membership_general(matrix, n_samples: int = 200, seed: int = 0) -> GeneralReport:
-    """Search for a violating (z, s) pair of an explicit matrix.
+def _two_level(n: np.ndarray, pats: np.ndarray) -> tuple:
+    """Per (pattern, block): (a0, a1, a2, a3), 3 candidates r, and which r > 0 screen negative.
 
-    Probes the ones vector, near-unit spikes, two-level blocks on a gamma
-    grid, each split (a, d - a)'s sup_q maximizer (a minus entries first)
-    and n_samples random log-uniform vectors on [1e-3, 1e3]^d, each in one
-    pass over every canonical sign pattern while there are at most d + 512
-    (d <= 10), else over the d minus blocks and 512 random ones; both sets
-    hold the one-sign pattern.  The float pass only screens: a pair is
-    accepted on the sign of its exact Psi (_psi), and its psi_value is that
-    value correctly rounded.  Stops at the first such pair, which is
-    deterministic for a fixed seed.  A clean pass is only ever inconclusive:
-    sampling cannot certify membership.
+    At u = (r on A, 1 off A), Psi_N(u, s) = a3 r^3 + a2 r^2 + a1 r + a0 sums S = N o s s^T over
+    A x A, A^c x A, A x A^c and A^c x A^c.  Candidates, NaN where absent: the local minimum; min(1,
+    |low| / (2 sum|a_i|)) if the lowest nonzero a_i is negative, max(1, 2 sum|a_i| / |high|) if the
+    highest is, where that term outweighs the rest.  Screened: finite, and the float cubic < 0.
+    """
+    import numpy as np
+    p = pats.astype(float)
+    rows, cols = p * (p @ n.T), p * (p @ n)  # S's row and column sums
+    grow = p * (p @ (np.tril(n) + np.tril(n.T, -1)).T)  # A x A gains as a prefix takes entry j
+    a3 = np.concatenate([grow.cumsum(axis=1)[:, :-1], np.broadcast_to(n.diagonal(), p.shape)], axis=1)
+    a1, a2 = (np.concatenate([x.cumsum(axis=1)[:, :-1], x], axis=1) - a3 for x in (rows, cols))
+    a0 = rows.sum(axis=1, keepdims=True) - a1 - a2 - a3
+    low, high, size = a3, a0, 2.0 * (abs(a0) + abs(a1) + abs(a2) + abs(a3))
+    for lo, hi in ((a2, a1), (a1, a2), (a0, a3)):
+        low, high = np.where(lo != 0.0, lo, low), np.where(hi != 0.0, hi, high)
+    r = np.empty((3, *a0.shape))
+    r[0] = -a1 / (a2 + np.sqrt(a2 * a2 - 3.0 * a3 * a1))  # the local minimum, stable as a3 -> 0
+    r[1] = np.where(low < 0.0, np.minimum(1.0, -low / size), np.nan)
+    r[2] = np.where(high < 0.0, np.maximum(1.0, size / -high), np.nan)
+    neg = [(((a3 * x + a2) * x + a1) * x + a0 < 0.0) & (x > 0.0) & (x < math.inf) for x in r]
+    return (a0, a1, a2, a3), r, np.stack(neg)
+
+
+def sample_membership_general(matrix, seed: int = 0) -> GeneralReport:
+    """Search two-level vectors for a violating (z, s) pair of an explicit matrix.
+
+    With v_l = m_ll^(-1/3) where m_ll > 0, else 1, and N = V M V^2, Psi_M(v o u, s) =
+    Psi_N(u, s), a cubic in r at u = (r on A, 1 off A) (_two_level), for each block A (the
+    d - 1 proper prefixes, then the d singletons) and each pattern s: all canonical ones while
+    2^(d-1) <= d + 512, else the d minus blocks and the distinct ones of 512 random rows drawn
+    from seed (both sets hold the one-sign pattern).  n_evaluated counts the cubics, patterns
+    x (2d - 1).  In pattern, then block order, the first candidate z = v o u whose exact Psi on
+    M (_psi) is negative is the witness, with psi_value that Psi correctly rounded; else the
+    verdict is inconclusive, as the search never certifies membership.
+
+    The earlier fixed probes are covered.  For a constant diagonal, up to scale, the ones
+    vector is r = 1 in any block, a spike 10^(+-3) a singleton at that r and the gamma grid
+    prefixes at r = 1 / gamma; where one is negative, so is (exactly) a candidate of its cubic.
+    The tests check the rest (other diagonals, split maximizers, random probes) on seeded sets.
     """
     import numpy as np
     m = _as_matrix(matrix)
-    d = m.shape[0]
-    n_samples, seed = _integer(n_samples, "n_samples", 0), _integer(seed, "seed", 0)
-    rng = np.random.default_rng(seed)
-
-    diag, off = _diag_off(m)
-    pats = _sign_patterns(d) if 1 << (d - 1) <= d + _RANDOM_PATTERNS else _sampled_patterns(d, rng)
-    signs = pats.astype(float)
-
-    n_evaluated = 0
-    for z in _probe_vectors(d, n_samples, rng):
-        vals = _psi_chunk(float(diag @ z ** 3), off, z, signs)
-        n_evaluated += vals.size
-        for j in np.flatnonzero(vals < 0.0):
-            zt, st = tuple(z.tolist()), tuple(pats[j].tolist())
+    d, seed = m.shape[0], _integer(seed, "seed", 0)
+    pats = _sign_patterns(d) if 1 << (d - 1) <= d + _RANDOM_PATTERNS else _sampled_patterns(d, np.random.default_rng(seed))
+    with np.errstate(all="ignore"):  # overflow and 0/0 only give candidates that are dropped
+        v = np.where(m.diagonal() > 0.0, m.diagonal(), 1.0) ** (-1.0 / 3.0)
+        _, r, hits = _two_level(v[:, None] * m * (v * v), pats)
+    report = partial(GeneralReport, d, method="sampling", n_evaluated=r[0].size, seed=seed)
+    for k, a, i in np.argwhere(hits.transpose(1, 2, 0)):
+        z = v.copy()
+        z[slice(a + 1) if a < d - 1 else a - d + 1] *= r[i, k, a]
+        if (z > 0.0).all() and (z < math.inf).all():
+            zt, st = tuple(z.tolist()), tuple(pats[k].tolist())
             num, den = _psi(m, zt, st)
             if num < 0:
-                witness = PsiWitness(z=zt, s=st, psi_value=_rounded(num, den))
-                return GeneralReport(d, "nonmember", "sampling", n_evaluated, seed, witness)
-    return GeneralReport(d, "inconclusive", "sampling", n_evaluated, seed)
+                return report(verdict="nonmember", witness=PsiWitness(z=zt, s=st, psi_value=_rounded(num, den)))
+    return report(verdict="inconclusive")
 
 
-def certify_general(matrix, n_samples: int = 200, seed: int = 0) -> GeneralReport:
+def certify_general(matrix, seed: int = 0) -> GeneralReport:
     """Three-stage check for an explicit matrix.
 
     Diagonal dominance, then the perturbation certificate (both
-    sufficient, so a hit is member_certified), then the randomized
-    violation search of sample_membership_general (its arguments checked first).
+    sufficient, so a hit is member_certified), then the search of
+    sample_membership_general (its seed checked first).
 
     Perturbation certificate.  Let t = all_split_threshold(d), b >= 0
     and E = M - M_d(b).  Every pattern splits z into blocks with
@@ -606,15 +608,14 @@ def certify_general(matrix, n_samples: int = 200, seed: int = 0) -> GeneralRepor
     above the float error of t and the sums.
     """
     m = _as_matrix(matrix)
-    d = m.shape[0]
-    n_samples, seed = _integer(n_samples, "n_samples", 0), _integer(seed, "seed", 0)
+    d, seed = m.shape[0], _integer(seed, "seed", 0)
     if check_diagonal_dominance(m):
         return GeneralReport(d, "member_certified", "diagonal_dominance", 0)
     b, slack, t, evaluations = _best_perturbation_slack(m)
     if slack > 1e-9 * max(1.0, d * float(abs(m).max())):
         diagnostics = {"b": b, "slack": slack, "threshold": t, "evaluations": evaluations}
         return GeneralReport(d, "member_certified", "perturbation", 0, diagnostics=diagnostics)
-    return sample_membership_general(m, n_samples=n_samples, seed=seed)
+    return sample_membership_general(m, seed=seed)
 
 
 def _best_perturbation_slack(m: np.ndarray) -> Tuple[float, float, float, int]:

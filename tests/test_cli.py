@@ -165,6 +165,7 @@ class TestTables:
         ["bd", "--d", "4", "--tol", "1e-9"],
         ["table1", "--tol", "1e-9"],
         ["certify", "--d", "4", "--b", "0.5", "--tol", "1e-9"],
+        ["certify", "--d", "4", "--b", "0.5", "--samples", "5"],
     ],
 )
 def test_removed_options_are_usage_errors(cli, args):
@@ -173,7 +174,7 @@ def test_removed_options_are_usage_errors(cli, args):
 
 @pytest.mark.parametrize(
     "args",
-    [["witness", "--growth", "100"], ["certify", "--d", "4", "--b", "0.5", "--samp", "5"]],
+    [["witness", "--growth", "100"], ["certify", "--d", "4", "--b", "0.5", "--se", "5"]],
 )
 def test_option_prefixes_are_usage_errors(cli, args):
     _assert_usage_error(cli(args))
@@ -212,7 +213,7 @@ def test_report_json_key_order():
     assert list(mem["witness"]) == ["z", "s", "psi"]
     general_keys = ["d", "verdict", "method", "n_evaluated", "seed", "witness", "diagnostics"]
     m5 = [[1.0 if i == j else 0.95 for j in range(5)] for i in range(5)]
-    sampled = certify_general(m5, n_samples=10).to_json_dict()
+    sampled = certify_general(m5).to_json_dict()
     assert list(sampled) == general_keys and list(sampled["witness"]) == ["z", "s", "psi"]
     m16 = [[1.0 if i == j else 0.3 for j in range(16)] for i in range(16)]
     perturbed = certify_general(m16).to_json_dict()
@@ -297,7 +298,7 @@ def test_certify_rejects_malformed_spec(cli, tmp_path, spec):
     _assert_usage_error(cli(["certify", "--matrix", str(path)]))
 
 
-@pytest.mark.parametrize("flag", [["--samples", "-1"], ["--seed", "-1"]])
+@pytest.mark.parametrize("flag", [["--seed", "-1"], ["--seed", "1.5"]])
 def test_certify_rejects_bad_sampling_args_before_dominance(cli, tmp_path, flag):
     # The identity is diagonally dominant, so the sampler never runs.
     path = tmp_path / "eye.json"

@@ -16,6 +16,8 @@ from psq.cone import (
     _best_perturbation_slack,
     _growth_estimates,
     _sampled_patterns,
+    _sign_patterns,
+    _two_level,
     b3_radical,
     certify_general,
     check_diagonal_dominance,
@@ -29,7 +31,7 @@ from psq.cone import (
     sample_membership_general,
 )
 from psq.power_sums import quotient_q
-from psq.structured import C_STAR, C_T, GAMMA_STAR, P_STAR, _gamma_root, sup_q, witness_vectors
+from psq.structured import ALPHA_T, C_STAR, C_T, GAMMA_STAR, P_STAR, _gamma_root, sup_q, witness_vectors
 
 # Thresholds frozen from an independent run of the structured maximizer.
 FROZEN_BD = {
@@ -281,7 +283,7 @@ class TestDiagonalDominance:
 
     def test_dominant_matrix_has_no_violation(self):
         m = np.array([[5.0, 0.5, 0.5], [0.5, 5.0, 0.5], [0.5, 0.5, 5.0]])
-        rep = sample_membership_general(m, n_samples=100, seed=1)
+        rep = sample_membership_general(m, seed=1)
         assert rep.verdict == "inconclusive"
         assert certify_general(m).verdict == "member_certified"
 
@@ -506,7 +508,7 @@ class TestMembership:
 class TestSampler:
     def test_finds_violation_above_threshold(self):
         m = MatrixSpec.equal_off_diagonal(5, 0.95).dense()
-        rep = sample_membership_general(m, n_samples=100, seed=0)
+        rep = sample_membership_general(m, seed=0)
         assert rep.verdict == "nonmember"
         assert rep.witness.psi_value < 0
         assert psi(m, rep.witness.z, rep.witness.s) == rep.witness.psi_value
@@ -517,60 +519,49 @@ class TestSampler:
         # balanced pattern is not sufficient at d >= 4.
         m = MatrixSpec.equal_off_diagonal(4, 0.95).dense()
         assert membership_equal_offdiag(4, 0.95).verdict == "member_certified"
-        rep = sample_membership_general(m, n_samples=200, seed=0)
+        rep = sample_membership_general(m, seed=0)
         assert rep.verdict == "nonmember"
         assert sum(1 for v in rep.witness.s if v < 0) in (1, 3)
 
     def test_deterministic(self):
         m = MatrixSpec.equal_off_diagonal(6, 0.97).dense()
-        a = sample_membership_general(m, n_samples=50, seed=42)
-        b = sample_membership_general(m, n_samples=50, seed=42)
+        a = sample_membership_general(m, seed=42)
+        b = sample_membership_general(m, seed=42)
         assert a == b
 
     def test_clean_matrix_inconclusive(self):
-        rep = sample_membership_general(np.eye(4), n_samples=50, seed=0)
+        rep = sample_membership_general(np.eye(4), seed=0)
         assert rep.verdict == "inconclusive" and rep.witness is None
         assert rep.n_evaluated > 0
 
     def test_large_d_sampled_patterns(self):
         m = MatrixSpec.equal_off_diagonal(30, 0.99).dense()
-        rep = sample_membership_general(m, n_samples=10, seed=0)
+        rep = sample_membership_general(m, seed=0)
         assert rep.verdict == "nonmember"
 
     def test_sampled_structured_rows_are_distinct(self):
         # From d = 11, where 2^(d-1) first exceeds d + 512, the sampled set
         # starts with the d minus blocks, one of them balanced and the
-        # last the one-sign pattern; each is listed once.
+        # last the one-sign pattern; every row, drawn ones too, is listed once.
         for d in range(11, 41):
-            rows = _sampled_patterns(d, np.random.default_rng(0))[:d]
-            assert len({tuple(r) for r in rows}) == d, d
+            rows = _sampled_patterns(d, np.random.default_rng(0))
+            assert len({tuple(r) for r in rows}) == len(rows), d
             assert tuple(rows[(d + 1) // 2 - 1]) == reduced_sign_pattern(d)
-            assert tuple(rows[-1]) == (-1,) * d
+            assert tuple(rows[d - 1]) == (-1,) * d
+        # The draws are unchanged: dropping repeats keeps each drawn row.
+        drawn = np.random.default_rng(0).choice(np.array([-1, 1], dtype=np.int8), size=(512, 11))
+        drawn[:, 0] = -1
+        assert {tuple(r) for r in drawn} <= {tuple(r) for r in _sampled_patterns(11, np.random.default_rng(0))}
 
     def test_pattern_set_follows_its_count(self):
-        # One pass per probe: every canonical pattern while 2^(d-1) <= d + 512,
-        # else the d minus blocks and 512 random rows.  Probes: ones, 2d
-        # spikes, 9 (d - 1) gamma-grid blocks, d - 1 split maximizers.
-        for d, per_probe in ((10, 2 ** 9), (11, 11 + 512)):
-            rep = sample_membership_general(np.eye(d), n_samples=0)
+        # One cubic per pattern and block: every canonical pattern while
+        # 2^(d-1) <= d + 512, else the d minus blocks and the distinct random
+        # rows; blocks are the d - 1 proper prefixes and the d singletons.
+        for d, patterns in ((10, 2 ** 9), (11, len(_sampled_patterns(11, np.random.default_rng(0))))):
+            rep = sample_membership_general(np.eye(d))
             assert rep.verdict == "inconclusive"
-            assert rep.n_evaluated == (1 + 2 * d + 10 * (d - 1)) * per_probe, d
-
-    def test_rejects_negative_samples(self):
-        with pytest.raises(ValueError):
-            sample_membership_general(np.eye(3), n_samples=-1)
-
-    @pytest.mark.parametrize("n_samples", [2.5, "3", None, True, -1])
-    def test_rejects_non_integer_samples(self, n_samples):
-        # 2.5, "3" and None raised TypeError, and True ran as 1.
-        for func in (sample_membership_general, certify_general):
-            with pytest.raises(ValueError) as err:
-                func(np.eye(3), n_samples=n_samples)
-            assert str(err.value) == f"n_samples must be an integer >= 0, got {n_samples!r}"
-
-    def test_accepts_numpy_integer_samples(self):
-        rep = sample_membership_general(np.eye(3), n_samples=np.int64(2))
-        assert rep == sample_membership_general(np.eye(3), n_samples=2)
+            assert rep.n_evaluated == patterns * (2 * d - 1), d
+        assert patterns < 11 + 512
 
     def test_one_sign_pattern_is_searched(self):
         # Psi = z0^3 + z1^3 - 5 s0 s1 (z0 z1^2 + z1 z0^2) is negative only
@@ -590,12 +581,99 @@ class TestSampler:
             d = int(rng.integers(3, 9))
             m = rng.uniform(-1.0, 1.0, (d, d))
             np.fill_diagonal(m, rng.uniform(0.2, 2.0, d))
-            rep = sample_membership_general(m, n_samples=20, seed=1)
+            rep = sample_membership_general(m, seed=1)
             if rep.verdict == "nonmember":
                 found += 1
                 w = rep.witness
                 assert psi(m, w.z, w.s) == w.psi_value == float(_exact_psi(m, w.z, w.s)) < 0
         assert found >= 20
+
+    def test_cubic_is_psi_along_the_block(self):
+        # a3 r^3 + a2 r^2 + a1 r + a0 is Psi at z = (r on A, 1 off A) for the
+        # d - 1 proper prefixes A, then the d singletons.
+        rng = np.random.default_rng(2901)
+        for _ in range(60):
+            d = int(rng.integers(1, 10))
+            m = rng.uniform(-1.0, 1.0, (d, d)) * 10.0 ** rng.uniform(-2.0, 2.0, (d, d))
+            pats = _sign_patterns(d)
+            with np.errstate(all="ignore"):
+                (a0, a1, a2, a3), r, _ = _two_level(m, pats)
+            assert a0.shape == r[0].shape == (len(pats), 2 * d - 1)
+            blocks = [np.arange(d) <= a for a in range(d - 1)] + [np.arange(d) == j for j in range(d)]
+            for _ in range(5):
+                k, a, x = int(rng.integers(len(pats))), int(rng.integers(2 * d - 1)), 10.0 ** rng.uniform(-3, 3)
+                want = psi_over_patterns(m, np.where(blocks[a], x, 1.0), pats[k : k + 1])[0]
+                got = ((a3[k, a] * x + a2[k, a]) * x + a1[k, a]) * x + a0[k, a]
+                assert abs(got - want) <= 1e-12 * abs(m).sum() * max(1.0, x) ** 3, (d, k, a, x)
+
+    def test_refutes_all_that_the_fixed_probes_refuted(self):
+        # The probe families of the earlier sampler (ones, spikes, gamma grid,
+        # split maximizers, here 50 random probes) over the same patterns,
+        # confirmed exactly: every matrix they refute, the two-level search refutes.
+        rng = np.random.default_rng(2902)
+        cases = []
+        for _ in range(40):
+            d = int(rng.integers(2, 13))
+            m = rng.uniform(-0.3, 1.0) + rng.normal(0.0, rng.uniform(0.0, 0.2), (d, d))
+            np.fill_diagonal(m, 1.0)
+            w = 10.0 ** rng.uniform(-1.0, 1.0, d)
+            zeroed = m.copy()
+            zeroed[np.diag_indices(d)] = np.where(rng.uniform(size=d) < 0.3, 0.0, 1.0)
+            mixed = rng.uniform(-1.0, 1.0, (d, d))
+            np.fill_diagonal(mixed, rng.uniform(-0.2, 2.0, d))
+            cases += [m, w[:, None] * m * (w * w), zeroed, mixed]
+        refuted = 0
+        for m in cases:
+            if _fixed_probes_refute(m):
+                refuted += 1
+                rep = sample_membership_general(m)
+                assert rep.verdict == "nonmember", m.tolist()
+                assert _exact_psi(m.tolist(), rep.witness.z, rep.witness.s) < 0
+        assert refuted >= 60
+
+    def test_scaled_permuted_threshold_matrices_are_refuted(self):
+        # P W M_d(t_d (1 + 1e-6)) W^2 P^T is a nonmember like M_d itself;
+        # the diagonal normalization makes the scaling invisible to the search.
+        rng = np.random.default_rng(2903)
+        for d in range(4, 25):
+            w, p = 10.0 ** rng.uniform(-1.5, 1.5, d), rng.permutation(d)
+            m = MatrixSpec.equal_off_diagonal(d, all_split_threshold(d) * (1 + 1e-6)).dense()
+            m = (w[:, None] * m * (w * w))[np.ix_(p, p)]
+            rep = certify_general(m)
+            assert rep.verdict == "nonmember" and rep.method == "sampling", d
+            assert _exact_psi(m.tolist(), rep.witness.z, rep.witness.s) < 0, d
+
+    def test_entries_spanning_float_range(self):
+        # Normalizing by m_ll^(-1/3) overflows or underflows here; such
+        # candidates are dropped, and any witness is still exactly negative.
+        rng = np.random.default_rng(2904)
+        for _ in range(40):
+            d = int(rng.integers(2, 6))
+            m = rng.choice([-1.0, 1.0], (d, d)) * 10.0 ** rng.uniform(-300.0, 300.0, (d, d))
+            np.fill_diagonal(m, np.where(rng.uniform(size=d) < 0.2, 0.0, 10.0 ** rng.uniform(-300.0, 300.0, d)))
+            for rep in (sample_membership_general(m), certify_general(m)):
+                assert rep.verdict in ("nonmember", "inconclusive", "member_certified")
+                if rep.verdict == "nonmember":
+                    assert _exact_psi(m.tolist(), rep.witness.z, rep.witness.s) < 0
+
+
+def _fixed_probes_refute(m, seed=0):
+    """Reference: the earlier sampler's probe vectors over its pattern set, 50 random probes, exact check."""
+    d = m.shape[0]
+    rng = np.random.default_rng(seed)
+    pats = _sign_patterns(d) if 1 << (d - 1) <= d + 512 else _sampled_patterns(d, rng)
+    probes = [np.ones(d)]
+    for j, t in itertools.product(range(d), (1e-3, 1e3)):
+        probes.append(np.where(np.arange(d) == j, t, 1.0))
+    for a, gamma in itertools.product(range(1, d), (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)):
+        probes.append(np.where(np.arange(d) < a, 1.0, gamma))
+    probes += [np.array(sum(sup_q(a, d - a).witness_pair(), [])) for a in range(1, d)]
+    probes += [10.0 ** rng.uniform(-3.0, 3.0, size=d) for _ in range(50)]
+    for z in probes:
+        for j in np.flatnonzero(psi_over_patterns(m, z, pats) < 0.0):
+            if _exact_psi(m.tolist(), z.tolist(), pats[j].tolist()) < 0:
+                return True
+    return False
 
 
 class TestCertifyGeneral:
@@ -607,13 +685,13 @@ class TestCertifyGeneral:
     def test_sampling_args_checked_before_any_certificate(self):
         # Diagonal dominance fires first on the identity; bad sampler
         # arguments must fail there too, not only when the sampler runs.
-        for kwargs in ({"n_samples": -1}, {"seed": -1}, {"seed": 1.5}, {"seed": True}):
+        for kwargs in ({"seed": -1}, {"seed": 1.5}, {"seed": True}):
             with pytest.raises(ValueError):
                 certify_general(np.eye(3), **kwargs)
 
     def test_falls_back_to_sampling(self):
         m = MatrixSpec.equal_off_diagonal(4, 0.99).dense()
-        rep = certify_general(m, n_samples=50, seed=0)
+        rep = certify_general(m, seed=0)
         assert rep.method == "sampling" and rep.verdict == "nonmember"
         json.dumps(rep.to_json_dict())
 
@@ -727,6 +805,31 @@ class TestAllSplitThreshold:
         for d in (10**4, 10**6):
             assert 1.0 - 1e-5 < (1.0 / all_split_threshold(d) - 1.0) / (C_T * d) < 1.0
 
+    def test_takes_the_exact_split(self):
+        # floor(ALPHA_T d) in floats is one off for about 1.5 % of d in [2^40, 2^50).
+        # The exact k is the largest with A = 3d - 6k >= 0, R = A^2 - 3d^2 >= 0, 12 d^4 <= R^2.
+        def exact_k(d):
+            below = lambda k: (a := 3 * d - 6 * k) >= 0 and (r := a * a - 3 * d * d) >= 0 and 12 * d**4 <= r * r
+            k = int(ALPHA_T * d)
+            while not below(k):
+                k -= 1
+            while below(k + 1):
+                k += 1
+            return k
+
+        rng = np.random.default_rng(2905)
+        ds = [d for d in map(int, rng.integers(2**40, 2**50, 3000)) if int(ALPHA_T * d) != exact_k(d)]
+        assert len(ds) >= 20
+        threshold = lambda d, splits: 1.0 / (1.0 + max(0.0, max(sup_q(a, d - a).sup_value for a in splits)))
+        for d in ds:
+            k, t = exact_k(d), all_split_threshold(d)
+            assert t == threshold(d, (k, k + 1)), d
+            # The true sups of splits k - 1..k + 2 agree to about 1/d^2 relative,
+            # so the floats differ by sup_q's own rounding, a few ulps at most.
+            assert abs(t - threshold(d, range(k - 1, k + 3))) <= 2 * math.ulp(t), d
+        # Here the float split (k + 1, k + 2) gave 8.086551625829861e-14.
+        assert all_split_threshold(239809324699904) == 8.086551625829858e-14
+
 
 class TestPerturbationCertificate:
     def test_all_split_threshold_against_bd(self):
@@ -754,15 +857,15 @@ class TestPerturbationCertificate:
         assert json.loads(json.dumps(rep.to_json_dict()))["diagnostics"] == diag
 
     def test_threshold_is_tight(self):
-        # Above t_d the sampler refutes M_d(b), at the latest at a split maximizer probe.
+        # Above t_d the two-level search refutes M_d(b): the split's full block is a prefix.
         for d in [*range(3, 25), 32, 48, 64]:
             t = all_split_threshold(d)
             above = MatrixSpec.equal_off_diagonal(d, t * (1 + 1e-6)).dense()
-            rep = certify_general(above, n_samples=0)
+            rep = certify_general(above)
             assert rep.verdict == "nonmember", d
             assert _exact_psi(above.tolist(), rep.witness.z, rep.witness.s) < 0, d
             below = MatrixSpec.equal_off_diagonal(d, t * (1 - 1e-6)).dense()
-            assert certify_general(below, n_samples=0).method == "perturbation", d
+            assert certify_general(below).method == "perturbation", d
 
     def test_slack_maximized_where_rows_cross(self):
         # Entries 0.3 in row and column 0, else 0: slack_0(b) = 0.4 + 2b
@@ -770,7 +873,7 @@ class TestPerturbationCertificate:
         # the best b is their crossing 0.15, not a breakpoint (0 or 0.3).
         m = MatrixSpec.equal_off_diagonal(3, 0.0).dense()
         m[0, 1:] = m[1:, 0] = 0.3
-        rep = certify_general(m, n_samples=0)
+        rep = certify_general(m)
         assert rep.method == "perturbation"
         t = all_split_threshold(3)
         assert rep.diagnostics["b"] == pytest.approx(0.15, abs=1e-15)
@@ -829,7 +932,7 @@ class TestPerturbationCertificate:
         m = MatrixSpec.equal_off_diagonal(d, b).dense() + rng.normal(0.0, noise, (d, d))
         m[1:, 0] += bump_col
         m[0, 1:] += bump_row
-        if certify_general(m, n_samples=0).verdict != "member_certified":
+        if certify_general(m).verdict != "member_certified":
             return
         entries = m.tolist()
         for _ in range(3):

@@ -698,9 +698,7 @@ _INTEGER_ARGS = [
     ("d", 7, growth_lower_bound),
     ("d", 7, all_split_threshold),
     ("d", 7, compute_bd),
-    ("n_samples", 3, lambda v: sample_membership_general(np.eye(3), n_samples=v)),
-    ("seed", 3, lambda v: sample_membership_general(np.eye(3), n_samples=1, seed=v)),
-    ("n_samples", 3, lambda v: certify_general(np.eye(3), n_samples=v)),
+    ("seed", 3, lambda v: sample_membership_general(np.eye(3), seed=v)),
     ("seed", 3, lambda v: certify_general(np.eye(3), seed=v)),
     ("n_x", 3, lambda v: brute_force_sup(v, 2, n_starts=4)),
     ("n_y", 3, lambda v: brute_force_sup(2, v, n_starts=4)),
