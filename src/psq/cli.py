@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .cone import MatrixSpec, _psi, certify_general, compute_bd, membership_equal_offdiag
 from .power_sums import _block_power_sums, _quotient, quotient_q
-from .structured import growth_blocks, positivity_witness, sup_q, witness_vectors
+from .structured import _expand, growth_blocks, positivity_witness, sup_q
 from .tables import DEFAULT_TABLE2_DIMS, table1_rows, table2_rows
 
 __all__ = ["main"]
@@ -128,6 +128,8 @@ def table2_cmd(args):
         dims = [int(p) for p in args.dims.split(",") if p.strip()]
     except ValueError:
         raise ValueError(f"cannot parse --dims {args.dims!r}") from None
+    if not dims:
+        raise ValueError(f"--dims names no dimension: {args.dims!r}")
     rows = table2_rows(dims)
     _write_json([r.to_json_dict() for r in rows], args.json)
     print(f"{'d':>4} {'lower':>8} {'upper':>8} {'asym':>8}")
@@ -152,8 +154,8 @@ def certify_cmd(args):
     on the nonmember side; b within a fixed 1e-8 of b_d is
     inconclusive.  General matrices get the sufficient
     diagonal-dominance and perturbation certificates (the latter with b
-    and the slack under "diagnostics"), then a randomized violation
-    search that can only certify non-membership.
+    and the slack under "diagnostics"), then a search of two-level
+    vectors, which can only certify non-membership.
 
     Exit code: 0 member, 1 nonmember, 3 inconclusive.
     """
@@ -166,10 +168,10 @@ def certify_cmd(args):
         spec = MatrixSpec.equal_off_diagonal(args.d, args.b)
     else:
         spec = MatrixSpec.from_json_dict(_load_json_file(args.matrix, "matrix"))
-    if spec.kind == "equal_off_diagonal":
+    if isinstance(spec, MatrixSpec):
         report = membership_equal_offdiag(spec.d, spec.b)
     else:
-        report = certify_general(spec.dense(), seed=args.seed)
+        report = certify_general(spec)
     _emit(report.to_json_dict(), args.json)
     return {"member_certified": 0, "nonmember": 1}.get(report.verdict, 3)
 
@@ -203,6 +205,8 @@ def witness_cmd(args):
     if pair_mode:
         if args.nx is None or args.ny is None:
             raise ValueError("--nx and --ny must be given together")
+        if args.extra:
+            raise ValueError("--extra goes with --growth-n, not with --nx and --ny")
         w = positivity_witness(args.nx, args.ny)
         if w is None:
             _emit({"exists": False, "n_x": args.nx, "n_y": args.ny}, args.json)
@@ -210,8 +214,9 @@ def witness_cmd(args):
         x, y, q = w
         doc = {"exists": True, "x": list(x), "y": list(y), "q": q}
     else:
-        x, y = witness_vectors(args.growth_n, extra_component=args.extra)
-        q = _quotient(*map(_block_power_sums, growth_blocks(args.growth_n, extra_component=args.extra))).value
+        blocks = growth_blocks(args.growth_n, extra_component=args.extra)
+        x, y = _expand(*blocks)
+        q = _quotient(*map(_block_power_sums, blocks)).value
         doc = {"x": x, "y": y, "q": q, "n": args.growth_n, "extra": args.extra}
     _emit(doc, args.json)
     return 0
@@ -242,7 +247,6 @@ def _parser():
     p.add_argument("--d", type=int, help="Dimension of the equal-off-diagonal family.")
     p.add_argument("--b", type=float, help="Off-diagonal value, in [0, 1].")
     p.add_argument("--matrix", metavar="PATH", help="JSON matrix spec: {\"d\": ..., \"b\": ...} or {\"d\": ..., \"entries\": [[...], ...]}.")
-    p.add_argument("--seed", type=int, default=0, help="Seed of the sampled sign patterns, for d > 10 (default %(default)s).")
     p = command("verify", verify_cmd)
     p.add_argument("--matrix", metavar="PATH", required=True)
     p.add_argument("--witness", metavar="PATH", required=True, help="JSON object with \"z\" and \"s\" arrays.")

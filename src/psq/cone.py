@@ -74,11 +74,10 @@ __all__ = [
 ]
 
 class MatrixSpec(NamedTuple):
-    """Coefficient matrix, either the M_d(b) family or explicit entries."""
+    """The coefficient matrix M_d(b): unit diagonal, every off-diagonal entry b."""
 
     d: int
-    b: Optional[float] = None
-    entries: Optional[Tuple[Tuple[float, ...], ...]] = None
+    b: float
 
     @classmethod
     def equal_off_diagonal(cls, d: int, b: float) -> "MatrixSpec":
@@ -87,46 +86,34 @@ class MatrixSpec(NamedTuple):
             raise ValueError(f"b must lie in [0, 1], got {b!r}")
         return cls(d=d, b=float(b))
 
-    @classmethod
-    def general(cls, entries) -> "MatrixSpec":
-        arr = _as_matrix(entries)
-        if arr.shape[0] < 2:
-            raise ValueError("matrix must be at least 2 x 2")
-        rows = tuple(tuple(float(v) for v in row) for row in arr)
-        return cls(d=arr.shape[0], entries=rows)
-
-    @property
-    def kind(self) -> str:
-        return "general" if self.entries is not None else "equal_off_diagonal"
-
     def dense(self) -> np.ndarray:
         import numpy as np
-        if self.entries is not None:
-            return np.array(self.entries, dtype=float)
         m = np.full((self.d, self.d), self.b, dtype=float)
         np.fill_diagonal(m, 1.0)
         return m
 
     def to_json_dict(self) -> dict:
-        if self.entries is not None:
-            return {"d": self.d, "entries": [list(row) for row in self.entries]}
         return {"d": self.d, "b": self.b}
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "MatrixSpec":
+    @staticmethod
+    def from_json_dict(obj: dict) -> MatrixSpec | np.ndarray:
+        """A matrix file's object: {"d", "b"} gives a MatrixSpec, without numpy;
+        {"entries"} gives _as_matrix's float array, checked against a declared d."""
         if not isinstance(obj, dict):
             raise ValueError("matrix spec must be a JSON object")
         if "entries" in obj:
-            spec = cls.general(obj["entries"])
-            if "d" in obj and _integer(obj["d"], "d", 2) != spec.d:
+            m = _as_matrix(obj["entries"])
+            if m.shape[0] < 2:
+                raise ValueError("matrix must be at least 2 x 2")
+            if "d" in obj and _integer(obj["d"], "d", 2) != m.shape[0]:
                 raise ValueError(
-                    f"declared d={obj['d']} does not match entries of size {spec.d}"
+                    f"declared d={obj['d']} does not match entries of size {m.shape[0]}"
                 )
-            return spec
+            return m
         if "b" in obj:
             if "d" not in obj:
                 raise ValueError("equal-off-diagonal spec needs both 'd' and 'b'")
-            return cls.equal_off_diagonal(obj["d"], obj["b"])
+            return MatrixSpec.equal_off_diagonal(obj["d"], obj["b"])
         raise ValueError("matrix spec needs either 'entries' or ('d', 'b')")
 
 
@@ -177,7 +164,6 @@ class GeneralReport(NamedTuple):
     verdict: str
     method: str
     n_evaluated: int
-    seed: Optional[int] = None
     witness: Optional[PsiWitness] = None
     diagnostics: Optional[dict] = None
 
@@ -290,7 +276,7 @@ def _psi(matrix, z, s) -> Tuple[int, int]:
     for _offdiag_psi, in O(d) without numpy.  Any other matrix: Psi =
     u^T M v with u = s z and v = s z^2, as u_l v_l = z_l^3; over the
     _integer_ratios numerators of z and M that sum is an integer."""
-    if isinstance(matrix, MatrixSpec) and matrix.entries is None:
+    if isinstance(matrix, MatrixSpec):
         zs, ss = _positive_z(z, matrix.d), _signs(s, matrix.d)
         return _offdiag_psi([(v, c, sg) for (v, sg), c in Counter(zip(zs, ss)).items()], matrix.b)
     m = _as_matrix(matrix)
@@ -510,11 +496,11 @@ def membership_equal_offdiag(d: int, b: float) -> MembershipReport:
     return report(verdict="inconclusive")
 
 
-def _sampled_patterns(d: int, rng: np.random.Generator) -> np.ndarray:
+def _sampled_patterns(d: int) -> np.ndarray:
     import numpy as np
     # Minus blocks of every length (a = ceil(d/2): balanced, a = d: one-sign), then random rows; repeats dropped.
     pats = [(-1,) * a + (1,) * (d - a) for a in range(1, d + 1)]
-    rand = rng.choice(np.array([-1, 1], dtype=np.int8), size=(_RANDOM_PATTERNS, d))
+    rand = np.random.default_rng(0).choice(np.array([-1, 1], dtype=np.int8), size=(_RANDOM_PATTERNS, d))
     rand[:, 0] = -1
     rows = dict.fromkeys(map(bytes, np.concatenate([np.array(pats, dtype=np.int8), rand], axis=0)))
     return np.frombuffer(b"".join(rows), dtype=np.int8).reshape(-1, d)
@@ -546,17 +532,17 @@ def _two_level(n: np.ndarray, pats: np.ndarray) -> tuple:
     return (a0, a1, a2, a3), r, np.stack(neg)
 
 
-def sample_membership_general(matrix, seed: int = 0) -> GeneralReport:
+def sample_membership_general(matrix) -> GeneralReport:
     """Search two-level vectors for a violating (z, s) pair of an explicit matrix.
 
     With v_l = m_ll^(-1/3) where m_ll > 0, else 1, and N = V M V^2, Psi_M(v o u, s) =
     Psi_N(u, s), a cubic in r at u = (r on A, 1 off A) (_two_level), for each block A (the
     d - 1 proper prefixes, then the d singletons) and each pattern s: all canonical ones while
     2^(d-1) <= d + 512, else the d minus blocks and the distinct ones of 512 random rows drawn
-    from seed (both sets hold the one-sign pattern).  n_evaluated counts the cubics, patterns
-    x (2d - 1).  In pattern, then block order, the first candidate z = v o u whose exact Psi on
-    M (_psi) is negative is the witness, with psi_value that Psi correctly rounded; else the
-    verdict is inconclusive, as the search never certifies membership.
+    from default_rng(0) (both sets hold the one-sign pattern).  n_evaluated counts the cubics,
+    patterns x (2d - 1).  In pattern, then block order, the first candidate z = v o u whose exact
+    Psi on M (_psi) is negative is the witness, with psi_value that Psi correctly rounded; else
+    the verdict is inconclusive, as the search never certifies membership.
 
     The earlier fixed probes are covered.  For a constant diagonal, up to scale, the ones
     vector is r = 1 in any block, a spike 10^(+-3) a singleton at that r and the gamma grid
@@ -565,12 +551,12 @@ def sample_membership_general(matrix, seed: int = 0) -> GeneralReport:
     """
     import numpy as np
     m = _as_matrix(matrix)
-    d, seed = m.shape[0], _integer(seed, "seed", 0)
-    pats = _sign_patterns(d) if 1 << (d - 1) <= d + _RANDOM_PATTERNS else _sampled_patterns(d, np.random.default_rng(seed))
+    d = m.shape[0]
+    pats = _sign_patterns(d) if 1 << (d - 1) <= d + _RANDOM_PATTERNS else _sampled_patterns(d)
     with np.errstate(all="ignore"):  # overflow and 0/0 only give candidates that are dropped
         v = np.where(m.diagonal() > 0.0, m.diagonal(), 1.0) ** (-1.0 / 3.0)
         _, r, hits = _two_level(v[:, None] * m * (v * v), pats)
-    report = partial(GeneralReport, d, method="sampling", n_evaluated=r[0].size, seed=seed)
+    report = partial(GeneralReport, d, method="sampling", n_evaluated=r[0].size)
     for k, a, i in np.argwhere(hits.transpose(1, 2, 0)):
         z = v.copy()
         z[slice(a + 1) if a < d - 1 else a - d + 1] *= r[i, k, a]
@@ -582,12 +568,12 @@ def sample_membership_general(matrix, seed: int = 0) -> GeneralReport:
     return report(verdict="inconclusive")
 
 
-def certify_general(matrix, seed: int = 0) -> GeneralReport:
+def certify_general(matrix) -> GeneralReport:
     """Three-stage check for an explicit matrix.
 
     Diagonal dominance, then the perturbation certificate (both
     sufficient, so a hit is member_certified), then the search of
-    sample_membership_general (its seed checked first).
+    sample_membership_general.
 
     Perturbation certificate.  Let t = all_split_threshold(d), b >= 0
     and E = M - M_d(b).  Every pattern splits z into blocks with
@@ -608,14 +594,14 @@ def certify_general(matrix, seed: int = 0) -> GeneralReport:
     above the float error of t and the sums.
     """
     m = _as_matrix(matrix)
-    d, seed = m.shape[0], _integer(seed, "seed", 0)
+    d = m.shape[0]
     if check_diagonal_dominance(m):
         return GeneralReport(d, "member_certified", "diagonal_dominance", 0)
     b, slack, t, evaluations = _best_perturbation_slack(m)
     if slack > 1e-9 * max(1.0, d * float(abs(m).max())):
         diagnostics = {"b": b, "slack": slack, "threshold": t, "evaluations": evaluations}
         return GeneralReport(d, "member_certified", "perturbation", 0, diagnostics=diagnostics)
-    return sample_membership_general(m, seed=seed)
+    return sample_membership_general(m)
 
 
 def _best_perturbation_slack(m: np.ndarray) -> Tuple[float, float, float, int]:

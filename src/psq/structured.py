@@ -246,6 +246,11 @@ def sup_q(n_x: int, n_y: int) -> SupQResult:
     return _sup_q(_integer(n_x, "n_x", 1), _integer(n_y, "n_y", 1))  # checked first: 2.0 and True hash like 2 and 1
 
 
+def _floor_p_star(m: int) -> int:
+    """floor(p* m), exactly in integers (sup_q's fact 3 proves it)."""
+    return (16 * m - math.isqrt(175 * m * m) - 1) // 27
+
+
 @functools.lru_cache(maxsize=_SUP_Q_SHAPES)
 def _sup_q(n_x: int, n_y: int) -> SupQResult:
     best: Optional[StructuredConfig] = None
@@ -253,7 +258,7 @@ def _sup_q(n_x: int, n_y: int) -> SupQResult:
         for side, (block_len, m) in (("x_is_block", (n_x, n_y)), ("y_is_block", (n_y, n_x))):
             if side == "y_is_block" and n_x == n_y:
                 break  # the same candidates as x_is_block, which wins ties
-            k = (16 * m - math.isqrt(175 * m * m) - 1) // 27  # floor(p* m), exactly
+            k = _floor_p_star(m)
             for i in sorted({min(max(k, 1), block_len), min(k + 1, block_len)}):
                 if i >= m:
                     continue
@@ -288,8 +293,8 @@ def growth_blocks(n: int, extra_component: bool = False):
     Returns the blocks ((value, count), ...) of x and y.
     """
     n = _integer(n, "n", 1)
-    try:  # i = floor(p* n), exactly (sup_q)
-        i, inv = (16 * n - math.isqrt(175 * n * n) - 1) // 27, 1.0 / n
+    try:
+        i, inv = _floor_p_star(n), 1.0 / n
     except OverflowError:
         raise ValueError(f"n is too large for float64, got {n!r}") from None
     return ((1.0, i), (inv, n - i + bool(extra_component))), ((GAMMA_STAR, n),)

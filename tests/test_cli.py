@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -156,6 +157,13 @@ class TestTables:
         assert cli(["table2", "--dims", "9"]).code == 2
         assert cli(["table2", "--dims", "x"]).code == 2
 
+    @pytest.mark.parametrize("dims", ["", " , "])
+    def test_empty_dims(self, cli, dims):
+        # An empty list printed the header alone and exited 0.
+        out = cli(["table2", "--dims", dims])
+        _assert_usage_error(out)
+        assert out.out == "" and "--dims names no dimension" in out.err
+
 
 @pytest.mark.parametrize(
     "args",
@@ -166,6 +174,7 @@ class TestTables:
         ["table1", "--tol", "1e-9"],
         ["certify", "--d", "4", "--b", "0.5", "--tol", "1e-9"],
         ["certify", "--d", "4", "--b", "0.5", "--samples", "5"],
+        ["certify", "--d", "4", "--b", "0.5", "--seed", "0"],
     ],
 )
 def test_removed_options_are_usage_errors(cli, args):
@@ -174,7 +183,7 @@ def test_removed_options_are_usage_errors(cli, args):
 
 @pytest.mark.parametrize(
     "args",
-    [["witness", "--growth", "100"], ["certify", "--d", "4", "--b", "0.5", "--se", "5"]],
+    [["witness", "--growth", "100"], ["certify", "--d", "4", "--b", "0.5", "--js", os.devnull]],
 )
 def test_option_prefixes_are_usage_errors(cli, args):
     _assert_usage_error(cli(args))
@@ -211,7 +220,7 @@ def test_report_json_key_order():
     mem = membership_equal_offdiag(4, 0.99).to_json_dict()
     assert list(mem) == ["d", "b", "b_d", "verdict", "margin", "witness"]
     assert list(mem["witness"]) == ["z", "s", "psi"]
-    general_keys = ["d", "verdict", "method", "n_evaluated", "seed", "witness", "diagnostics"]
+    general_keys = ["d", "verdict", "method", "n_evaluated", "witness", "diagnostics"]
     m5 = [[1.0 if i == j else 0.95 for j in range(5)] for i in range(5)]
     sampled = certify_general(m5).to_json_dict()
     assert list(sampled) == general_keys and list(sampled["witness"]) == ["z", "s", "psi"]
@@ -296,14 +305,6 @@ def test_certify_rejects_malformed_spec(cli, tmp_path, spec):
     path = tmp_path / "m.json"
     path.write_text(spec)
     _assert_usage_error(cli(["certify", "--matrix", str(path)]))
-
-
-@pytest.mark.parametrize("flag", [["--seed", "-1"], ["--seed", "1.5"]])
-def test_certify_rejects_bad_sampling_args_before_dominance(cli, tmp_path, flag):
-    # The identity is diagonally dominant, so the sampler never runs.
-    path = tmp_path / "eye.json"
-    path.write_text(json.dumps({"entries": [[float(i == j) for j in range(3)] for i in range(3)]}))
-    _assert_usage_error(cli(["certify", "--matrix", str(path), *flag]))
 
 
 _M6_ENTRIES = [[1.0 if i == j else 0.9 for j in range(6)] for i in range(6)]
@@ -423,3 +424,9 @@ class TestWitness:
         assert cli(["witness", "--nx", "3"]).code == 2
         assert cli(["witness", "--nx", "3", "--ny", "3", "--growth-n", "5"]).code == 2
         assert cli(["witness", "--nx", "5", "--ny", "3"]).code == 2
+
+    def test_extra_needs_growth_n(self, cli):
+        # --extra was silently ignored in pair mode, with exit 0.
+        out = cli(["witness", "--nx", "3", "--ny", "2", "--extra"])
+        _assert_usage_error(out)
+        assert out.out == "" and "--extra goes with --growth-n" in out.err

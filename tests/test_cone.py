@@ -77,13 +77,10 @@ class TestMatrixSpec:
                 MatrixSpec.equal_off_diagonal(d, b)
 
     def test_general_validation(self):
-        with pytest.raises(ValueError):
-            MatrixSpec.general([[1.0, 2.0]])
-        with pytest.raises(ValueError):
-            MatrixSpec.general([[1.0]])
-        with pytest.raises(ValueError):
-            MatrixSpec.general([[1.0, float("inf")], [0.0, 1.0]])
         for entries, message in (
+            ([[1.0, 2.0]], "entries must be a square matrix, got shape (1, 2)"),
+            ([[1.0]], "matrix must be at least 2 x 2"),
+            ([[1.0, float("inf")], [0.0, 1.0]], "matrix entries must be finite"),
             ([[True, 0.1], [0.1, True]], "matrix must hold real numbers, got entry True"),
             ([["1", "0.1"], ["0.1", "1"]], "matrix must hold real numbers, got dtype <U3"),
             ([[1.0, None], [0.0, 1.0]], "matrix must hold real numbers, got entry None"),
@@ -91,15 +88,18 @@ class TestMatrixSpec:
             ([[1, 10**400], [0, 1]], "matrix entries must be finite, got an integer beyond float range"),
         ):
             with pytest.raises(ValueError) as err:
-                MatrixSpec.general(entries)
+                MatrixSpec.from_json_dict({"entries": entries})
             assert str(err.value) == message
 
     def test_json_round_trip(self):
+        # An M_d(b) file gives the spec back; an entries file gives the float array.
         a = MatrixSpec.equal_off_diagonal(4, 0.9)
         assert MatrixSpec.from_json_dict(a.to_json_dict()) == a
-        b = MatrixSpec.general([[2.0, 0.1], [0.3, 2.0]])
-        assert MatrixSpec.from_json_dict(b.to_json_dict()) == b
-        assert json.loads(json.dumps(b.to_json_dict())) == b.to_json_dict()
+        assert json.loads(json.dumps(a.to_json_dict())) == a.to_json_dict()
+        entries = [[2, 0.1], [0.3, 2.0]]
+        for doc in ({"entries": entries}, {"d": 2, "entries": entries}):
+            m = MatrixSpec.from_json_dict(doc)
+            assert m.dtype == float and m.tolist() == [[2.0, 0.1], [0.3, 2.0]]
 
     def test_from_json_rejects_garbage(self):
         for bad in ({}, {"d": 3}, {"b": 0.5}, {"d": 3, "entries": [[1.0, 0], [0, 1.0]]}, []):
@@ -213,20 +213,20 @@ class TestPsi:
     @given(
         seed=st.integers(0, 2 ** 32 - 1),
         scale=st.sampled_from((0, 360, -360)),
-        form=st.sampled_from(("ndarray", "list", "spec", "offdiag")),
+        form=st.sampled_from(("ndarray", "list", "offdiag")),
     )
     @settings(max_examples=300, deadline=None)
     def test_is_exact_psi_correctly_rounded(self, seed, scale, form):
         # Psi has degree 3 in z, so z scaled by 2^360 overflows to +-inf and
         # by 2^-360 lands in the subnormals or at a signed zero.
         rng = random.Random(seed)
-        d = rng.randint(1 if form in ("ndarray", "list") else 2, 7)
+        d = rng.randint(1 if form != "offdiag" else 2, 7)
         if form == "offdiag":
             matrix = MatrixSpec.equal_off_diagonal(d, rng.random())
             entries = matrix.dense().tolist()
         else:
             entries = [[rng.uniform(-1.0, 1.0) for _ in range(d)] for _ in range(d)]
-            matrix = {"ndarray": np.array, "list": list, "spec": MatrixSpec.general}[form](entries)
+            matrix = {"ndarray": np.array, "list": list}[form](entries)
         # Few distinct values, so an M_d(b) spec groups z into shared blocks.
         pool = [rng.uniform(0.01, 10.0), rng.randint(1, 9), Fraction(rng.randint(1, 99), rng.randint(1, 99))]
         z = [rng.choice(pool) * Fraction(2) ** scale if scale else rng.choice(pool) for _ in range(d)]
@@ -283,7 +283,7 @@ class TestDiagonalDominance:
 
     def test_dominant_matrix_has_no_violation(self):
         m = np.array([[5.0, 0.5, 0.5], [0.5, 5.0, 0.5], [0.5, 0.5, 5.0]])
-        rep = sample_membership_general(m, seed=1)
+        rep = sample_membership_general(m)
         assert rep.verdict == "inconclusive"
         assert certify_general(m).verdict == "member_certified"
 
@@ -508,7 +508,7 @@ class TestMembership:
 class TestSampler:
     def test_finds_violation_above_threshold(self):
         m = MatrixSpec.equal_off_diagonal(5, 0.95).dense()
-        rep = sample_membership_general(m, seed=0)
+        rep = sample_membership_general(m)
         assert rep.verdict == "nonmember"
         assert rep.witness.psi_value < 0
         assert psi(m, rep.witness.z, rep.witness.s) == rep.witness.psi_value
@@ -519,24 +519,24 @@ class TestSampler:
         # balanced pattern is not sufficient at d >= 4.
         m = MatrixSpec.equal_off_diagonal(4, 0.95).dense()
         assert membership_equal_offdiag(4, 0.95).verdict == "member_certified"
-        rep = sample_membership_general(m, seed=0)
+        rep = sample_membership_general(m)
         assert rep.verdict == "nonmember"
         assert sum(1 for v in rep.witness.s if v < 0) in (1, 3)
 
     def test_deterministic(self):
         m = MatrixSpec.equal_off_diagonal(6, 0.97).dense()
-        a = sample_membership_general(m, seed=42)
-        b = sample_membership_general(m, seed=42)
+        a = sample_membership_general(m)
+        b = sample_membership_general(m)
         assert a == b
 
     def test_clean_matrix_inconclusive(self):
-        rep = sample_membership_general(np.eye(4), seed=0)
+        rep = sample_membership_general(np.eye(4))
         assert rep.verdict == "inconclusive" and rep.witness is None
         assert rep.n_evaluated > 0
 
     def test_large_d_sampled_patterns(self):
         m = MatrixSpec.equal_off_diagonal(30, 0.99).dense()
-        rep = sample_membership_general(m, seed=0)
+        rep = sample_membership_general(m)
         assert rep.verdict == "nonmember"
 
     def test_sampled_structured_rows_are_distinct(self):
@@ -544,20 +544,20 @@ class TestSampler:
         # starts with the d minus blocks, one of them balanced and the
         # last the one-sign pattern; every row, drawn ones too, is listed once.
         for d in range(11, 41):
-            rows = _sampled_patterns(d, np.random.default_rng(0))
+            rows = _sampled_patterns(d)
             assert len({tuple(r) for r in rows}) == len(rows), d
             assert tuple(rows[(d + 1) // 2 - 1]) == reduced_sign_pattern(d)
             assert tuple(rows[d - 1]) == (-1,) * d
         # The draws are unchanged: dropping repeats keeps each drawn row.
         drawn = np.random.default_rng(0).choice(np.array([-1, 1], dtype=np.int8), size=(512, 11))
         drawn[:, 0] = -1
-        assert {tuple(r) for r in drawn} <= {tuple(r) for r in _sampled_patterns(11, np.random.default_rng(0))}
+        assert {tuple(r) for r in drawn} <= {tuple(r) for r in _sampled_patterns(11)}
 
     def test_pattern_set_follows_its_count(self):
         # One cubic per pattern and block: every canonical pattern while
         # 2^(d-1) <= d + 512, else the d minus blocks and the distinct random
         # rows; blocks are the d - 1 proper prefixes and the d singletons.
-        for d, patterns in ((10, 2 ** 9), (11, len(_sampled_patterns(11, np.random.default_rng(0))))):
+        for d, patterns in ((10, 2 ** 9), (11, len(_sampled_patterns(11)))):
             rep = sample_membership_general(np.eye(d))
             assert rep.verdict == "inconclusive"
             assert rep.n_evaluated == patterns * (2 * d - 1), d
@@ -567,7 +567,7 @@ class TestSampler:
         # Psi = z0^3 + z1^3 - 5 s0 s1 (z0 z1^2 + z1 z0^2) is negative only
         # where s0 = s1, that is at the one-sign pattern.
         m = [[1.0, -5.0], [-5.0, 1.0]]
-        rep = sample_membership_general(m, seed=0)
+        rep = sample_membership_general(m)
         assert rep.verdict == "nonmember" and rep.witness.s == (-1, -1)
         assert _exact_psi(m, rep.witness.z, rep.witness.s) < 0
         assert certify_general(m).verdict == "nonmember"
@@ -581,7 +581,7 @@ class TestSampler:
             d = int(rng.integers(3, 9))
             m = rng.uniform(-1.0, 1.0, (d, d))
             np.fill_diagonal(m, rng.uniform(0.2, 2.0, d))
-            rep = sample_membership_general(m, seed=1)
+            rep = sample_membership_general(m)
             if rep.verdict == "nonmember":
                 found += 1
                 w = rep.witness
@@ -661,7 +661,7 @@ def _fixed_probes_refute(m, seed=0):
     """Reference: the earlier sampler's probe vectors over its pattern set, 50 random probes, exact check."""
     d = m.shape[0]
     rng = np.random.default_rng(seed)
-    pats = _sign_patterns(d) if 1 << (d - 1) <= d + 512 else _sampled_patterns(d, rng)
+    pats = _sign_patterns(d) if 1 << (d - 1) <= d + 512 else _sampled_patterns(d)
     probes = [np.ones(d)]
     for j, t in itertools.product(range(d), (1e-3, 1e3)):
         probes.append(np.where(np.arange(d) == j, t, 1.0))
@@ -682,16 +682,9 @@ class TestCertifyGeneral:
         assert rep.verdict == "member_certified"
         assert rep.method == "diagonal_dominance"
 
-    def test_sampling_args_checked_before_any_certificate(self):
-        # Diagonal dominance fires first on the identity; bad sampler
-        # arguments must fail there too, not only when the sampler runs.
-        for kwargs in ({"seed": -1}, {"seed": 1.5}, {"seed": True}):
-            with pytest.raises(ValueError):
-                certify_general(np.eye(3), **kwargs)
-
     def test_falls_back_to_sampling(self):
         m = MatrixSpec.equal_off_diagonal(4, 0.99).dense()
-        rep = certify_general(m, seed=0)
+        rep = certify_general(m)
         assert rep.method == "sampling" and rep.verdict == "nonmember"
         json.dumps(rep.to_json_dict())
 

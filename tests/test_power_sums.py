@@ -15,14 +15,12 @@ from psq import (
     MatrixSpec,
     all_split_threshold,
     brute_force_sup,
-    certify_general,
     compute_bd,
     enumerate_sign_patterns,
     growth_blocks,
     growth_lower_bound,
     membership_equal_offdiag,
     reduced_sign_pattern,
-    sample_membership_general,
     sup_q,
     table2_rows,
 )
@@ -698,8 +696,6 @@ _INTEGER_ARGS = [
     ("d", 7, growth_lower_bound),
     ("d", 7, all_split_threshold),
     ("d", 7, compute_bd),
-    ("seed", 3, lambda v: sample_membership_general(np.eye(3), seed=v)),
-    ("seed", 3, lambda v: certify_general(np.eye(3), seed=v)),
     ("n_x", 3, lambda v: brute_force_sup(v, 2, n_starts=4)),
     ("n_y", 3, lambda v: brute_force_sup(2, v, n_starts=4)),
     ("n_starts", 3, lambda v: brute_force_sup(2, 2, n_starts=v)),
