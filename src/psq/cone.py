@@ -97,24 +97,21 @@ class MatrixSpec(NamedTuple):
 
     @staticmethod
     def from_json_dict(obj: dict) -> MatrixSpec | np.ndarray:
-        """A matrix file's object: {"d", "b"} gives a MatrixSpec, without numpy;
-        {"entries"} gives _as_matrix's float array, checked against a declared d."""
+        """A matrix file's object, in one form only: {"d", "b"} gives a MatrixSpec, without numpy;
+        {"entries"} or {"d", "entries"} gives _as_matrix's float array, checked against d."""
         if not isinstance(obj, dict):
             raise ValueError("matrix spec must be a JSON object")
-        if "entries" in obj:
-            m = _as_matrix(obj["entries"])
-            if m.shape[0] < 2:
-                raise ValueError("matrix must be at least 2 x 2")
-            if "d" in obj and _integer(obj["d"], "d", 2) != m.shape[0]:
-                raise ValueError(
-                    f"declared d={obj['d']} does not match entries of size {m.shape[0]}"
-                )
-            return m
-        if "b" in obj:
-            if "d" not in obj:
-                raise ValueError("equal-off-diagonal spec needs both 'd' and 'b'")
+        if set(obj) == {"d", "b"}:
             return MatrixSpec.equal_off_diagonal(obj["d"], obj["b"])
-        raise ValueError("matrix spec needs either 'entries' or ('d', 'b')")
+        if set(obj) not in ({"entries"}, {"d", "entries"}):
+            keys = sorted(map(str, obj))
+            raise ValueError(f"matrix spec must hold the keys 'd' and 'b', or 'entries' and an optional 'd'; got {keys}")
+        m = _as_matrix(obj["entries"])
+        if m.shape[0] < 2:
+            raise ValueError("matrix must be at least 2 x 2")
+        if "d" in obj and _integer(obj["d"], "d", 2) != m.shape[0]:
+            raise ValueError(f"declared d={obj['d']} does not match entries of size {m.shape[0]}")
+        return m
 
 
 class PsiWitness(NamedTuple):
@@ -256,6 +253,15 @@ def _integer_ratios(xs):
     return [n * (den // q) for n, q in ratios], den
 
 
+def _dyadic_matrix(m: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Python ints N (an object array) and D = 2^k with m = N / D exactly: np.frexp writes every
+    float64, zeros and subnormals too, as a 53-bit integer times 2^e, shifted to 2^min(0, least e)."""
+    import numpy as np
+    f, e = np.frexp(m)
+    lo = min(int(e.min()) - 53, 0)
+    return np.ldexp(f, 53).astype(np.int64).astype(object) << (e - 53 - lo).astype(object), 1 << -lo
+
+
 def _offdiag_psi(blocks, b: float) -> Tuple[int, int]:
     """Exact Psi = num / den, den > 0, of M_d(b) at the (z, s) holding c
     entries v of sign s for each (v, c, s) in blocks.  Psi = (1 - b) M3 +
@@ -271,21 +277,19 @@ def _offdiag_psi(blocks, b: float) -> Tuple[int, int]:
 
 
 def _psi(matrix, z, s) -> Tuple[int, int]:
-    """Psi_M(z, s) = num / den exactly, den > 0; every Psi sign psq reports
-    is num's.  An M_d(b) MatrixSpec groups z by (value, sign) into blocks
-    for _offdiag_psi, in O(d) without numpy.  Any other matrix: Psi =
-    u^T M v with u = s z and v = s z^2, as u_l v_l = z_l^3; over the
-    _integer_ratios numerators of z and M that sum is an integer."""
+    """Psi_M(z, s) = num / den exactly, den > 0; every Psi sign psq reports is num's.  An
+    M_d(b) MatrixSpec groups z by (value, sign) into blocks for _offdiag_psi, in O(d) without
+    numpy.  Any other matrix: Psi = u^T M v with u = s z and v = s z^2, as u_l v_l = z_l^3; over
+    the _integer_ratios numerators of z and _dyadic_matrix's N it is u @ (N @ v) in Python ints."""
     if isinstance(matrix, MatrixSpec):
         zs, ss = _positive_z(z, matrix.d), _signs(s, matrix.d)
         return _offdiag_psi([(v, c, sg) for (v, sg), c in Counter(zip(zs, ss)).items()], matrix.b)
+    import numpy as np
     m = _as_matrix(matrix)
     d = m.shape[0]
-    (zn, zden), (mn, mden) = _integer_ratios(_positive_z(z, d)), _integer_ratios(m.ravel().tolist())
-    s = _signs(s, d)
-    v = [sk * zk * zk for sk, zk in zip(s, zn)]
-    rows = (sum(map(operator.mul, mn[l * d : (l + 1) * d], v)) for l in range(d))
-    return sum(sl * zl * r for sl, zl, r in zip(s, zn, rows)), mden * zden ** 3
+    (zn, zden), s = _integer_ratios(_positive_z(z, d)), np.array(_signs(s, d), dtype=object)
+    (mn, mden), zn = _dyadic_matrix(m), np.array(zn, dtype=object)
+    return int((s * zn) @ (mn @ (s * zn * zn))), mden * zden ** 3
 
 
 def _rounded(num: int, den: int) -> float:
@@ -424,6 +428,7 @@ def _bd_from_sup(d: int):
 
 
 _RANDOM_PATTERNS = 512  # random rows of the sampler's pattern set, next to the d minus blocks
+_SLICE_CUBICS = 1 << 16  # the search screens at most this many cubics (patterns x blocks) at once
 
 
 def _growth_estimates(d: int) -> Tuple[float, float]:
@@ -540,7 +545,8 @@ def sample_membership_general(matrix) -> GeneralReport:
     d - 1 proper prefixes, then the d singletons) and each pattern s: all canonical ones while
     2^(d-1) <= d + 512, else the d minus blocks and the distinct ones of 512 random rows drawn
     from default_rng(0) (both sets hold the one-sign pattern).  n_evaluated counts the cubics,
-    patterns x (2d - 1).  In pattern, then block order, the first candidate z = v o u whose exact
+    patterns x (2d - 1), screened in slices of consecutive patterns of at most _SLICE_CUBICS (one
+    slice for d <= 16).  In pattern, then block order, the first candidate z = v o u whose exact
     Psi on M (_psi) is negative is the witness, with psi_value that Psi correctly rounded; else
     the verdict is inconclusive, as the search never certifies membership.
 
@@ -553,18 +559,21 @@ def sample_membership_general(matrix) -> GeneralReport:
     m = _as_matrix(matrix)
     d = m.shape[0]
     pats = _sign_patterns(d) if 1 << (d - 1) <= d + _RANDOM_PATTERNS else _sampled_patterns(d)
+    report = partial(GeneralReport, d, method="sampling", n_evaluated=len(pats) * (2 * d - 1))
+    step = max(1, _SLICE_CUBICS // (2 * d - 1))
     with np.errstate(all="ignore"):  # overflow and 0/0 only give candidates that are dropped
         v = np.where(m.diagonal() > 0.0, m.diagonal(), 1.0) ** (-1.0 / 3.0)
-        _, r, hits = _two_level(v[:, None] * m * (v * v), pats)
-    report = partial(GeneralReport, d, method="sampling", n_evaluated=r[0].size)
-    for k, a, i in np.argwhere(hits.transpose(1, 2, 0)):
-        z = v.copy()
-        z[slice(a + 1) if a < d - 1 else a - d + 1] *= r[i, k, a]
-        if (z > 0.0).all() and (z < math.inf).all():
-            zt, st = tuple(z.tolist()), tuple(pats[k].tolist())
-            num, den = _psi(m, zt, st)
-            if num < 0:
-                return report(verdict="nonmember", witness=PsiWitness(z=zt, s=st, psi_value=_rounded(num, den)))
+        n = v[:, None] * m * (v * v)
+        for lo in range(0, len(pats), step):
+            _, r, hits = _two_level(n, pats[lo : lo + step])
+            for k, a, i in np.argwhere(hits.transpose(1, 2, 0)):
+                z = v.copy()
+                z[slice(a + 1) if a < d - 1 else a - d + 1] *= r[i, k, a]
+                if (z > 0.0).all() and (z < math.inf).all():
+                    zt, st = tuple(z.tolist()), tuple(pats[lo + k].tolist())
+                    num, den = _psi(m, zt, st)
+                    if num < 0:
+                        return report(verdict="nonmember", witness=PsiWitness(z=zt, s=st, psi_value=_rounded(num, den)))
     return report(verdict="inconclusive")
 
 

@@ -299,12 +299,29 @@ class TestCertify:
         '{"entries": [["1", "0.1"], ["0.1", "1"]]}',
         '{"entries": [[1, null], [0, 1]]}',
         pytest.param('{"entries": [[1, 1' + "0" * 400 + '], [0, 1]]}', id="entry-with-401-digits"),
+        # One schema per file; both were certified from one form, the rest dropped.
+        pytest.param('{"d": 2, "b": 0.9, "entries": [[1, 0], [0, 1]]}', id="both-forms"),
+        pytest.param('{"d": 3, "b": 0.5, "bee": 1}', id="unknown-key"),
     ],
 )
 def test_certify_rejects_malformed_spec(cli, tmp_path, spec):
     path = tmp_path / "m.json"
     path.write_text(spec)
     _assert_usage_error(cli(["certify", "--matrix", str(path)]))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"d": 2, "b": 0.9, "entries": [[1, 0], [0, 1]]}, {"d": 2, "b": 0.5, "bee": 1}],
+    ids=["both-forms", "unknown-key"],
+)
+def test_verify_rejects_mixed_spec(cli, tmp_path, spec):
+    mpath, wpath = tmp_path / "m.json", tmp_path / "w.json"
+    mpath.write_text(json.dumps(spec))
+    wpath.write_text(json.dumps({"z": [1.0, 1.0], "s": [-1, 1]}))
+    out = cli(["verify", "--matrix", str(mpath), "--witness", str(wpath)])
+    _assert_usage_error(out)
+    assert "matrix spec must hold the keys 'd' and 'b'" in out.err
 
 
 _M6_ENTRIES = [[1.0 if i == j else 0.9 for j in range(6)] for i in range(6)]

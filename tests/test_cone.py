@@ -2,19 +2,23 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import psq.cone
 from psq import all_split_threshold
 from psq.cone import (
     MatrixSpec,
     _best_perturbation_slack,
+    _dyadic_matrix,
     _growth_estimates,
+    _psi,
     _sampled_patterns,
     _sign_patterns,
     _two_level,
@@ -105,6 +109,14 @@ class TestMatrixSpec:
         for bad in ({}, {"d": 3}, {"b": 0.5}, {"d": 3, "entries": [[1.0, 0], [0, 1.0]]}, []):
             with pytest.raises(ValueError):
                 MatrixSpec.from_json_dict(bad)
+        # One schema per file: both forms at once, or an unknown key, name the keys.
+        for bad, keys in (
+            ({"d": 2, "b": 0.9, "entries": [[1, 0], [0, 1]]}, "['b', 'd', 'entries']"),
+            ({"d": 3, "b": 0.5, "bee": 1}, "['b', 'bee', 'd']"),
+        ):
+            with pytest.raises(ValueError, match="matrix spec must hold the keys") as err:
+                MatrixSpec.from_json_dict(bad)
+            assert str(err.value).endswith(f"got {keys}")
 
 
 class TestSignPatterns:
@@ -139,6 +151,26 @@ class TestSignPatterns:
         assert reduced_sign_pattern(2) == (-1, 1)
         with pytest.raises(ValueError):
             reduced_sign_pattern(1)
+
+
+_ENTRY = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308)),
+    st.builds(lambda a, k: a * 10.0 ** k, st.floats(-10.0, 10.0), st.integers(-300, 300)),
+)
+_Z = st.one_of(
+    st.floats(1e-3, 1e3),
+    st.integers(1, 10 ** 6),
+    st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(1, 10 ** 6)),
+)
+
+
+@st.composite
+def _matrix_z_s(draw):
+    """A d x d float matrix with entries spanning 10^+-300, a positive z of floats, ints
+    and Fractions, and a sign pattern, d = 1..5."""
+    d = draw(st.integers(1, 5))
+    m = np.array(draw(st.lists(_ENTRY, min_size=d * d, max_size=d * d))).reshape(d, d)
+    return m, draw(st.lists(_Z, min_size=d, max_size=d)), draw(st.lists(st.sampled_from((-1, 1)), min_size=d, max_size=d))
 
 
 class TestPsi:
@@ -237,6 +269,20 @@ class TestPsi:
         except OverflowError:
             want = math.inf if exact > 0 else -math.inf
         assert psi(matrix, z, s).hex() == want.hex()
+
+    @given(case=_matrix_z_s())
+    @example(case=(np.array([[0.0, -0.0], [5e-324, -5e-324]]), [1, Fraction(1, 3)], [-1, 1]))
+    @example(case=(np.array([[1.7e308, -1.7e308], [-5e-324, 1e-300]]), [0.5, 3], [1, 1]))
+    @example(case=(np.array([[2.0 ** 80, 3.0 * 2.0 ** 60], [-(2.0 ** 70), 2.0 ** 54]]), [Fraction(7, 5), 2.5], [-1, 1]))
+    @settings(max_examples=300, deadline=None)
+    def test_dyadic_matrix_and_dense_psi_are_exact(self, case):
+        m, z, s = case
+        n, den = _dyadic_matrix(m)
+        assert den > 0 and den & (den - 1) == 0 and {type(x) for x in n.ravel()} == {int}
+        assert [Fraction(x, den) for x in n.ravel()] == [Fraction(e) for e in m.ravel().tolist()]
+        num, den = _psi(m, z, s)
+        assert type(num) is int and den > 0
+        assert Fraction(num, den) == _exact_psi(m.tolist(), z, s)
 
     @pytest.mark.parametrize("d", range(2, 41))
     def test_spec_matches_dense(self, d):
@@ -528,6 +574,41 @@ class TestSampler:
         a = sample_membership_general(m)
         b = sample_membership_general(m)
         assert a == b
+
+    def test_slices_keep_pattern_then_block_order(self, monkeypatch):
+        # Screening one pattern, or a few, at a time gives the same report as
+        # one slice: the first exact witness in pattern, then block order.  A
+        # unit diagonal and sixteenths off it make every float sum of the
+        # screen exact, so BLAS's summation order, which can depend on a
+        # slice's row count, moves no bit.
+        rng = np.random.default_rng(3101)
+        cases = [MatrixSpec.equal_off_diagonal(d, 31 / 32).dense() for d in (3, 6, 12)]
+        for _ in range(30):
+            d = int(rng.integers(2, 13))
+            m = rng.integers(-10, 17, (d, d)) / 16
+            np.fill_diagonal(m, 1.0)
+            cases.append(m)
+        whole = [sample_membership_general(m) for m in cases]
+        assert {rep.verdict for rep in whole} == {"nonmember", "inconclusive"}
+        for size in (1, 37, 200):
+            monkeypatch.setattr(psq.cone, "_SLICE_CUBICS", size)
+            assert [sample_membership_general(m) for m in cases] == whole, size
+
+    def test_memory_is_bounded(self):
+        # The d = 600 member of the 0.04 + 0.001((3i + 7j) mod 11) family is a
+        # nonmember; screening every cubic at once peaked near 160 MiB.
+        d = 600
+        i, j = np.indices((d, d))
+        m = 0.04 + 0.001 * ((3 * i + 7 * j) % 11)
+        np.fill_diagonal(m, 1.0)
+        tracemalloc.start()
+        try:
+            rep = certify_general(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.verdict == "nonmember" and rep.n_evaluated == len(_sampled_patterns(d)) * (2 * d - 1)
+        assert peak < 100 * 2 ** 20, peak / 2 ** 20
 
     def test_clean_matrix_inconclusive(self):
         rep = sample_membership_general(np.eye(4))
