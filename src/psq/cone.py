@@ -41,14 +41,13 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-import sys
 from collections import Counter
 from fractions import Fraction
 from functools import partial
 from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
-from .power_sums import _block_power_sums, _integer, _is_real, _quotient, _real_array, _validated
-from .structured import C_STAR, _gamma_root, growth_blocks, sup_q
+from .power_sums import _block_power_sums, _integer, _integer_ratios, _is_real, _quotient, _real_array, _validated
+from .structured import C_STAR, _expand, _gamma_root, growth_blocks, sup_q
 
 if TYPE_CHECKING:
     import numpy as np
@@ -172,13 +171,12 @@ class GeneralReport(NamedTuple):
 class BdReport(NamedTuple):
     """The threshold b_d with its companion estimates.
 
-    lower_bound   = growth_lower_bound(d): 1 / (1 + c* floor(d/2)) for
-    even d and for d <= 6, 1 / (1 + c* ceil(d/2)) for odd d >= 7, where
-    the balanced supremum can exceed c* floor(d/2); a lower bound of
-    b_d for every d.
+    lower_bound   = growth_lower_bound(d), a lower bound of b_d for every d.
     witness_upper = 1 / (1 + Q(x, y)) for the near-optimal growth pair
     on the balanced split; present only when that quotient is positive
-    (which needs ceil(d/2) >= 10).
+    (which needs ceil(d/2) >= 10).  Rounded, it is not yet a bound: for
+    d >= 10^18 it can fall one ulp below b_d (d = 10^18 gives
+    3.552025917745213e-17 against b_d = 3.552025917745214e-17).
     asymptotic    = 2 / (c* d);
     exact         = closed-form value, available for d <= 4.
     """
@@ -244,13 +242,6 @@ def _diag_off(m: np.ndarray):
     off = m.copy()
     off.flat[:: m.shape[0] + 1] = 0.0
     return m.diagonal(), off
-
-
-def _integer_ratios(xs):
-    """Integers N_i and one D > 0 with x_i = N_i / D for the ints, floats and Fractions x_i."""
-    ratios = [x.as_integer_ratio() for x in xs]
-    den = math.lcm(*{q for _, q in ratios})
-    return [n * (den // q) for n, q in ratios], den
 
 
 def _dyadic_matrix(m: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -431,41 +422,31 @@ _RANDOM_PATTERNS = 512  # random rows of the sampler's pattern set, next to the 
 _SLICE_CUBICS = 1 << 16  # the search screens at most this many cubics (patterns x blocks) at once
 
 
-def _growth_estimates(d: int) -> Tuple[float, float]:
-    """Q of the near-optimal growth pair on the balanced split, and 2 / (c* d).
-
-    The pair is growth_blocks(ceil(d/2))[0] against growth_blocks(floor(d/2))[1],
-    Q of its blocks in O(1).  ValueError when d is too large for float64.
-    """
-    try:
-        (x, _), (_, y) = map(growth_blocks, _balanced_split(d))
-        return _quotient(_block_power_sums(x), _block_power_sums(y)).value, 2.0 / (C_STAR * d)
-    except (OverflowError, ValueError):  # with d >= 2, only float64 overflows
-        raise ValueError("d is too large: the growth-pair quotient overflows float64") from None
-
-
 def compute_bd(d: int) -> BdReport:
     """Threshold b_d = 1 / (1 + sup Q over the balanced split of d).
 
     Bundles the growth-bound lower estimate, the witness upper bound
     from the near-optimal growth pair (when its quotient is positive),
-    the asymptotic 2 / (c* d) and the closed form for d <= 4.
+    the asymptotic 2 / (c* d) and the closed form for d <= 4.  The pair
+    is growth_blocks(ceil(d/2))[0] against growth_blocks(floor(d/2))[1],
+    Q of its blocks in O(1).  ValueError when d is too large for float64.
     """
     d = _integer(d, "d", 2)
     bd, res = _bd_from_sup(d)
-    qg, asym = _growth_estimates(d)
-    witness_upper = 1.0 / (1.0 + qg) if qg > 0.0 else None
-
-    exact = 1.0 if d == 2 else b3_radical() if d in (3, 4) else None
+    try:
+        (x, _), (_, y) = map(growth_blocks, _balanced_split(d))
+        qg = _quotient(_block_power_sums(x), _block_power_sums(y)).value
+    except (OverflowError, ValueError):  # with d >= 2, only float64 overflows
+        raise ValueError("d is too large: the growth-pair quotient overflows float64") from None
     return BdReport(
         d=d,
         b_d=bd,
         sup_value=max(res.sup_value, 0.0),
         split=(res.n_x, res.n_y),
         lower_bound=growth_lower_bound(d),
-        asymptotic=asym,
-        witness_upper=witness_upper,
-        exact=exact,
+        asymptotic=2.0 / (C_STAR * d),
+        witness_upper=1.0 / (1.0 + qg) if qg > 0.0 else None,
+        exact=1.0 if d == 2 else b3_radical() if d in (3, 4) else None,
     )
 
 
@@ -494,9 +475,7 @@ def membership_equal_offdiag(d: int, b: float) -> MembershipReport:
         num, den = _offdiag_psi([(1.0, i, -1), (gamma, d - i, 1)], spec.b)
         if num >= 0:
             raise RuntimeError(f"b={b!r} exceeds b_{d}={bd!r} but the block witness has Psi >= 0")
-        if d > sys.maxsize:
-            raise ValueError(f"vector length {d} exceeds sys.maxsize")
-        z, s = (1.0,) * i + (gamma,) * (d - i), (-1,) * i + (1,) * (d - i)
+        z, s = map(tuple, _expand(((1.0, i), (gamma, d - i)), ((-1, i), (1, d - i))))
         return report(verdict="nonmember", witness=PsiWitness(z=z, s=s, psi_value=num / den))
     return report(verdict="inconclusive")
 
@@ -548,7 +527,10 @@ def sample_membership_general(matrix) -> GeneralReport:
     patterns x (2d - 1), screened in slices of consecutive patterns of at most _SLICE_CUBICS (one
     slice for d <= 16).  In pattern, then block order, the first candidate z = v o u whose exact
     Psi on M (_psi) is negative is the witness, with psi_value that Psi correctly rounded; else
-    the verdict is inconclusive, as the search never certifies membership.
+    the verdict is inconclusive, as the search never certifies membership.  For d > 16 the float
+    candidates, and so a witness's bits, can differ with the BLAS build: BLAS sums p @ n in an
+    order that depends on the row count.  _psi keeps every verdict exact, and the slicing itself
+    is a fixed function of d.
 
     The earlier fixed probes are covered.  For a constant diagonal, up to scale, the ones
     vector is r = 1 in any block, a spike 10^(+-3) a singleton at that r and the gamma grid

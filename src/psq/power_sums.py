@@ -37,7 +37,7 @@ import numbers
 import sys
 from fractions import Fraction
 from itertools import repeat
-from operator import attrgetter, floordiv, ge, index, le, mul
+from operator import attrgetter, ge, index, le, mul
 from typing import TYPE_CHECKING, NamedTuple, Union
 
 if TYPE_CHECKING:
@@ -212,15 +212,20 @@ def _array_sums(a) -> tuple:
     return tuple(map(math.fsum, parts))
 
 
+def _integer_ratios(xs):
+    """Integers N_i and one D > 0 with x_i = N_i / D for the ints, floats and Fractions x_i."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    den = math.lcm(*{q for _, q in ratios})
+    return [n * (den // q) for n, q in ratios], den
+
+
 def _sums(v, types, name: str) -> PowerSumTriple:
     """M_1, M_2, M_3 of values checked by _validated, with their types."""
     exact = types is not None and all(issubclass(t, (int, Fraction)) for t in types)
     if exact and all(issubclass(t, int) for t in types):
         return PowerSumTriple(sum(v), sum(map(mul, v, v)), sum(map(pow, v, repeat(3))))
     if exact:
-        den = math.lcm(*map(attrgetter("denominator"), v))
-        scale = map(floordiv, repeat(den), map(attrgetter("denominator"), v))
-        n = list(map(mul, map(attrgetter("numerator"), v), scale))
+        n, den = _integer_ratios(v)
         sums = sum(n), sum(map(mul, n, n)), sum(map(pow, n, repeat(3)))
         return PowerSumTriple(*(Fraction(s, den ** p) for p, s in enumerate(sums, 1)))
     try:

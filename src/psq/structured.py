@@ -120,16 +120,19 @@ class SupQResult(NamedTuple):
         return (block, const) if c.side == "x_is_block" else (const, block)
 
     def witness_pair(self, eps: float = 1e-6):
-        """witness_blocks(eps) as lists x, y; ValueError beyond sys.maxsize."""
+        """witness_blocks(eps) as lists x, y; ValueError if they are too long to build (_expand)."""
         return _expand(*self.witness_blocks(eps))
 
 
 def _expand(*vectors):
-    """Each vector's blocks as a list; ValueError first if one exceeds sys.maxsize."""
+    """Each vector's blocks as a list; ValueError if one exceeds sys.maxsize or cannot be allocated."""
     n = max(sum(c for _, c in blocks) for blocks in vectors)
     if n > sys.maxsize:
         raise ValueError(f"vector length {n} exceeds sys.maxsize")
-    return tuple(sum(([v] * c for v, c in blocks), []) for blocks in vectors)
+    try:
+        return tuple(sum(([v] * c for v, c in blocks), []) for blocks in vectors)
+    except MemoryError:
+        raise ValueError(f"vector length {n} is too large to build") from None
 
 
 def reduced_objective(p: float, gamma: float) -> float:
@@ -301,7 +304,7 @@ def growth_blocks(n: int, extra_component: bool = False):
 
 
 def witness_vectors(n: int, extra_component: bool = False):
-    """growth_blocks(n, extra_component) as lists x, y; ValueError beyond sys.maxsize."""
+    """growth_blocks(n, extra_component) as lists x, y; ValueError if they are too long to build (_expand)."""
     return _expand(*growth_blocks(n, extra_component))
 
 

@@ -5,8 +5,8 @@ printed cell is a certified lower bound of the underlying quantity.
 Table 1 covers small dimensions with the exact threshold; table 2
 covers large dimensions, where the threshold lies between the
 linear-growth lower bound 1/(1 + c* floor(d/2)) (ceil(d/2) for odd
-d >= 7, see growth_lower_bound) and a concrete witness
-upper bound, with 2/(c* d) as the asymptotic scale.
+d >= 7, see growth_lower_bound) and a concrete witness upper bound,
+with 2/(c* d) as the asymptotic scale: compute_bd's fields, truncated.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, NamedTuple, Tuple
 
-from .cone import _growth_estimates, compute_bd, growth_lower_bound
+from .cone import compute_bd
 from .power_sums import _integer
 
 __all__ = [
@@ -64,16 +64,10 @@ def table1_rows() -> List[Table1Row]:
 
 
 def _table2_row(d: int) -> Table2Row:
-    n = _integer(d, "d", 20)
-    q, asym = _growth_estimates(n)
-    if q <= 0.0:
-        raise RuntimeError(f"growth-witness quotient is not positive for d={n}")
-    return Table2Row(
-        d=n,
-        lower_bound=truncate3(growth_lower_bound(n)),
-        witness_upper=truncate3(1.0 / (1.0 + q)),
-        asymptotic=truncate3(asym),
-    )
+    r = compute_bd(_integer(d, "d", 20))
+    if r.witness_upper is None:
+        raise RuntimeError(f"growth-witness quotient is not positive for d={r.d}")
+    return Table2Row(r.d, *map(truncate3, (r.lower_bound, r.witness_upper, r.asymptotic)))
 
 
 def table2_rows(dims: Iterable[int] = DEFAULT_TABLE2_DIMS) -> List[Table2Row]:

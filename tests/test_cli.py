@@ -126,6 +126,22 @@ def test_witness_lengths_beyond_maxsize_are_usage_errors(cli, args):
     assert "exceeds sys.maxsize" in out.err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["witness", "--growth-n", str(10**17)],
+        ["witness", "--nx", str(10**17), "--ny", str(10**17)],
+        ["certify", "--d", str(10**17), "--b", "0.9"],
+    ],
+    ids=["growth-n", "nx-ny", "certify"],
+)
+def test_witness_lengths_too_large_to_build_are_usage_errors(cli, args):
+    # Below sys.maxsize, but far beyond what can be allocated.
+    out = cli(args)
+    _assert_usage_error(out)
+    assert "is too large to build" in out.err
+
+
 def test_certify_matrix_with_huge_d(cli, tmp_path):
     path = tmp_path / "m.json"
     path.write_text('{"d": 1' + "0" * 400 + ', "b": 0.0}')

@@ -17,7 +17,6 @@ from psq.cone import (
     MatrixSpec,
     _best_perturbation_slack,
     _dyadic_matrix,
-    _growth_estimates,
     _psi,
     _sampled_patterns,
     _sign_patterns,
@@ -424,11 +423,19 @@ class TestComputeBd:
 
         rng = np.random.default_rng(8)
         large = [int(d) for d in rng.integers(10**4, 2 * 10**6, size=6)]
+
+        def estimates(d):
+            rep = compute_bd(d)
+            return rep.witness_upper, rep.asymptotic
+
+        def from_q(q, asym):
+            return (1.0 / (1.0 + q) if q > 0.0 else None), asym
+
         for d in [*range(2, 3001), *large]:
-            assert _growth_estimates(d) == by_lists(d), d
+            assert estimates(d) == from_q(*by_lists(d)), d
         # Beyond any list size.
         for d in (10**20, 10**100, 10**150):
-            assert _growth_estimates(d) == by_fractions(d), d
+            assert estimates(d) == from_q(*by_fractions(d)), d
 
     @pytest.mark.parametrize("d", [10**20, 10**100, 10**150], ids=["1e20", "1e100", "1e150"])
     def test_compute_bd_beyond_list_sizes(self, d):
@@ -442,8 +449,6 @@ class TestComputeBd:
     def test_huge_d_is_a_value_error(self, d):
         with pytest.raises(ValueError, match="too large"):
             compute_bd(d)
-        with pytest.raises(ValueError, match="too large"):
-            _growth_estimates(d)
 
 
 def _psi_exact_offdiag(b, z, s):
@@ -534,6 +539,11 @@ class TestMembership:
             membership_equal_offdiag(1, 0.5)
         with pytest.raises(ValueError):
             membership_equal_offdiag(4, 1.2)
+
+    def test_witness_too_large_to_build_is_a_value_error(self):
+        # d fits sys.maxsize, but the witness lists cannot be allocated.
+        with pytest.raises(ValueError, match="vector length 100000000000000000 is too large to build"):
+            membership_equal_offdiag(10**17, 0.9)
 
     @pytest.mark.parametrize(
         "func, args, message",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from psq.cone import compute_bd
 from psq.tables import (
     DEFAULT_TABLE2_DIMS,
     table1_rows,
@@ -56,6 +57,13 @@ class TestTable2:
         rows = table2_rows()
         got = [(r.d, r.lower_bound, r.witness_upper, r.asymptotic) for r in rows]
         assert got == TABLE2_CELLS
+
+    def test_rows_are_truncated_bd_fields(self):
+        dims = [int(d) for d in np.random.default_rng(32).integers(20, 10**6, size=200, endpoint=True)]
+        dims += [10**20, 10**100]
+        for d, row in zip(dims, table2_rows(dims)):
+            r = compute_bd(d)
+            assert row == (d, *map(truncate3, (r.lower_bound, r.witness_upper, r.asymptotic))), d
 
     def test_default_dims(self):
         assert DEFAULT_TABLE2_DIMS == (50, 100, 150, 200, 300, 400, 500)
