@@ -23,8 +23,7 @@ its top 26 significand bits and the exact remainder, and np.bincount
 sums each half per binary exponent, where every partial sum is exact;
 math.fsum of those bucket sums is then the correctly rounded total
 (exponent-bucket summation, Demmel and Hida 2004).  Other float input
-goes through math.fsum.  Q of two float vectors subtracts the exact
-parts before rounding (quotient_q).  A float M_3 or Q that overflows, and a
+streams through math.fsum.  A float M_3 or Q that overflows, and a
 float Q whose cubes all underflow to 0, raise ValueError.  All-exact
 input (int or fractions.Fraction) stays exact: int sums for ints,
 otherwise integer sums S_p over the least common denominator L,
@@ -37,8 +36,8 @@ import math
 import numbers
 import sys
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import attrgetter, ge, index, le, mul, neg
+from itertools import repeat
+from operator import attrgetter, ge, index, le, mul
 from typing import TYPE_CHECKING, NamedTuple, Union
 
 if TYPE_CHECKING:
@@ -63,31 +62,6 @@ class PowerSumTriple(NamedTuple):
     m1: Entry
     m2: Entry
     m3: Entry
-
-
-class _FloatSums(PowerSumTriple):
-    """A float PowerSumTriple that keeps, for _quotient, exact float parts:
-    parts[0] and parts[1] sum exactly to the unrounded M_1 and M_2, and
-    errors() returns parts summing exactly to sum(_square_error(e))."""
-
-
-def _float_sums(parts, errors) -> _FloatSums:
-    """The fsum of each of the three iterables of exact parts, keeping them
-    and errors for _quotient."""
-    t = tuple.__new__(_FloatSums, map(math.fsum, parts))
-    t.parts, t.errors = parts, errors
-    return t
-
-
-def _square_error(e):
-    """e**2 - e * e exactly for a positive float, or float64 array, e in
-    [2**-484, 2**996): Dekker's product with Veltkamp's split e = hi + lo,
-    whose parts then do not underflow.  0 below 2**-484, so that e * e plus
-    this error stays nondecreasing in e (q_ordered_nonpositive's sign)."""
-    a = e * _SPLIT
-    hi = a - (a - e)
-    lo = e - hi
-    return (((hi * hi - e * e) + 2.0 * hi * lo) + lo * lo) * (e >= 2.0 ** -484)
 
 
 class QuotientValue(NamedTuple):
@@ -212,24 +186,10 @@ def validate_positive_vector(entries, name: str = "x") -> list:
 # np.bincount's per-exponent sums of a block are exact.
 _BLOCK = 1 << 16
 _HI_MASK = -(1 << 27)
-_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant for float64 (_block_power_sums, _square_error)
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant for float64 (_block_power_sums)
 
 
-def _exact_parts(w, part: list) -> None:
-    """Extend part by floats, each sum exact, adding up to the float64 array w
-    of at most _BLOCK entries: per sign and binary exponent, the sum of the
-    top 26 significand bits and the sum of the rest."""
-    import numpy as np
-    bits = w.view(np.int64)
-    e = bits >> 52
-    e -= e.min()
-    hi = (bits & _HI_MASK).view(np.float64)
-    part += np.bincount(e, weights=hi).tolist()
-    # An infinite w gives inf - inf = NaN here, and a NaN total.
-    part += np.bincount(e, weights=w - hi).tolist()
-
-
-def _array_sums(a) -> _FloatSums:
+def _array_sums(a) -> tuple:
     """math.fsum of a, a * a and (a * a) * a for a 1-D float64 ndarray a.
 
     Raises OverflowError if a total overflows; a non-finite power gives
@@ -242,16 +202,14 @@ def _array_sums(a) -> _FloatSums:
             b = a[start:start + _BLOCK]
             sq = b * b
             for part, w in zip(parts, (b, sq, sq * b)):
-                _exact_parts(w, part)
-    return _float_sums(parts, lambda: _array_square_errors(a))
-
-
-def _array_square_errors(a) -> list:
-    """Exact parts of sum(_square_error(e)) over a 1-D float64 ndarray a."""
-    part = []
-    for start in range(0, a.size, _BLOCK):
-        _exact_parts(_square_error(a[start:start + _BLOCK]), part)
-    return part
+                bits = w.view(np.int64)
+                e = bits >> 52
+                e -= e.min()
+                hi = (bits & _HI_MASK).view(np.float64)
+                part += np.bincount(e, weights=hi).tolist()
+                # An infinite w gives inf - inf = NaN here, and a NaN total.
+                part += np.bincount(e, weights=w - hi).tolist()
+    return tuple(map(math.fsum, parts))
 
 
 def _integer_ratios(xs):
@@ -275,13 +233,13 @@ def _sums(v, types, name: str) -> PowerSumTriple:
             sums = _array_sums(v)
         else:
             fv = v if types == {float} else list(map(float, v))
-            sq = list(map(mul, fv, fv))
-            sums = _float_sums((fv, sq, map(mul, sq, fv)), lambda: list(map(_square_error, fv)))
+            cubes = map(mul, map(mul, fv, fv), fv)
+            sums = math.fsum(fv), math.fsum(map(mul, fv, fv)), math.fsum(cubes)
     except OverflowError:
         sums = (math.inf,)
     if not all(map(math.isfinite, sums)):
         raise ValueError(f"{name}: power sums overflow float64; pass exact integers or fractions")
-    return sums
+    return PowerSumTriple(*sums)
 
 
 def power_sums(entries, name: str = "x") -> PowerSumTriple:
@@ -289,22 +247,12 @@ def power_sums(entries, name: str = "x") -> PowerSumTriple:
 
     Example: (1, 1/2, 1/4) -> (7/4, 21/16, 73/64).
     """
-    return PowerSumTriple(*_sums(*_validated(entries, name), name))
-
-
-# For two float vectors, _quotient recomputes s_p from exact parts where
-# M_p(x) + M_p(y) exceeds _CANCEL * |s_p|; see quotient_q for the bound.
-_CANCEL = 2.0 ** 11
+    return _sums(*_validated(entries, name), name)
 
 
 def _quotient(px: PowerSumTriple, py: PowerSumTriple) -> QuotientValue:
     try:
         s1, s2, s3 = px.m1 - py.m1, py.m2 - px.m2, px.m3 + py.m3
-        if isinstance(px, _FloatSums) and isinstance(py, _FloatSums):
-            if px.m1 + py.m1 > _CANCEL * abs(s1):
-                s1 = math.fsum(chain(px.parts[0], map(neg, py.parts[0])))
-            if px.m2 + py.m2 > _CANCEL * abs(s2):
-                s2 = math.fsum(chain(py.parts[1], py.errors(), map(neg, chain(px.parts[1], px.errors()))))
         # s3 is a float iff either vector took the float path.
         if isinstance(s3, float):
             value = s1 * s2 / s3
@@ -320,8 +268,8 @@ def _quotient(px: PowerSumTriple, py: PowerSumTriple) -> QuotientValue:
 
 
 def _block_power_sums(blocks) -> PowerSumTriple:
-    """M_1, M_2, M_3 of c copies of each float v in the sequence blocks
-    ((v, c), ...), bit-equal to power_sums on the entries, in O(1) per block.
+    """M_1, M_2, M_3 of c copies of each float v in blocks ((v, c), ...),
+    bit-equal to power_sums on the entries, in O(1) per block.
 
     math.fsum of exact parts of each c * w, w = v, v * v, (v * v) * v:
     Veltkamp's split w = hi + lo, hi = a - (a - w), a = w * (2**27 + 1),
@@ -346,27 +294,12 @@ def _block_power_sums(blocks) -> PowerSumTriple:
                 t2 += p * h2, p * l2
                 t3 += p * h3, p * l3
                 c, k = c >> 26, k + 26
-        sums = _float_sums((t1, t2, t3), lambda: _block_square_errors(blocks))
+        sums = math.fsum(t1), math.fsum(t2), math.fsum(t3)
     except (OverflowError, ValueError):  # a huge count, or fsum of inf and -inf parts
         sums = (math.inf,)
     if not all(map(math.isfinite, sums)):
         raise ValueError("block power sums overflow float64")
-    return sums
-
-
-def _block_square_errors(blocks) -> list:
-    """Exact parts of the sum of c * _square_error(v) over blocks ((v, c), ...),
-    split as in _block_power_sums."""
-    out = []
-    for v, c in blocks:
-        w = _square_error(v)
-        a, k = w * _SPLIT, 0
-        h = a - (a - w)
-        while c:
-            p = float((c & 0x3FFFFFF) << k)
-            out += p * h, p * (w - h)
-            c, k = c >> 26, k + 26
-    return out
+    return PowerSumTriple(*sums)
 
 
 def quotient_q(x, y) -> QuotientValue:
@@ -374,19 +307,8 @@ def quotient_q(x, y) -> QuotientValue:
 
     Returns a QuotientValue carrying the three components.  Exact
     rational inputs give an exact rational result.
-
-    Two float vectors: where M_1(x) + M_1(y) > 2**11 |s1|, s1 is the
-    exact difference of the entries' sums, rounded once, and where
-    M_2(x) + M_2(y) > 2**11 |s2|, s2 is that of the exact squares' sums.
-    With u = 2**-53 and all entries at least 2**-340, where no square or
-    cube underflows, s1 then errs by at most (2**11 + 1) u |s1|, s2 by
-    (2**12 + 1) u |s2| (each rounded square and each M_2 err by u), s3
-    by 4u s3 (two roundings per cube, one per sum and one in the
-    addition), and s1 * s2 / s3 by 2u more: so |Q - Q_exact| < 2**-40
-    |Q_exact|, Q_exact being the exact Q of the float entries.  A pair
-    with an all-exact side subtracts the rounded M_p, without this bound.
     """
-    return _quotient(_sums(*_validated(x, "x"), "x"), _sums(*_validated(y, "y"), "y"))
+    return _quotient(power_sums(x, "x"), power_sums(y, "y"))
 
 
 def q_ordered_nonpositive(x, y) -> float:
@@ -394,11 +316,10 @@ def q_ordered_nonpositive(x, y) -> float:
 
     Requires len(x) == len(y) and x_i >= y_i for all i, or <= for all i,
     else ValueError.  The sign is exact.  Two exact sides give the exact Q;
-    otherwise an all-exact side is also converted to floats, and s1 and s2
-    are differences of correctly rounded sums of e and of e * e, or
-    exact differences of sums of e and of e * e or e**2, rounded once
-    (quotient_q); all these terms are nondecreasing in e.  So x >= y
-    gives s1 >= 0 >= s2 and a rounded s1 * s2 / s3 <= 0.
+    otherwise an all-exact side is also converted to floats, and each M_p
+    is the correctly rounded sum of the rounded powers e, e * e, (e * e) * e,
+    all nondecreasing in e.  So x >= y gives M_1(x) >= M_1(y) and M_2(x) >=
+    M_2(y), hence s1 >= 0 >= s2 and a rounded s1 * s2 / s3 <= 0.
     """
     vx, tx = _validated(x, "x")
     vy, ty = _validated(y, "y")
@@ -419,8 +340,7 @@ def quotient_q_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
     xs has shape (k, n_x) and ys shape (k, n_y); returns k quotients.
     Each row uses the rounded powers of quotient_q (x * x and
-    x * x * x), summed by plain np.sum rather than exactly, and
-    none of its cancellation guards;
+    x * x * x), summed by plain np.sum rather than exactly;
     cross-checked against quotient_q in the test suite, intended for
     sampling and bulk bound checks.  A row whose Q overflows float64
     raises ValueError.

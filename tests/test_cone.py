@@ -33,7 +33,7 @@ from psq.cone import (
     reduced_sign_pattern,
     sample_membership_general,
 )
-from psq.power_sums import _CANCEL, quotient_q
+from psq.power_sums import quotient_q
 from psq.structured import ALPHA_T, C_STAR, C_T, GAMMA_STAR, P_STAR, _gamma_root, sup_q, witness_vectors
 
 # Thresholds frozen from an independent run of the structured maximizer.
@@ -410,23 +410,16 @@ class TestComputeBd:
 
         def by_fractions(d):
             # Each entry's float powers summed exactly and rounded once,
-            # as math.fsum does on the lists; where _quotient's guards
-            # ask, s1 and s2 are exact differences of the entries' and
-            # of their exact squares' sums, rounded once.
+            # as math.fsum does on the lists.
             def sums(blocks):
-                powers = (lambda v: v, lambda v: v * v, lambda v: v * v * v, lambda v: Fraction(v) ** 2)
-                return [sum(c * Fraction(f(v)) for v, c in blocks) for f in powers]
+                powers = (lambda v: v, lambda v: v * v, lambda v: v * v * v)
+                return [float(sum(c * Fraction(f(v)) for v, c in blocks)) for f in powers]
 
             n_x, n_y = d - d // 2, d // 2
             i = (16 * n_x - math.isqrt(175 * n_x * n_x) - 1) // 27  # floor(p* n_x), exactly
-            x1, x2, x3, xe = sums([(1.0, i), (1.0 / n_x, n_x - i)])
-            y1, y2, y3, ye = sums([(GAMMA_STAR, n_y)])
-            s1, s2 = float(x1) - float(y1), float(y2) - float(x2)
-            if float(x1) + float(y1) > _CANCEL * abs(s1):
-                s1 = float(x1 - y1)
-            if float(x2) + float(y2) > _CANCEL * abs(s2):
-                s2 = float(ye - xe)
-            return s1 * s2 / (float(x3) + float(y3)), 2.0 / (C_STAR * d)
+            x1, x2, x3 = sums([(1.0, i), (1.0 / n_x, n_x - i)])
+            y1, y2, y3 = sums([(GAMMA_STAR, n_y)])
+            return (x1 - y1) * (y2 - x2) / (x3 + y3), 2.0 / (C_STAR * d)
 
         rng = np.random.default_rng(8)
         large = [int(d) for d in rng.integers(10**4, 2 * 10**6, size=6)]
