@@ -475,7 +475,7 @@ def membership_equal_offdiag(d: int, b: float) -> MembershipReport:
         num, den = _offdiag_psi([(1.0, i, -1), (gamma, d - i, 1)], spec.b)
         if num >= 0:
             raise RuntimeError(f"b={b!r} exceeds b_{d}={bd!r} but the block witness has Psi >= 0")
-        z, s = map(tuple, _expand(((1.0, i), (gamma, d - i)), ((-1, i), (1, d - i))))
+        z, s = _expand(((1.0, i), (gamma, d - i)), ((-1, i), (1, d - i)), kind=tuple)
         return report(verdict="nonmember", witness=PsiWitness(z=z, s=s, psi_value=num / den))
     return report(verdict="inconclusive")
 

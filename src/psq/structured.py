@@ -124,13 +124,13 @@ class SupQResult(NamedTuple):
         return _expand(*self.witness_blocks(eps))
 
 
-def _expand(*vectors):
-    """Each vector's blocks as a list; ValueError if one exceeds sys.maxsize or cannot be allocated."""
+def _expand(*vectors, kind=list):
+    """Each vector's blocks as a kind, list or tuple; ValueError if one exceeds sys.maxsize or cannot be allocated."""
     n = max(sum(c for _, c in blocks) for blocks in vectors)
     if n > sys.maxsize:
         raise ValueError(f"vector length {n} exceeds sys.maxsize")
     try:
-        return tuple(sum(([v] * c for v, c in blocks), []) for blocks in vectors)
+        return tuple(sum((kind((v,)) * c for v, c in blocks), kind()) for blocks in vectors)
     except MemoryError:
         raise ValueError(f"vector length {n} is too large to build") from None
 
