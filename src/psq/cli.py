@@ -26,10 +26,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .cone import MatrixSpec, _psi, certify_general, compute_bd, membership_equal_offdiag
+# Handlers import the other psq modules they use, so a cold process loads only those.
 from .power_sums import _block_power_sums, _quotient, quotient_q
-from .structured import _expand, growth_blocks, positivity_witness, sup_q
-from .tables import DEFAULT_TABLE2_DIMS, table1_rows, table2_rows
 
 __all__ = ["main"]
 
@@ -94,6 +92,7 @@ def eval_q(args):
 
 def sup_q_cmd(args):
     """Supremum of Q over positive orthants of dimensions (nx, ny)."""
+    from .structured import sup_q
     res = sup_q(args.nx, args.ny)
     doc = {
         "n_x": res.n_x,
@@ -108,12 +107,14 @@ def sup_q_cmd(args):
 
 def bd_cmd(args):
     """Threshold b_d = 1 / (1 + sup Q over the balanced split of d)."""
+    from .cone import compute_bd
     _emit(compute_bd(args.d).to_json_dict(), args.json)
     return 0
 
 
 def table1_cmd(args):
     """Thresholds for d = 2..6 (cells truncated at 3 decimals)."""
+    from .tables import table1_rows
     rows = table1_rows()
     _write_json([r.to_json_dict() for r in rows], args.json)
     print(f"{'d':>4} {'lower':>8} {'b_d':>8}")
@@ -124,13 +125,14 @@ def table1_cmd(args):
 
 def table2_cmd(args):
     """Bracket rows for large d (cells truncated at 3 decimals)."""
+    from .tables import table2_rows
     try:
-        dims = [int(p) for p in args.dims.split(",") if p.strip()]
+        dims = None if args.dims is None else [int(p) for p in args.dims.split(",") if p.strip()]
     except ValueError:
         raise ValueError(f"cannot parse --dims {args.dims!r}") from None
-    if not dims:
+    if dims == []:
         raise ValueError(f"--dims names no dimension: {args.dims!r}")
-    rows = table2_rows(dims)
+    rows = table2_rows() if dims is None else table2_rows(dims)
     _write_json([r.to_json_dict() for r in rows], args.json)
     print(f"{'d':>4} {'lower':>8} {'upper':>8} {'asym':>8}")
     for r in rows:
@@ -159,6 +161,7 @@ def certify_cmd(args):
 
     Exit code: 0 member, 1 nonmember, 3 inconclusive.
     """
+    from .cone import MatrixSpec, certify_general, membership_equal_offdiag
     inline = args.d is not None or args.b is not None
     if inline == (args.matrix is not None):
         raise ValueError("give either --d and --b, or --matrix, not both")
@@ -185,6 +188,7 @@ def verify_cmd(args):
 
     Exit code: 0 confirmed, 1 not confirmed.
     """
+    from .cone import MatrixSpec, _psi
     spec_doc = _load_json_file(args.matrix, "matrix")
     wit = _load_json_file(args.witness, "witness")
     if not isinstance(wit, dict) or "z" not in wit or "s" not in wit:
@@ -199,6 +203,7 @@ def witness_cmd(args):
 
     Exit code: 0 when a pair is produced, 1 when none exists.
     """
+    from .structured import _expand, growth_blocks, positivity_witness
     pair_mode = args.nx is not None or args.ny is not None
     if pair_mode == (args.growth_n is not None):
         raise ValueError("give either --nx and --ny, or --growth-n")
@@ -242,7 +247,7 @@ def _parser():
     p.add_argument("--d", type=int, required=True, help="Matrix dimension, >= 2.")
     command("table1", table1_cmd)
     p = command("table2", table2_cmd)
-    p.add_argument("--dims", default=",".join(map(str, DEFAULT_TABLE2_DIMS)), help="Comma-separated dimensions, each >= 20 (default %(default)s).")
+    p.add_argument("--dims", help="Comma-separated dimensions, each >= 20 (default: psq.tables.DEFAULT_TABLE2_DIMS).")
     p = command("certify", certify_cmd)
     p.add_argument("--d", type=int, help="Dimension of the equal-off-diagonal family.")
     p.add_argument("--b", type=float, help="Off-diagonal value, in [0, 1].")

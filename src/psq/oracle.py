@@ -70,16 +70,16 @@ def _q(w: np.ndarray, n_x: int) -> np.ndarray:
 def _q_grad_hess(w: np.ndarray, n_x: int):
     """Q, its gradient and its Hessian in log coordinates, per row of w."""
     z = np.exp(w)
-    a = np.where(np.arange(w.shape[1]) < n_x, z, -z)
-    b, c = -2.0 * a * z, 3.0 * z ** 3
-    s1, s2, s3 = a.sum(1)[:, None], 0.5 * b.sum(1)[:, None], (z ** 3).sum(1)[:, None]
+    z3 = z ** 3
+    a = np.where(np.arange(w.shape[1]) < n_x, 1.0, -1.0) * z
+    b, c = -2.0 * a * z, 3.0 * z3
+    s1, s2, s3 = a.sum(1)[:, None], 0.5 * b.sum(1)[:, None], z3.sum(1)[:, None]
     q = s1 * s2 / s3
     g = (s2 * a + s1 * b - q * c) / s3
     ab = a[:, :, None] * b[:, None, :]
     gc = g[:, :, None] * c[:, None, :]
     h = ab + ab.transpose(0, 2, 1) - gc - gc.transpose(0, 2, 1)
-    diag = np.arange(w.shape[1])
-    h[:, diag, diag] += s2 * a + 2.0 * s1 * b - 3.0 * q * c
+    h.reshape(len(h), -1)[:, :: w.shape[1] + 1] += s2 * a + 2.0 * s1 * b - 3.0 * q * c
     return q[:, 0], g, h / s3[:, :, None]
 
 
@@ -95,7 +95,10 @@ def _ascend(w: np.ndarray, n_x: int):
         q_new, g_new, h_new = _q_grad_hess(w_new, n_x)
         # NaN compares false, so a failed solve is simply rejected.
         ok = q_new >= q
-        w[ok], q[ok], g[ok], h[ok] = w_new[ok], q_new[ok], g_new[ok], h_new[ok]
+        np.copyto(w, w_new, where=ok[:, None])
+        np.copyto(q, q_new, where=ok)
+        np.copyto(g, g_new, where=ok[:, None])
+        np.copyto(h, h_new, where=ok[:, None, None])
         lam = np.where(ok, np.maximum(lam / 3.0, _LAM_MIN), lam * 4.0)
     return q, w
 

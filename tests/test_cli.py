@@ -169,6 +169,16 @@ class TestTables:
             "asymptotic": 0.710,
         }
 
+    def test_table2_default_dims(self, cli, tmp_path):
+        # Without --dims the handler calls table2_rows(), so the parser keeps no copy of the default.
+        path = tmp_path / "t2.json"
+        out = cli(["table2", "--json", str(path)])
+        assert out.code == 0
+        rows = table2_rows()
+        assert json.loads(path.read_text()) == [r.to_json_dict() for r in rows]
+        want = [[str(r.d), *(f"{v:.3f}" for v in r[1:])] for r in rows]
+        assert [line.split() for line in out.out.splitlines()[1:]] == want
+
     def test_bad_dims(self, cli):
         assert cli(["table2", "--dims", "9"]).code == 2
         assert cli(["table2", "--dims", "x"]).code == 2

@@ -291,6 +291,98 @@ class TestNoNumpy:
             psq.nope
 
 
+_PS = ["psq", "psq.power_sums"]
+_STRUCTURED = [*_PS, "psq.structured"]
+_CONE = [*_STRUCTURED, "psq.cone"]
+_ALL = [*_CONE, "psq.tables"]
+
+
+def _loaded(run):
+    """Code that runs `run` and then prints the psq modules it loaded to stderr."""
+    return f"import sys\ntry:\n    {run}\nfinally:\n    print(sorted(m for m in sys.modules if m.startswith('psq')), file=sys.stderr)"
+
+
+class TestModuleFootprint:
+    """A cold process loads only the psq modules its call needs."""
+
+    @pytest.mark.parametrize(
+        "args, want",
+        [
+            (["eval-q", "-x", "1,1/2", "-y", "3/4"], _PS),
+            (["sup-q", "--nx", "3", "--ny", "2"], _STRUCTURED),
+            (["witness", "--nx", "7", "--ny", "6"], _STRUCTURED),
+            (["witness", "--growth-n", "100"], _STRUCTURED),
+            (["bd", "--d", "100"], _CONE),
+            (["certify", "--d", "6", "--b", "0.5"], _CONE),
+            (["certify", "--d", "6", "--b", "0.99"], _CONE),
+            (["verify"], _CONE),
+            (["table1"], _ALL),
+            (["table2", "--dims", "50"], _ALL),
+        ],
+        ids=" ".join,
+    )
+    def test_cli_subcommand(self, tmp_path, args, want):
+        if args == ["verify"]:
+            mpath, wpath = tmp_path / "m.json", tmp_path / "w.json"
+            mpath.write_text(json.dumps({"d": 6, "b": 0.9}))
+            wpath.write_text(json.dumps({"z": [1.0] + [0.3] * 5, "s": [-1] + [1] * 5}))
+            args = ["verify", "--matrix", str(mpath), "--witness", str(wpath)]
+        out = _python(_loaded(_RUN_CLI), *args)
+        assert out.returncode in (0, 1), out.stderr
+        assert out.stderr.splitlines()[-1] == repr(sorted(want))
+
+    @pytest.mark.parametrize(
+        "run, want",
+        [
+            ("import psq", _PS),
+            ("import psq.cli", [*_PS, "psq.cli"]),
+            ("import psq; psq.quotient_q([1.0, 0.5], [0.25])", _PS),
+            ("import psq; psq.sup_q(3, 2)", _STRUCTURED),
+            ("import psq; psq.compute_bd(8)", _CONE),
+            ("import psq; psq.table1_rows()", _ALL),
+        ],
+    )
+    def test_library_call(self, run, want):
+        out = _python(_loaded(run))
+        assert out.returncode == 0, out.stderr
+        assert out.stderr.splitlines()[-1] == repr(sorted(want))
+
+    def test_import_leaves_heavy_modules_unloaded(self):
+        out = _python("import sys, psq; print(sorted({'numpy', 'psq.oracle', 'dataclasses'} & set(sys.modules)))")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("first", ["structured", "cone", "tables", "oracle", "power_sums", "cli"])
+    def test_power_sums_stays_the_function(self, first):
+        # The package binds the function power_sums over the submodule of the same name, in every import order.
+        out = _python(f"import psq.{first}, psq; print(psq.power_sums.__name__, type(psq.power_sums).__name__)")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["power_sums", "function"]
+
+    def test_all_keeps_its_names_and_order(self):
+        mods = [sys.modules[f"psq.{m}"] for m in ("power_sums", "structured", "cone", "oracle", "tables")]
+        assert psq.__all__ == ["__version__", *(n for m in mods for n in m.__all__)]
+        assert all(getattr(psq, n) is getattr(m, n) for m in mods for n in m.__all__)
+
+    def test_names_cover_all_before_and_after_loading(self):
+        code = (
+            "import sys, psq\n"
+            "assert set(psq.__all__) <= set(dir(psq))\n"
+            "assert 'compute_bd' not in vars(psq)\n"
+            "psq.compute_bd(8)\n"
+            "# A first use binds the whole module's names, so later lookups skip __getattr__.\n"
+            "assert {'compute_bd', 'psi', 'MatrixSpec'} <= set(vars(psq)) and 'table1_rows' not in vars(psq)\n"
+            "assert psq.compute_bd is sys.modules['psq.cone'].compute_bd\n"
+            "ns = {}\n"
+            "exec('from psq import *', ns)\n"
+            "assert set(psq.__all__) <= set(ns) <= set(dir(psq)) | {'__builtins__'}\n"
+            "print('ok')\n"
+        )
+        out = _python(code)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "ok"
+
+
 class TestStructuredShape:
     def test_maximizers_are_block_shaped(self):
         for dims in ((3, 3), (2, 3)):
