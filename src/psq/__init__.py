@@ -25,7 +25,7 @@ from .power_sums import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-# Each lazy module's __all__, in order; a test checks them against the modules.
+# The public names of each lazy module, in order; the modules read their __all__ from here.
 _LAZY = {
     "structured": "SQRT7 C_STAR P_STAR GAMMA_STAR C_T P_T GAMMA_T ALPHA_T StructuredConfig SupQResult reduced_objective solve_reduced sup_q growth_blocks witness_vectors positivity_witness".split(),
     "cone": "MatrixSpec PsiWitness MembershipReport GeneralReport BdReport psi psi_over_patterns enumerate_sign_patterns reduced_sign_pattern check_diagonal_dominance all_split_threshold membership_equal_offdiag certify_general sample_membership_general compute_bd growth_lower_bound b3_radical".split(),

@@ -46,31 +46,14 @@ from fractions import Fraction
 from functools import partial
 from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
+from . import _LAZY
 from .power_sums import _block_power_sums, _integer, _integer_ratios, _is_real, _quotient, _real_array, _validated
 from .structured import C_STAR, _expand, _gamma_root, growth_blocks, sup_q
 
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "MatrixSpec",
-    "PsiWitness",
-    "MembershipReport",
-    "GeneralReport",
-    "BdReport",
-    "psi",
-    "psi_over_patterns",
-    "enumerate_sign_patterns",
-    "reduced_sign_pattern",
-    "check_diagonal_dominance",
-    "all_split_threshold",
-    "membership_equal_offdiag",
-    "certify_general",
-    "sample_membership_general",
-    "compute_bd",
-    "growth_lower_bound",
-    "b3_radical",
-]
+__all__ = _LAZY["cone"]
 
 class MatrixSpec(NamedTuple):
     """The coefficient matrix M_d(b): unit diagonal, every off-diagonal entry b."""
@@ -410,12 +393,12 @@ def all_split_threshold(d: int) -> float:
     d = _integer(d, "d", 1)
     k = (3 * d - math.isqrt(3 * d * d + math.isqrt(12 * d ** 4)) - 1) // 6
     sup = max((sup_q(a, d - a).sup_value for a in (k, k + 1) if 1 <= a <= d // 2), default=0.0)
-    return 1.0 / (1.0 + max(0.0, sup))
+    return 1.0 / (1.0 + sup)
 
 
 def _bd_from_sup(d: int):
     res = sup_q(*_balanced_split(d))
-    return 1.0 / (1.0 + max(res.sup_value, 0.0)), res
+    return 1.0 / (1.0 + res.sup_value), res
 
 
 _RANDOM_PATTERNS = 512  # random rows of the sampler's pattern set, next to the d minus blocks
@@ -441,7 +424,7 @@ def compute_bd(d: int) -> BdReport:
     return BdReport(
         d=d,
         b_d=bd,
-        sup_value=max(res.sup_value, 0.0),
+        sup_value=res.sup_value,
         split=(res.n_x, res.n_y),
         lower_bound=growth_lower_bound(d),
         asymptotic=2.0 / (C_STAR * d),

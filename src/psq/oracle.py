@@ -25,9 +25,10 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
+from . import _LAZY
 from .power_sums import _integer
 
-__all__ = ["OracleResult", "brute_force_sup", "check_structured_shape"]
+__all__ = _LAZY["oracle"]
 
 _LOG_LO = math.log(1e-9)
 _LOG_HI = math.log(1e9)

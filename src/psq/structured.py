@@ -45,26 +45,10 @@ import math
 import sys
 from typing import NamedTuple, Optional
 
+from . import _LAZY
 from .power_sums import _block_power_sums, _integer, _is_real, _quotient
 
-__all__ = [
-    "SQRT7",
-    "C_STAR",
-    "P_STAR",
-    "GAMMA_STAR",
-    "C_T",
-    "P_T",
-    "GAMMA_T",
-    "ALPHA_T",
-    "StructuredConfig",
-    "SupQResult",
-    "reduced_objective",
-    "solve_reduced",
-    "sup_q",
-    "growth_blocks",
-    "witness_vectors",
-    "positivity_witness",
-]
+__all__ = _LAZY["structured"]
 
 SQRT7 = math.sqrt(7.0)
 C_STAR = (7.0 * SQRT7 - 17.0) / 27.0

@@ -14,18 +14,11 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, NamedTuple, Tuple
 
+from . import _LAZY
 from .cone import compute_bd
 from .power_sums import _integer
 
-__all__ = [
-    "Table1Row",
-    "Table2Row",
-    "truncate3",
-    "table1_rows",
-    "table2_rows",
-    "DEFAULT_TABLE2_DIMS",
-    "TABLE1_DIMS",
-]
+__all__ = _LAZY["tables"]
 
 TABLE1_DIMS: Tuple[int, ...] = (2, 3, 4, 5, 6)
 DEFAULT_TABLE2_DIMS: Tuple[int, ...] = (50, 100, 150, 200, 300, 400, 500)

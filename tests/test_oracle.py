@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +316,7 @@ class TestModuleFootprint:
             (["bd", "--d", "100"], _CONE),
             (["certify", "--d", "6", "--b", "0.5"], _CONE),
             (["certify", "--d", "6", "--b", "0.99"], _CONE),
+            (["certify", "--matrix"], _CONE),
             (["verify"], _CONE),
             (["table1"], _ALL),
             (["table2", "--dims", "50"], _ALL),
@@ -327,6 +329,11 @@ class TestModuleFootprint:
             mpath.write_text(json.dumps({"d": 6, "b": 0.9}))
             wpath.write_text(json.dumps({"z": [1.0] + [0.3] * 5, "s": [-1] + [1] * 5}))
             args = ["verify", "--matrix", str(mpath), "--witness", str(wpath)]
+        if args == ["certify", "--matrix"]:
+            # An explicit matrix (a nonmember, exit 1) loads numpy, but neither tables nor oracle.
+            gpath = tmp_path / "g4.json"
+            gpath.write_text(json.dumps({"entries": [[1.0 if i == j else 0.99 for j in range(4)] for i in range(4)]}))
+            args = [*args, str(gpath)]
         out = _python(_loaded(_RUN_CLI), *args)
         assert out.returncode in (0, 1), out.stderr
         assert out.stderr.splitlines()[-1] == repr(sorted(want))
@@ -360,9 +367,12 @@ class TestModuleFootprint:
         assert out.stdout.split() == ["power_sums", "function"]
 
     def test_all_keeps_its_names_and_order(self):
-        mods = [sys.modules[f"psq.{m}"] for m in ("power_sums", "structured", "cone", "oracle", "tables")]
+        # import_module, not sys.modules: the test must not rely on another file having loaded tables.
+        mods = [import_module(f"psq.{m}") for m in ("power_sums", "structured", "cone", "oracle", "tables")]
         assert psq.__all__ == ["__version__", *(n for m in mods for n in m.__all__)]
         assert all(getattr(psq, n) is getattr(m, n) for m in mods for n in m.__all__)
+        # Each lazy module's public names are written once, in the package's _LAZY.
+        assert all(sys.modules[f"psq.{m}"].__all__ is psq._LAZY[m] for m in ("structured", "cone", "oracle", "tables"))
 
     def test_names_cover_all_before_and_after_loading(self):
         code = (

@@ -178,6 +178,14 @@ class TestSupQ:
         c = res.maximizing_config
         assert (c.i, c.m, c.gamma) == (1, 1, 1.0)
 
+    def test_positive_except_degenerate_pair(self):
+        # compute_bd and all_split_threshold use sup_value unclamped: it is never negative.
+        rng = random.Random(20261019)
+        shapes = [(1, 2), (2, 1), (1, 10**150), (10**150, 1), (10**150, 10**150)]
+        shapes += [tuple(rng.randint(1, 10 ** rng.randint(1, 150)) for _ in "xy") for _ in range(200)]
+        for shape in shapes:
+            assert sup_q(*shape).sup_value > 0.0, shape
+
     def test_maximizing_config_consistent(self):
         res = sup_q(4, 3)
         c = res.maximizing_config
