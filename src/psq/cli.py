@@ -26,8 +26,8 @@ import json
 import sys
 from fractions import Fraction
 
-# Handlers import the other psq modules they use, so a cold process loads only those.
-from .power_sums import _block_power_sums, _quotient, quotient_q
+# Handlers call public names on the package, whose lazy namespace loads a module on its first use.
+import psq
 
 __all__ = ["main"]
 
@@ -82,7 +82,7 @@ def eval_q(args):
     computed exactly and reported alongside the float value; a float
     field whose exact value lies beyond float range is null.
     """
-    res = quotient_q(_parse_entries(args.x), _parse_entries(args.y))
+    res = psq.quotient_q(_parse_entries(args.x), _parse_entries(args.y))
     v = res.value
     doc = {k: _float_or_none(getattr(res, k)) for k in ("value", "s1", "s2", "s3")}
     doc["exact"] = f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else None
@@ -92,8 +92,7 @@ def eval_q(args):
 
 def sup_q_cmd(args):
     """Supremum of Q over positive orthants of dimensions (nx, ny)."""
-    from .structured import sup_q
-    res = sup_q(args.nx, args.ny)
+    res = psq.sup_q(args.nx, args.ny)
     doc = {
         "n_x": res.n_x,
         "n_y": res.n_y,
@@ -107,15 +106,13 @@ def sup_q_cmd(args):
 
 def bd_cmd(args):
     """Threshold b_d = 1 / (1 + sup Q over the balanced split of d)."""
-    from .cone import compute_bd
-    _emit(compute_bd(args.d).to_json_dict(), args.json)
+    _emit(psq.compute_bd(args.d).to_json_dict(), args.json)
     return 0
 
 
 def table1_cmd(args):
     """Thresholds for d = 2..6 (cells truncated at 3 decimals)."""
-    from .tables import table1_rows
-    rows = table1_rows()
+    rows = psq.table1_rows()
     _write_json([r.to_json_dict() for r in rows], args.json)
     print(f"{'d':>4} {'lower':>8} {'b_d':>8}")
     for r in rows:
@@ -125,14 +122,13 @@ def table1_cmd(args):
 
 def table2_cmd(args):
     """Bracket rows for large d (cells truncated at 3 decimals)."""
-    from .tables import table2_rows
     try:
         dims = None if args.dims is None else [int(p) for p in args.dims.split(",") if p.strip()]
     except ValueError:
         raise ValueError(f"cannot parse --dims {args.dims!r}") from None
     if dims == []:
         raise ValueError(f"--dims names no dimension: {args.dims!r}")
-    rows = table2_rows() if dims is None else table2_rows(dims)
+    rows = psq.table2_rows() if dims is None else psq.table2_rows(dims)
     _write_json([r.to_json_dict() for r in rows], args.json)
     print(f"{'d':>4} {'lower':>8} {'upper':>8} {'asym':>8}")
     for r in rows:
@@ -161,20 +157,16 @@ def certify_cmd(args):
 
     Exit code: 0 member, 1 nonmember, 3 inconclusive.
     """
-    from .cone import MatrixSpec, certify_general, membership_equal_offdiag
     inline = args.d is not None or args.b is not None
     if inline == (args.matrix is not None):
         raise ValueError("give either --d and --b, or --matrix, not both")
     if inline and (args.d is None or args.b is None):
         raise ValueError("--d and --b must be given together")
-    if inline:
-        spec = MatrixSpec.equal_off_diagonal(args.d, args.b)
+    spec = psq.MatrixSpec(args.d, args.b) if inline else psq.MatrixSpec.from_json_dict(_load_json_file(args.matrix, "matrix"))
+    if isinstance(spec, psq.MatrixSpec):
+        report = psq.membership_equal_offdiag(spec.d, spec.b)
     else:
-        spec = MatrixSpec.from_json_dict(_load_json_file(args.matrix, "matrix"))
-    if isinstance(spec, MatrixSpec):
-        report = membership_equal_offdiag(spec.d, spec.b)
-    else:
-        report = certify_general(spec)
+        report = psq.certify_general(spec)
     _emit(report.to_json_dict(), args.json)
     return {"member_certified": 0, "nonmember": 1}.get(report.verdict, 3)
 
@@ -188,12 +180,12 @@ def verify_cmd(args):
 
     Exit code: 0 confirmed, 1 not confirmed.
     """
-    from .cone import MatrixSpec, _psi
+    from .cone import _psi
     spec_doc = _load_json_file(args.matrix, "matrix")
     wit = _load_json_file(args.witness, "witness")
     if not isinstance(wit, dict) or "z" not in wit or "s" not in wit:
         raise ValueError("witness file must hold an object with 'z' and 's'")
-    num, den = _psi(MatrixSpec.from_json_dict(spec_doc), wit["z"], wit["s"])
+    num, den = _psi(psq.MatrixSpec.from_json_dict(spec_doc), wit["z"], wit["s"])
     _emit({"psi": _float_or_none(Fraction(num, den)), "confirmed": num < 0}, args.json)
     return 0 if num < 0 else 1
 
@@ -203,7 +195,7 @@ def witness_cmd(args):
 
     Exit code: 0 when a pair is produced, 1 when none exists.
     """
-    from .structured import _expand, growth_blocks, positivity_witness
+    from .structured import _lists_and_q
     pair_mode = args.nx is not None or args.ny is not None
     if pair_mode == (args.growth_n is not None):
         raise ValueError("give either --nx and --ny, or --growth-n")
@@ -212,16 +204,14 @@ def witness_cmd(args):
             raise ValueError("--nx and --ny must be given together")
         if args.extra:
             raise ValueError("--extra goes with --growth-n, not with --nx and --ny")
-        w = positivity_witness(args.nx, args.ny)
+        w = psq.positivity_witness(args.nx, args.ny)
         if w is None:
             _emit({"exists": False, "n_x": args.nx, "n_y": args.ny}, args.json)
             return 1
         x, y, q = w
         doc = {"exists": True, "x": list(x), "y": list(y), "q": q}
     else:
-        blocks = growth_blocks(args.growth_n, extra_component=args.extra)
-        x, y = _expand(*blocks)
-        q = _quotient(*map(_block_power_sums, blocks)).value
+        x, y, q = _lists_and_q(psq.growth_blocks(args.growth_n, extra_component=args.extra))
         doc = {"x": x, "y": y, "q": q, "n": args.growth_n, "extra": args.extra}
     _emit(doc, args.json)
     return 0

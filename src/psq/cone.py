@@ -330,9 +330,8 @@ def enumerate_sign_patterns(d: int) -> np.ndarray:
 
 def reduced_sign_pattern(d: int) -> Tuple[int, ...]:
     """The balanced pattern: ceil(d/2) minuses followed by floor(d/2) pluses."""
-    d = _integer(d, "d", 2)
-    h = d // 2
-    return (-1,) * (d - h) + (1,) * h
+    minus, plus = _balanced_split(_integer(d, "d", 2))
+    return (-1,) * minus + (1,) * plus
 
 
 def check_diagonal_dominance(matrix) -> bool:

@@ -274,9 +274,9 @@ def _block_power_sums(blocks) -> PowerSumTriple:
     math.fsum of exact parts of each c * w, w = v, v * v, (v * v) * v:
     Veltkamp's split w = hi + lo, hi = a - (a - w), a = w * (2**27 + 1),
     leaves at most 27 significant bits in each, underflow included
-    (Boldo 2006), so each times a 26-bit part of c is exact.  Where c * a
-    overflows (v >= 2**332, or c v**3 near 2**1024), hi is w cut to 26
-    bits instead, never above w.  ValueError when a sum overflows float64.
+    (Boldo 2006), so each times a 26-bit part of c is exact.  No product
+    overflows while c v**3 (2**27 + 1) < 2**1024, as for every structured
+    block (v <= 1, c < 2**518); ValueError when a product or sum overflows.
     """
     t1, t2, t3 = [], [], []
     try:
@@ -285,8 +285,6 @@ def _block_power_sums(blocks) -> PowerSumTriple:
             cube = sq * v
             a1, a2, a3 = v * _SPLIT, sq * _SPLIT, cube * _SPLIT
             h1, h2, h3 = a1 - (a1 - v), a2 - (a2 - sq), a3 - (a3 - cube)
-            if a3 * c == math.inf:  # c times a rounded-up hi could overflow: cut each w to 26 bits
-                h1, h2, h3 = (math.ldexp(math.trunc(m * 2.0 ** 26), e - 26) for m, e in map(math.frexp, (v, sq, cube)))
             l1, l2, l3 = v - h1, sq - h2, cube - h3
             while c:
                 p = float((c & 0x3FFFFFF) << k)

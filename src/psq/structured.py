@@ -119,6 +119,11 @@ def _expand(*vectors, kind=list):
         raise ValueError(f"vector length {n} is too large to build") from None
 
 
+def _lists_and_q(blocks):
+    """A block pair as lists x, y, built first (_expand), and its Q from the blocks' exact sums."""
+    return (*_expand(*blocks), _quotient(*map(_block_power_sums, blocks)).value)
+
+
 def reduced_objective(p: float, gamma: float) -> float:
     """f(p, gamma) = (p - gamma)(gamma^2 - p)/(p + gamma^3), p, gamma > 0."""
     if not (p > 0 and gamma > 0):  # NaN fails too
@@ -314,8 +319,7 @@ def positivity_witness(n_x: int, n_y: int):
         raise ValueError(f"need n_x == n_y or n_x == n_y + 1, got ({n_x}, {n_y})")
     if (n_x, n_y) == (1, 1):
         return None
-    blocks = res.witness_blocks()
-    q = _quotient(*map(_block_power_sums, blocks)).value
+    x, y, q = _lists_and_q(res.witness_blocks())
     if not q > 0.0:
         raise RuntimeError(f"no positive witness found for ({n_x}, {n_y})")
-    return (*_expand(*blocks), q)
+    return x, y, q

@@ -30,6 +30,9 @@ class TestEvalQ:
         assert cli(["eval-q", "-x", "0", "-y", "1"]).code == 2
         assert cli(["eval-q", "-x", "a", "-y", "1"]).code == 2
         assert cli(["eval-q", "-x", "1/0", "-y", "1"]).code == 2
+        out = cli(["eval-q", "-x", "1,,2", "-y", "1"])
+        _assert_usage_error(out)
+        assert "empty entry" in out.err
 
     def test_negative_entries_need_the_equals_form(self, cli):
         # argparse reads "-1,2" after -x as an option, so -x has no value.
@@ -90,25 +93,38 @@ class TestBd:
         assert cli(["bd", "--d", "1"]).code == 2
 
     def test_d_beyond_list_sizes(self, cli):
-        out = cli(["bd", "--d", str(10**20)])
-        assert out.code == 0, out.out
-        assert out.out.strip() == json.dumps(compute_bd(10**20).to_json_dict(), indent=2)
+        # The second d lies just below the window where sup_q is finite but the
+        # growth-pair quotient overflows (see test_huge_dimensions_are_usage_errors).
+        for d in (10**20, 33675876497316176 * 10**139):
+            out = cli(["bd", "--d", str(d)])
+            assert out.code == 0, out.out
+            assert out.out.strip() == json.dumps(compute_bd(d).to_json_dict(), indent=2)
+
+
+_OVERFLOW = "dimensions too large: the block arithmetic overflows float64"
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, message",
     [
-        ["bd", "--d", str(10**400)],
-        ["bd", "--d", str(10**300)],
-        ["sup-q", "--nx", str(10**400), "--ny", "3"],
-        ["sup-q", "--nx", str(10**200), "--ny", str(10**200)],
-        ["table2", "--dims", str(10**300)],
-        ["certify", "--d", str(10**400), "--b", "0.0"],
+        pytest.param(args, message, id=f"{args[0]}-{len(args[2])}-digits")
+        for args, message in [
+            (["bd", "--d", str(10**400)], _OVERFLOW),
+            (["bd", "--d", str(10**300)], _OVERFLOW),
+            (["sup-q", "--nx", str(10**400), "--ny", "3"], _OVERFLOW),
+            (["sup-q", "--nx", str(10**200), "--ny", str(10**200)], _OVERFLOW),
+            (["table2", "--dims", str(10**300)], _OVERFLOW),
+            (["certify", "--d", str(10**400), "--b", "0.0"], _OVERFLOW),
+            (["witness", "--growth-n", str(10**400)], "n is too large for float64"),
+            # sup_q is still finite at this d; the growth pair's quotient is not.
+            (["bd", "--d", str(33675876497316179 * 10**139)], "d is too large: the growth-pair quotient overflows float64"),
+        ]
     ],
-    ids=lambda a: f"{a[0]}-{len(a[2])}-digits",
 )
-def test_huge_dimensions_are_usage_errors(cli, args):
-    _assert_usage_error(cli(args))
+def test_huge_dimensions_are_usage_errors(cli, args, message):
+    out = cli(args)
+    _assert_usage_error(out)
+    assert message in out.err
 
 
 @pytest.mark.parametrize(

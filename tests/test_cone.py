@@ -230,6 +230,11 @@ class TestPsi:
                 psi(m, [1.0, 1.0], s)
         with pytest.raises(ValueError):
             psi(np.ones((2, 3)), [1.0, 1.0], [-1, 1])
+        for m in (np.eye(2), MatrixSpec.equal_off_diagonal(2, 0.5)):
+            with pytest.raises(ValueError, match="must have length 2"):
+                psi(m, [1.0, 1.0], [-1, 1, 1])
+            with pytest.raises(ValueError, match="must be -1 or \\+1"):
+                psi(m, [1.0, 1.0], 5)
 
     def test_over_patterns_rejects_non_signs(self):
         m = np.eye(2)
