@@ -163,10 +163,7 @@ def certify_cmd(args):
     if inline and (args.d is None or args.b is None):
         raise ValueError("--d and --b must be given together")
     spec = psq.MatrixSpec(args.d, args.b) if inline else psq.MatrixSpec.from_json_dict(_load_json_file(args.matrix, "matrix"))
-    if isinstance(spec, psq.MatrixSpec):
-        report = psq.membership_equal_offdiag(spec.d, spec.b)
-    else:
-        report = psq.certify_general(spec)
+    report = psq.membership_equal_offdiag(*spec) if isinstance(spec, psq.MatrixSpec) else psq.certify_general(spec)
     _emit(report.to_json_dict(), args.json)
     return {"member_certified": 0, "nonmember": 1}.get(report.verdict, 3)
 
@@ -183,8 +180,8 @@ def verify_cmd(args):
     from .cone import _psi
     spec_doc = _load_json_file(args.matrix, "matrix")
     wit = _load_json_file(args.witness, "witness")
-    if not isinstance(wit, dict) or "z" not in wit or "s" not in wit:
-        raise ValueError("witness file must hold an object with 'z' and 's'")
+    if not isinstance(wit, dict) or set(wit) not in ({"z", "s"}, {"z", "s", "psi"}):
+        raise ValueError("witness file must hold an object with the keys 'z' and 's' and an optional 'psi'")
     num, den = _psi(psq.MatrixSpec.from_json_dict(spec_doc), wit["z"], wit["s"])
     _emit({"psi": _float_or_none(Fraction(num, den)), "confirmed": num < 0}, args.json)
     return 0 if num < 0 else 1
@@ -244,7 +241,7 @@ def _parser():
     p.add_argument("--matrix", metavar="PATH", help="JSON matrix spec: {\"d\": ..., \"b\": ...} or {\"d\": ..., \"entries\": [[...], ...]}.")
     p = command("verify", verify_cmd)
     p.add_argument("--matrix", metavar="PATH", required=True)
-    p.add_argument("--witness", metavar="PATH", required=True, help="JSON object with \"z\" and \"s\" arrays.")
+    p.add_argument("--witness", metavar="PATH", required=True, help="JSON object with \"z\" and \"s\" arrays, and optionally the \"psi\" that certify --json writes.")
     p = command("witness", witness_cmd)
     p.add_argument("--nx", type=int, help="With --ny: a positive-quotient pair for these dimensions.")
     p.add_argument("--ny", type=int)

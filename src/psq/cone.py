@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import partial
 from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
@@ -55,18 +55,20 @@ if TYPE_CHECKING:
 
 __all__ = _LAZY["cone"]
 
-class MatrixSpec(NamedTuple):
-    """The coefficient matrix M_d(b): unit diagonal, every off-diagonal entry b."""
+class MatrixSpec(namedtuple("MatrixSpec", "d b")):
+    """M_d(b): unit diagonal, off-diagonal b.  MatrixSpec(d, b) checks d and b, as the removed
+    equal_off_diagonal did, and so do _make, _replace and unpickling; b is stored as a float."""
 
-    d: int
-    b: float
+    __slots__ = ()
 
-    @classmethod
-    def equal_off_diagonal(cls, d: int, b: float) -> "MatrixSpec":
+    def __new__(cls, d: int, b: float) -> "MatrixSpec":
         d = _integer(d, "d", 2)
         if not (_is_real(b) and 0.0 <= b <= 1.0):  # NaN fails too
             raise ValueError(f"b must lie in [0, 1], got {b!r}")
-        return cls(d=d, b=float(b))
+        return super().__new__(cls, d, float(b))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through _make
+    __reduce__ = lambda self: (MatrixSpec, tuple(self))  # every pickle protocol calls __new__
 
     def dense(self) -> np.ndarray:
         import numpy as np
@@ -84,7 +86,7 @@ class MatrixSpec(NamedTuple):
         if not isinstance(obj, dict):
             raise ValueError("matrix spec must be a JSON object")
         if set(obj) == {"d", "b"}:
-            return MatrixSpec.equal_off_diagonal(obj["d"], obj["b"])
+            return MatrixSpec(obj["d"], obj["b"])
         if set(obj) not in ({"entries"}, {"d", "entries"}):
             keys = sorted(map(str, obj))
             raise ValueError(f"matrix spec must hold the keys 'd' and 'b', or 'entries' and an optional 'd'; got {keys}")
@@ -184,6 +186,8 @@ def _as_matrix(matrix) -> np.ndarray:
     arr = _real_array(matrix, "matrix")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"entries must be a square matrix, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError(f"matrix must not be empty, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
     return arr
@@ -337,9 +341,11 @@ def reduced_sign_pattern(d: int) -> Tuple[int, ...]:
 def check_diagonal_dominance(matrix) -> bool:
     """Sufficient membership check: min diagonal exceeds the total
     off-diagonal absolute sum.  Then Psi >= (min_l m_ll - sum |m_lk|) *
-    max_l z_l^3 > 0 for every z and s."""
+    max_l z_l^3 > 0 for every z and s; an overflowed sum is inf."""
+    import numpy as np
     diag, off = _diag_off(_as_matrix(matrix))
-    return bool(diag.min() > float(abs(off).sum()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(diag.min() > float(abs(off).sum()))
 
 
 def b3_radical() -> float:
@@ -444,7 +450,7 @@ def membership_equal_offdiag(d: int, b: float) -> MembershipReport:
     closure zeros.  Psi is decided exactly, in O(1) from the two blocks,
     and psi_value is it correctly rounded.  Inside the margin: inconclusive.
     """
-    spec = MatrixSpec.equal_off_diagonal(d, b)
+    spec = MatrixSpec(d, b)
     d, bd, res = spec.d, *_bd_from_sup(spec.d)
     margin = 1e-8
     report = partial(MembershipReport, d=d, b=spec.b, b_d=bd, margin=margin)
@@ -578,37 +584,38 @@ def certify_general(matrix) -> GeneralReport:
 
 
 def _best_perturbation_slack(m: np.ndarray) -> Tuple[float, float, float, int]:
-    """(b, min_l slack_l(b), t, dense slack evaluations) at the best b; see certify_general."""
+    """(b, min_l slack_l(b), t, dense slack evaluations) at the best b; an overflowed slack never certifies."""
     import numpy as np
-    d = m.shape[0]
-    t = all_split_threshold(d)
-    diag, off = m.diagonal(), ~np.eye(d, dtype=bool)
-    evaluations = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = m.shape[0]
+        t = all_split_threshold(d)
+        diag, off = m.diagonal(), ~np.eye(d, dtype=bool)
+        evaluations = 0
 
-    def slacks(b):
-        nonlocal evaluations
-        evaluations += 1
-        a = abs(m - b)
-        np.fill_diagonal(a, 0.0)
-        rows = diag - b / t - (a.sum(axis=1) + 2.0 * a.sum(axis=0)) / 3.0
-        # Right slopes: d|m - b|/db = +1 where m <= b, else -1; f's is the least over minimizing rows.
-        le = (m <= b) & off
-        slopes = -1.0 / t - (2 * (le.sum(axis=1) + 2 * le.sum(axis=0)) - 3 * (d - 1)) / 3.0
-        return rows, slopes, slopes[rows == rows.min()].min()
+        def slacks(b):
+            nonlocal evaluations
+            evaluations += 1
+            a = abs(m - b)
+            np.fill_diagonal(a, 0.0)
+            rows = diag - b / t - (a.sum(axis=1) + 2.0 * a.sum(axis=0)) / 3.0
+            # Right slopes: d|m - b|/db = +1 where m <= b, else -1; f's is the least over minimizing rows.
+            le = (m <= b) & off
+            slopes = -1.0 / t - (2 * (le.sum(axis=1) + 2 * le.sum(axis=0)) - 3 * (d - 1)) / 3.0
+            return rows, slopes, slopes[rows == rows.min()].min()
 
-    cands = np.sort(np.append(np.maximum(m[off], 0.0), (0.0, m[off].max(initial=t))))
-    rows, slopes, rising = slacks(0.0)
-    if rising <= 0.0:
-        return 0.0, float(rows.min()), t, evaluations
-    lo, hi = 0, len(cands) - 1  # f's right slope is > 0 at cands[lo], <= 0 at cands[hi]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        r, s, rising = slacks(cands[mid])
-        lo, hi, rows, slopes = (mid, hi, r, s) if rising > 0.0 else (lo, mid, rows, slopes)
-    # On [cands[lo], cands[hi]] each slack_l is the line rows + slopes x; f peaks where the
-    # lowest rising and falling lines meet, at min over falling q of q's last rising crossing.
-    p, q = slopes > 0.0, slopes <= 0.0
-    cross = (rows[q] - rows[p, None]) / (slopes[p, None] - slopes[q])
-    x = cross.max(axis=0, initial=-np.inf).min(initial=np.inf)
-    b = float(np.clip(cands[lo] + x, cands[lo], cands[hi]))
-    return b, float(slacks(b)[0].min()), t, evaluations
+        cands = np.sort(np.append(np.maximum(m[off], 0.0), (0.0, m[off].max(initial=t))))
+        rows, slopes, rising = slacks(0.0)
+        if rising <= 0.0:
+            return 0.0, float(rows.min()), t, evaluations
+        lo, hi = 0, len(cands) - 1  # f's right slope is > 0 at cands[lo], <= 0 at cands[hi]
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            r, s, rising = slacks(cands[mid])
+            lo, hi, rows, slopes = (mid, hi, r, s) if rising > 0.0 else (lo, mid, rows, slopes)
+        # On [cands[lo], cands[hi]] each slack_l is the line rows + slopes x; f peaks where the
+        # lowest rising and falling lines meet, at min over falling q of q's last rising crossing.
+        p, q = slopes > 0.0, slopes <= 0.0
+        cross = (rows[q] - rows[p, None]) / (slopes[p, None] - slopes[q])
+        x = cross.max(axis=0, initial=-np.inf).min(initial=np.inf)
+        b = float(np.clip(cands[lo] + x, cands[lo], cands[hi]))
+        return b, float(slacks(b)[0].min()), t, evaluations

@@ -191,7 +191,7 @@ def test_criterion_8_cone_consistency():
             z = 10.0 ** rng.uniform(-2.0, 2.0, size=d)
             a = d - d // 2  # minus-block length of the reduced pattern
             v_direct = psi(
-                MatrixSpec.equal_off_diagonal(d, b).dense(),
+                MatrixSpec(d, b).dense(),
                 z,
                 reduced_sign_pattern(d),
             )
@@ -205,7 +205,7 @@ def test_criterion_8_cone_consistency():
             rep = compute_bd(d)
             x, y = sup_q(d - d // 2, d // 2).witness_pair(eps=1e-9)
             z = np.array(x + y)
-            m = MatrixSpec.equal_off_diagonal(d, rep.b_d).dense()
+            m = MatrixSpec(d, rep.b_d).dense()
             pats = enumerate_sign_patterns(d)
             vals = psi_over_patterns(m, z, pats)
             red = np.asarray(reduced_sign_pattern(d))
@@ -240,5 +240,5 @@ def test_criterion_9_certification_roundtrip():
                 # psi_value is the exact Psi of the stored floats, correctly
                 # rounded, as psi (psq verify) gives it on the spec and the dense matrix.
                 assert w.psi_value == float(_psi_exact_offdiag(high.b, w.z, w.s))
-                spec = MatrixSpec.equal_off_diagonal(d, high.b)
+                spec = MatrixSpec(d, high.b)
                 assert psi(spec, w.z, w.s) == psi(spec.dense(), w.z, w.s) == w.psi_value

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import pytest
 
@@ -288,6 +289,16 @@ class TestCertify:
         doc = json.loads(out.out)
         assert doc["witness"]["psi"] < 0
 
+    def test_near_float_max_writes_no_warning(self, cli, tmp_path):
+        # The certificates' float sums overflow; numpy must not warn on stderr or raise under -W error.
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps({"entries": [[1e308, 1e308], [1e308, 1e308]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = cli(["certify", "--matrix", str(mpath)])
+        assert (out.code, out.err) == (3, "")
+        assert json.loads(out.out)["verdict"] == "inconclusive"
+
     def test_inconclusive_at_threshold(self, cli):
         bd = json.loads(cli(["bd", "--d", "5"]).out)["b_d"]
         out = cli(["certify", "--d", "5", "--b", repr(bd)])
@@ -410,6 +421,20 @@ class TestVerify:
         wpath.write_text(json.dumps({"z": [1.0, 1.0]}))
         out = cli(["verify", "--matrix", str(mpath), "--witness", str(wpath)])
         assert out.code == 2
+
+    def test_witness_keys(self, cli, tmp_path):
+        # {"z", "s"}, or the {"z", "s", "psi"} that certify --json writes; any other key set is a usage error.
+        mpath, wpath = tmp_path / "m.json", tmp_path / "w.json"
+        mpath.write_text(json.dumps({"d": 2, "b": 0.3}))
+        witness = {"z": [1.0, 1.0], "s": [-1, 1]}
+        for extra in ({}, {"psi": 1.4}):
+            wpath.write_text(json.dumps({**witness, **extra}))
+            assert cli(["verify", "--matrix", str(mpath), "--witness", str(wpath)]).code == 1
+        for doc in ({**witness, "extra": 1}, {**witness, "psi": 1.4, "d": 2}, {"z": [1.0, 1.0], "psi": 1.4}, [witness]):
+            wpath.write_text(json.dumps(doc))
+            out = cli(["verify", "--matrix", str(mpath), "--witness", str(wpath)])
+            _assert_usage_error(out)
+            assert "witness file must hold an object with the keys 'z' and 's' and an optional 'psi'" in out.err
 
     @pytest.mark.parametrize("signs", [[1, "1"], [True, -1]])
     def test_non_numeric_signs(self, cli, tmp_path, signs):

@@ -1,8 +1,10 @@
 import itertools
 import json
 import math
+import pickle
 import random
 import tracemalloc
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -71,13 +73,58 @@ def b3_quartic_root():
 
 class TestMatrixSpec:
     def test_equal_offdiag_dense(self):
-        m = MatrixSpec.equal_off_diagonal(3, 0.5).dense()
+        m = MatrixSpec(3, 0.5).dense()
         assert np.array_equal(m, np.array([[1, 0.5, 0.5], [0.5, 1, 0.5], [0.5, 0.5, 1]]))
 
     def test_rejects_bad_b_and_d(self):
         for d, b in ((1, 0.5), (3, -0.1), (3, 1.5), (3, float("nan"))):
             with pytest.raises(ValueError):
-                MatrixSpec.equal_off_diagonal(d, b)
+                MatrixSpec(d, b)
+
+    def test_every_construction_checks_d_and_b(self):
+        forged = pickle.dumps(MatrixSpec(3, 0.5), protocol=0).replace(b"0.5", b"2.5")
+        for make, message in (
+            (lambda: MatrixSpec(3, "0.5"), "b must lie in [0, 1], got '0.5'"),
+            (lambda: MatrixSpec(3, True), "b must lie in [0, 1], got True"),
+            (lambda: MatrixSpec(3, float("nan")), "b must lie in [0, 1], got nan"),
+            (lambda: MatrixSpec(3, 1.5), "b must lie in [0, 1], got 1.5"),
+            (lambda: MatrixSpec(1, 0.5), "d must be an integer >= 2, got 1"),
+            (lambda: MatrixSpec(2.5, 0.5), "d must be an integer >= 2, got 2.5"),
+            (lambda: MatrixSpec(d=3, b=None), "b must lie in [0, 1], got None"),
+            (lambda: MatrixSpec(4, 0.3)._replace(b=2.0), "b must lie in [0, 1], got 2.0"),
+            (lambda: MatrixSpec(4, 0.3)._replace(d=True), "d must be an integer >= 2, got True"),
+            (lambda: MatrixSpec._make([4, -0.5]), "b must lie in [0, 1], got -0.5"),
+            (lambda: pickle.loads(forged), "b must lie in [0, 1], got 2.5"),
+            (lambda: MatrixSpec.from_json_dict({"d": 3, "b": "0.5"}), "b must lie in [0, 1], got '0.5'"),
+        ):
+            with pytest.raises(ValueError) as err:
+                make()
+            assert str(err.value) == message
+
+    def test_b_is_stored_as_a_float(self):
+        # Psi of a spec is that of the rounded b, however b was given.
+        spec = MatrixSpec(np.int64(3), Fraction(1, 3))
+        assert type(spec.d) is int and type(spec.b) is float and spec.b == 1 / 3
+        z, s = [1, Fraction(1, 3), 2], [-1, 1, 1]
+        assert _psi(spec, z, s) == _psi(MatrixSpec(3, 1 / 3), z, s) == _psi(spec.dense(), z, s)
+        assert MatrixSpec(2, 1) == (2, 1.0) and type(MatrixSpec(2, 1).b) is float
+
+    @given(
+        st.integers(2, 10**40),
+        st.one_of(st.floats(0.0, 1.0), st.fractions(0, 1), st.integers(0, 1), st.floats(0.0, 1.0).map(np.float32)),
+    )
+    def test_round_trips(self, d, b):
+        spec = MatrixSpec(d, b)
+        assert type(spec) is MatrixSpec and spec == (d, float(b))
+        copies = [
+            MatrixSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict()))),
+            spec._replace(),
+            spec._replace(d=d, b=spec.b),
+            MatrixSpec._make(spec),
+            *(pickle.loads(pickle.dumps(spec, protocol=p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+        ]
+        for copy in copies:
+            assert type(copy) is MatrixSpec and copy.d == d and copy.b.hex() == spec.b.hex()
 
     def test_general_validation(self):
         for entries, message in (
@@ -93,10 +140,15 @@ class TestMatrixSpec:
             with pytest.raises(ValueError) as err:
                 MatrixSpec.from_json_dict({"entries": entries})
             assert str(err.value) == message
+        # An empty matrix gets psq's message from every function on explicit matrices.
+        for func in (certify_general, check_diagonal_dominance, sample_membership_general, lambda m: psi(m, [], [])):
+            with pytest.raises(ValueError) as err:
+                func(np.zeros((0, 0)))
+            assert str(err.value) == "matrix must not be empty, got shape (0, 0)"
 
     def test_json_round_trip(self):
         # An M_d(b) file gives the spec back; an entries file gives the float array.
-        a = MatrixSpec.equal_off_diagonal(4, 0.9)
+        a = MatrixSpec(4, 0.9)
         assert MatrixSpec.from_json_dict(a.to_json_dict()) == a
         assert json.loads(json.dumps(a.to_json_dict())) == a.to_json_dict()
         entries = [[2, 0.1], [0.3, 2.0]]
@@ -175,7 +227,7 @@ def _matrix_z_s(draw):
 class TestPsi:
     def test_m2_exact_line(self):
         for b in (0.0, 0.25, 0.5, 0.9, 1.0):
-            m = MatrixSpec.equal_off_diagonal(2, b).dense()
+            m = MatrixSpec(2, b).dense()
             assert psi(m, [1.0, 1.0], [-1, 1]) == 2.0 - 2.0 * b
 
     def test_split_identity_equal_offdiag(self):
@@ -188,7 +240,7 @@ class TestPsi:
             b = float(rng.uniform(0, 1))
             z = 10.0 ** rng.uniform(-2, 2, size=d)
             s = [-1] * a + [1] * (d - a)
-            v1 = psi(MatrixSpec.equal_off_diagonal(d, b).dense(), z, s)
+            v1 = psi(MatrixSpec(d, b).dense(), z, s)
             r = quotient_q(list(z[:a]), list(z[a:]))
             v2 = float(r.s3) * (1.0 - b * (1.0 + float(r.value)))
             assert v1 == pytest.approx(v2, rel=1e-12, abs=1e-12)
@@ -230,7 +282,7 @@ class TestPsi:
                 psi(m, [1.0, 1.0], s)
         with pytest.raises(ValueError):
             psi(np.ones((2, 3)), [1.0, 1.0], [-1, 1])
-        for m in (np.eye(2), MatrixSpec.equal_off_diagonal(2, 0.5)):
+        for m in (np.eye(2), MatrixSpec(2, 0.5)):
             with pytest.raises(ValueError, match="must have length 2"):
                 psi(m, [1.0, 1.0], [-1, 1, 1])
             with pytest.raises(ValueError, match="must be -1 or \\+1"):
@@ -258,7 +310,7 @@ class TestPsi:
         rng = random.Random(seed)
         d = rng.randint(1 if form != "offdiag" else 2, 7)
         if form == "offdiag":
-            matrix = MatrixSpec.equal_off_diagonal(d, rng.random())
+            matrix = MatrixSpec(d, rng.random())
             entries = matrix.dense().tolist()
         else:
             entries = [[rng.uniform(-1.0, 1.0) for _ in range(d)] for _ in range(d)]
@@ -292,7 +344,7 @@ class TestPsi:
     def test_spec_matches_dense(self, d):
         rng = random.Random(d)
         for b in (0.0, 1.0, compute_bd(d).b_d, rng.random()):
-            spec = MatrixSpec.equal_off_diagonal(d, b)
+            spec = MatrixSpec(d, b)
             for scale in (1.0, 2.0 ** 360, 2.0 ** -360):
                 z = [scale * rng.choice((1.0, 0.3, rng.uniform(0.1, 3.0))) for _ in range(d)]
                 s = [rng.choice((-1, 1)) for _ in range(d)]
@@ -303,7 +355,7 @@ class TestPsi:
         # An exact entry beyond float range would overflow the float screen.
         for call in (
             lambda: psi(np.eye(2), z, [-1, 1]),
-            lambda: psi(MatrixSpec.equal_off_diagonal(2, 0.5), z, [-1, 1]),
+            lambda: psi(MatrixSpec(2, 0.5), z, [-1, 1]),
             lambda: psi_over_patterns(np.eye(2), z, [[-1, 1]]),
         ):
             with pytest.raises(ValueError, match=rf"z\[{k}\] lies beyond float range"):
@@ -481,7 +533,7 @@ def _check_nonmember_witnesses(d, n_grid, rng):
         assert len(set(w.z)) == 2 and w.z[:i] == (1.0,) * i, (d, b)
         exact = _psi_exact_offdiag(b, w.z, w.s)
         assert exact < 0 and w.psi_value == float(exact), (d, b)
-        spec = MatrixSpec.equal_off_diagonal(d, b)
+        spec = MatrixSpec(d, b)
         assert psi(spec, w.z, w.s) == w.psi_value, (d, b)
         if d <= 200:
             assert psi(spec.dense(), w.z, w.s) == w.psi_value, (d, b)
@@ -508,7 +560,7 @@ class TestMembership:
         # The unit count of the balanced maximizer (i = 1 for d = 6) as a
         # full block against the other d - 1 entries, not the balanced pattern.
         rep = membership_equal_offdiag(6, 0.95)
-        m = MatrixSpec.equal_off_diagonal(6, 0.95).dense()
+        m = MatrixSpec(6, 0.95).dense()
         w = rep.witness
         assert w.psi_value == float(_psi_exact_offdiag(0.95, w.z, w.s))
         assert psi(m, w.z, w.s) < 0.0
@@ -568,7 +620,7 @@ class TestMembership:
 
 class TestSampler:
     def test_finds_violation_above_threshold(self):
-        m = MatrixSpec.equal_off_diagonal(5, 0.95).dense()
+        m = MatrixSpec(5, 0.95).dense()
         rep = sample_membership_general(m)
         assert rep.verdict == "nonmember"
         assert rep.witness.psi_value < 0
@@ -578,14 +630,14 @@ class TestSampler:
         # The balanced-split criterion certifies M_4(0.95) (b_4 = 0.962),
         # but the (1,3)-split pattern still violates positivity: the
         # balanced pattern is not sufficient at d >= 4.
-        m = MatrixSpec.equal_off_diagonal(4, 0.95).dense()
+        m = MatrixSpec(4, 0.95).dense()
         assert membership_equal_offdiag(4, 0.95).verdict == "member_certified"
         rep = sample_membership_general(m)
         assert rep.verdict == "nonmember"
         assert sum(1 for v in rep.witness.s if v < 0) in (1, 3)
 
     def test_deterministic(self):
-        m = MatrixSpec.equal_off_diagonal(6, 0.97).dense()
+        m = MatrixSpec(6, 0.97).dense()
         a = sample_membership_general(m)
         b = sample_membership_general(m)
         assert a == b
@@ -597,7 +649,7 @@ class TestSampler:
         # screen exact, so BLAS's summation order, which can depend on a
         # slice's row count, moves no bit.
         rng = np.random.default_rng(3101)
-        cases = [MatrixSpec.equal_off_diagonal(d, 31 / 32).dense() for d in (3, 6, 12)]
+        cases = [MatrixSpec(d, 31 / 32).dense() for d in (3, 6, 12)]
         for _ in range(30):
             d = int(rng.integers(2, 13))
             m = rng.integers(-10, 17, (d, d)) / 16
@@ -631,7 +683,7 @@ class TestSampler:
         assert rep.n_evaluated > 0
 
     def test_large_d_sampled_patterns(self):
-        m = MatrixSpec.equal_off_diagonal(30, 0.99).dense()
+        m = MatrixSpec(30, 0.99).dense()
         rep = sample_membership_general(m)
         assert rep.verdict == "nonmember"
 
@@ -733,7 +785,7 @@ class TestSampler:
         rng = np.random.default_rng(2903)
         for d in range(4, 25):
             w, p = 10.0 ** rng.uniform(-1.5, 1.5, d), rng.permutation(d)
-            m = MatrixSpec.equal_off_diagonal(d, all_split_threshold(d) * (1 + 1e-6)).dense()
+            m = MatrixSpec(d, all_split_threshold(d) * (1 + 1e-6)).dense()
             m = (w[:, None] * m * (w * w))[np.ix_(p, p)]
             rep = certify_general(m)
             assert rep.verdict == "nonmember" and rep.method == "sampling", d
@@ -779,10 +831,20 @@ class TestCertifyGeneral:
         assert rep.method == "diagonal_dominance"
 
     def test_falls_back_to_sampling(self):
-        m = MatrixSpec.equal_off_diagonal(4, 0.99).dense()
+        m = MatrixSpec(4, 0.99).dense()
         rep = certify_general(m)
         assert rep.method == "sampling" and rep.verdict == "nonmember"
         json.dumps(rep.to_json_dict())
+
+    def test_near_float_max_warns_nothing(self):
+        # The float sums overflow to inf; the slack is -inf and neither certificate fires.
+        for m in (np.full((2, 2), 1e308), np.array([[1e308, -1e308], [1e308, 1e308]])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert check_diagonal_dominance(m) is False
+                assert _best_perturbation_slack(m)[1] == -math.inf
+                rep = certify_general(m)
+            assert (rep.verdict, rep.method) == ("inconclusive", "sampling")
 
     def test_one_by_one(self):
         assert certify_general(np.array([[2.0]])).method == "diagonal_dominance"
@@ -936,7 +998,7 @@ class TestPerturbationCertificate:
         assert all_split_threshold(16) == pytest.approx(0.5499648909721311, abs=1e-15)
 
     def test_m16_is_certified(self):
-        rep = certify_general(MatrixSpec.equal_off_diagonal(16, 0.3).dense())
+        rep = certify_general(MatrixSpec(16, 0.3).dense())
         assert rep.verdict == "member_certified" and rep.method == "perturbation"
         diag = rep.diagnostics
         assert diag["threshold"] == all_split_threshold(16)
@@ -949,18 +1011,18 @@ class TestPerturbationCertificate:
         # Above t_d the two-level search refutes M_d(b): the split's full block is a prefix.
         for d in [*range(3, 25), 32, 48, 64]:
             t = all_split_threshold(d)
-            above = MatrixSpec.equal_off_diagonal(d, t * (1 + 1e-6)).dense()
+            above = MatrixSpec(d, t * (1 + 1e-6)).dense()
             rep = certify_general(above)
             assert rep.verdict == "nonmember", d
             assert _exact_psi(above.tolist(), rep.witness.z, rep.witness.s) < 0, d
-            below = MatrixSpec.equal_off_diagonal(d, t * (1 - 1e-6)).dense()
+            below = MatrixSpec(d, t * (1 - 1e-6)).dense()
             assert certify_general(below).method == "perturbation", d
 
     def test_slack_maximized_where_rows_cross(self):
         # Entries 0.3 in row and column 0, else 0: slack_0(b) = 0.4 + 2b
         # - b/t and slack_1(b) = slack_2(b) = 0.7 - b/t on [0, 0.3], so
         # the best b is their crossing 0.15, not a breakpoint (0 or 0.3).
-        m = MatrixSpec.equal_off_diagonal(3, 0.0).dense()
+        m = MatrixSpec(3, 0.0).dense()
         m[0, 1:] = m[1:, 0] = 0.3
         rep = certify_general(m)
         assert rep.method == "perturbation"
@@ -975,7 +1037,7 @@ class TestPerturbationCertificate:
         for d in (2, 3, 7, 12):
             t = all_split_threshold(d)
             cases += [
-                MatrixSpec.equal_off_diagonal(d, f * t).dense() for f in (0.0, 0.5, 1 - 1e-6, 1.0)
+                MatrixSpec(d, f * t).dense() for f in (0.0, 0.5, 1 - 1e-6, 1.0)
             ]
             m = np.full((d, d), -0.2)  # negative entries, all off-diagonals equal
             np.fill_diagonal(m, 1.0)
@@ -983,7 +1045,7 @@ class TestPerturbationCertificate:
             m = np.full((d, d), 2.0 * t)  # entries above t
             np.fill_diagonal(m, 5.0 * d)
             cases.append(m)
-            m = MatrixSpec.equal_off_diagonal(d, 0.0).dense()  # rows tie pairwise
+            m = MatrixSpec(d, 0.0).dense()  # rows tie pairwise
             m[0, 1:] = m[1:, 0] = m[-1, :-1] = m[:-1, -1] = 0.3
             cases.append(m)
         for _ in range(300):
@@ -1018,7 +1080,7 @@ class TestPerturbationCertificate:
     def test_certified_perturbations_are_members(self, d, frac, noise, bump_col, bump_row, seed):
         rng = np.random.default_rng(seed)
         b = frac * compute_bd(d).b_d
-        m = MatrixSpec.equal_off_diagonal(d, b).dense() + rng.normal(0.0, noise, (d, d))
+        m = MatrixSpec(d, b).dense() + rng.normal(0.0, noise, (d, d))
         m[1:, 0] += bump_col
         m[0, 1:] += bump_row
         if certify_general(m).verdict != "member_certified":

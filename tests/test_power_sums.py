@@ -574,17 +574,27 @@ class TestBlockPowerSums:
             lambda: sys.maxsize - rng.randint(0, 2),
             lambda: rng.randint(1, 10 ** 150),
         )
+        inside = outside = 0
         for _ in range(5000):
             blocks = [
                 (rng.choice(values)() or 5e-324, rng.choice(counts)())
                 for _ in range(rng.randint(1, 3))
             ]
             want = self.fraction_sums(blocks)
-            if want is None:
-                with pytest.raises(ValueError, match="block power sums overflow float64"):
-                    ps._block_power_sums(blocks)
-            else:
+            # The documented domain: c v**3 (2**27 + 1) < 2**1024 for every block.
+            if all(c * Fraction(v * v * v) * (2 ** 27 + 1) < 2 ** 1024 for v, c in blocks):
+                inside += 1
                 assert tuple(ps._block_power_sums(blocks)) == want, blocks
+                continue
+            # Outside it: the exact sums, or the documented ValueError.
+            outside += 1
+            try:
+                got = tuple(ps._block_power_sums(blocks))
+            except ValueError as e:
+                assert str(e) == "block power sums overflow float64", blocks
+            else:
+                assert got == want, blocks
+        assert inside > 4000 and outside > 0
 
     def test_same_bits_as_power_sums_on_the_list(self):
         rng = random.Random(7)
@@ -667,7 +677,7 @@ class TestBatch:
 # Each function that checks an integer argument with power_sums._integer:
 # (the argument's name, a valid value, a call passing that value).
 _INTEGER_ARGS = [
-    ("d", 5, lambda v: MatrixSpec.equal_off_diagonal(v, 0.5)),
+    ("d", 5, lambda v: MatrixSpec(v, 0.5)),
     ("d", 5, lambda v: membership_equal_offdiag(v, 0.5)),
     ("d", 5, lambda v: membership_equal_offdiag(v, 0.99)),
     ("d", 5, enumerate_sign_patterns),

@@ -24,7 +24,7 @@ RESULTS = {
     "QuotientValue": (lambda: quotient_q([1, 2], [3]), ["value", "s1", "s2", "s3"]),
     "StructuredConfig": (lambda: sup_q(3, 3).maximizing_config, ["i", "m", "gamma", "side", "q_value"]),
     "SupQResult": (lambda: sup_q(3, 3), ["n_x", "n_y", "sup_value", "maximizing_config", "attained"]),
-    "MatrixSpec": (lambda: MatrixSpec.equal_off_diagonal(4, 0.3), ["d", "b"]),
+    "MatrixSpec": (lambda: MatrixSpec(4, 0.3), ["d", "b"]),
     "PsiWitness": (lambda: membership_equal_offdiag(4, 0.99).witness, ["z", "s", "psi"]),
     "MembershipReport": (
         lambda: membership_equal_offdiag(4, 0.99),
