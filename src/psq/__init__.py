@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 # The public names of each lazy module, in order; the modules read their __all__ from here.
 _LAZY = {
     "structured": "SQRT7 C_STAR P_STAR GAMMA_STAR C_T P_T GAMMA_T ALPHA_T StructuredConfig SupQResult reduced_objective solve_reduced sup_q growth_blocks witness_vectors positivity_witness".split(),
-    "cone": "MatrixSpec PsiWitness MembershipReport GeneralReport BdReport psi psi_over_patterns enumerate_sign_patterns reduced_sign_pattern check_diagonal_dominance all_split_threshold membership_equal_offdiag certify_general sample_membership_general compute_bd growth_lower_bound b3_radical".split(),
+    "cone": "MatrixSpec PsiWitness MembershipReport GeneralReport BdReport psi psi_over_patterns enumerate_sign_patterns reduced_sign_pattern all_split_threshold membership_equal_offdiag certify_general sample_membership_general compute_bd growth_lower_bound b3_radical".split(),
     "oracle": "OracleResult brute_force_sup check_structured_shape".split(),
     "tables": "Table1Row Table2Row truncate3 table1_rows table2_rows DEFAULT_TABLE2_DIMS TABLE1_DIMS".split(),
 }

@@ -99,24 +99,24 @@ class MatrixSpec(namedtuple("MatrixSpec", "d b")):
 
 
 class PsiWitness(NamedTuple):
-    """A (z, s) pair with Psi_M(z, s) < 0, certifying non-membership; psi_value is Psi correctly rounded."""
+    """A (z, s) pair with Psi_M(z, s) < 0, certifying non-membership; psi_value is Psi correctly rounded (JSON null if -inf)."""
 
     z: Tuple[float, ...]
     s: Tuple[int, ...]
     psi_value: float
 
     def to_json_dict(self) -> dict:
-        return {"z": list(self.z), "s": list(self.s), "psi": self.psi_value}
+        return {"z": list(self.z), "s": list(self.s), "psi": self.psi_value if self.psi_value > -math.inf else None}
 
 
 class MembershipReport(NamedTuple):
     """Verdict for M_d(b): member_certified, nonmember, or inconclusive.
 
-    margin is a fixed 1e-8 around the threshold b_d; b inside it is
-    reported inconclusive rather than resolved by a comparison below
-    working precision.  The field only repeats that constant; it stays
-    because perfbench reads it from reports and from the CLI's JSON,
-    until ROADMAP item 2 drops it there.
+    margin is 1e-8 b_d, relative so that it stays above float resolution
+    at every d; b inside it is reported inconclusive rather than resolved
+    by a comparison below working precision.  The field only repeats that
+    product; it stays because perfbench reads it from reports and from
+    the CLI's JSON, until ROADMAP item 2 drops it there.
     """
 
     d: int
@@ -231,6 +231,13 @@ def _diag_off(m: np.ndarray):
     return m.diagonal(), off
 
 
+def _unit_scaled(m: np.ndarray) -> Tuple[np.ndarray, int, float]:
+    """(m 2^-k, k, max|m_ij| 2^-k in [1/2, 1)) (k = 0 for m = 0): exact unless an entry leaves the normal range."""
+    import numpy as np
+    top, k = math.frexp(float(abs(m).max()))
+    return np.ldexp(m, -k), k, top
+
+
 def _dyadic_matrix(m: np.ndarray) -> Tuple[np.ndarray, int]:
     """Python ints N (an object array) and D = 2^k with m = N / D exactly: np.frexp writes every
     float64, zeros and subnormals too, as a 53-bit integer times 2^e, shifted to 2^min(0, least e)."""
@@ -338,16 +345,6 @@ def reduced_sign_pattern(d: int) -> Tuple[int, ...]:
     return (-1,) * minus + (1,) * plus
 
 
-def check_diagonal_dominance(matrix) -> bool:
-    """Sufficient membership check: min diagonal exceeds the total
-    off-diagonal absolute sum.  Then Psi >= (min_l m_ll - sum |m_lk|) *
-    max_l z_l^3 > 0 for every z and s; an overflowed sum is inf."""
-    import numpy as np
-    diag, off = _diag_off(_as_matrix(matrix))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return bool(diag.min() > float(abs(off).sum()))
-
-
 def b3_radical() -> float:
     """Closed form shared by b_3 and b_4: (sqrt((3/5)(39 + 16 sqrt 6)) - 3)/4."""
     return (math.sqrt(0.6 * (39.0 + 16.0 * math.sqrt(6.0))) - 3.0) / 4.0
@@ -365,11 +362,14 @@ def growth_lower_bound(d: int) -> float:
     1 / (1 + c* floor(d/2)) coincides with it for even d, and for odd
     d <= 6 it still holds (sup Q = 0.0391 < c* for d = 3, and
     0.1079 < 2 c* for d = 5); for odd d >= 7 it exceeds b_d.
-    ValueError unless d is an integer >= 2.
+    ValueError unless d is an integer >= 2 whose half fits in a float.
     """
     d = _integer(d, "d", 2)
     half = d // 2 if d % 2 == 0 or d <= 6 else d - d // 2
-    return 1.0 / (1.0 + C_STAR * half)
+    try:
+        return 1.0 / (1.0 + C_STAR * half)
+    except OverflowError:
+        raise ValueError(f"d is too large for float64, got {d!r}") from None
 
 
 def all_split_threshold(d: int) -> float:
@@ -439,7 +439,7 @@ def compute_bd(d: int) -> BdReport:
 
 
 def membership_equal_offdiag(d: int, b: float) -> MembershipReport:
-    """Decide M_d(b) against the threshold b_d with a fixed 1e-8 margin.
+    """Decide M_d(b) against the threshold b_d with a margin of 1e-8 b_d.
 
     b <= b_d - margin: member_certified.  b >= b_d + margin: nonmember,
     with the witness z = (1^i, gamma^(d - i)), s = (-1^i, +1^(d - i)):
@@ -452,7 +452,7 @@ def membership_equal_offdiag(d: int, b: float) -> MembershipReport:
     """
     spec = MatrixSpec(d, b)
     d, bd, res = spec.d, *_bd_from_sup(spec.d)
-    margin = 1e-8
+    margin = 1e-8 * bd
     report = partial(MembershipReport, d=d, b=spec.b, b_d=bd, margin=margin)
 
     if spec.b <= bd - margin:
@@ -497,7 +497,8 @@ def _two_level(n: np.ndarray, pats: np.ndarray) -> tuple:
     for lo, hi in ((a2, a1), (a1, a2), (a0, a3)):
         low, high = np.where(lo != 0.0, lo, low), np.where(hi != 0.0, hi, high)
     r = np.empty((3, *a0.shape))
-    r[0] = -a1 / (a2 + np.sqrt(a2 * a2 - 3.0 * a3 * a1))  # the local minimum, stable as a3 -> 0
+    sq = np.sqrt(a2 * a2 - 3.0 * a3 * a1)  # the local minimum, in whichever form does not cancel;
+    r[0] = np.where(a2 < 0.0, (sq - a2) / (3.0 * a3), -a1 / (a2 + sq))  # the second is stable as a3 -> 0
     r[1] = np.where(low < 0.0, np.minimum(1.0, -low / size), np.nan)
     r[2] = np.where(high < 0.0, np.maximum(1.0, size / -high), np.nan)
     neg = [(((a3 * x + a2) * x + a1) * x + a0 < 0.0) & (x > 0.0) & (x < math.inf) for x in r]
@@ -507,18 +508,18 @@ def _two_level(n: np.ndarray, pats: np.ndarray) -> tuple:
 def sample_membership_general(matrix) -> GeneralReport:
     """Search two-level vectors for a violating (z, s) pair of an explicit matrix.
 
-    With v_l = m_ll^(-1/3) where m_ll > 0, else 1, and N = V M V^2, Psi_M(v o u, s) =
-    Psi_N(u, s), a cubic in r at u = (r on A, 1 off A) (_two_level), for each block A (the
-    d - 1 proper prefixes, then the d singletons) and each pattern s: all canonical ones while
-    2^(d-1) <= d + 512, else the d minus blocks and the distinct ones of 512 random rows drawn
-    from default_rng(0) (both sets hold the one-sign pattern).  n_evaluated counts the cubics,
-    patterns x (2d - 1), screened in slices of consecutive patterns of at most _SLICE_CUBICS (one
-    slice for d <= 16).  In pattern, then block order, the first candidate z = v o u whose exact
-    Psi on M (_psi) is negative is the witness, with psi_value that Psi correctly rounded; else
-    the verdict is inconclusive, as the search never certifies membership.  For d > 16 the float
-    candidates, and so a witness's bits, can differ with the BLAS build: BLAS sums p @ n in an
-    order that depends on the row count.  _psi keeps every verdict exact, and the slicing itself
-    is a fixed function of d.
+    With v_l = m_ll^(-1/3) where m_ll > 0, else 1, and N = V M V^2 (screened at _unit_scaled's
+    scale), Psi_M(v o u, s) = Psi_N(u, s), a cubic in r at u = (r on A, 1 off A) (_two_level), for
+    each block A (the d - 1 proper prefixes, then the d singletons) and each pattern s: all
+    canonical ones while 2^(d-1) <= d + 512, else the d minus blocks and the distinct ones of 512
+    random rows drawn from default_rng(0) (both sets hold the one-sign pattern).  n_evaluated counts
+    the cubics, patterns x (2d - 1), screened in slices of consecutive patterns of at most
+    _SLICE_CUBICS (one slice for d <= 16).  In pattern, then block order, the first candidate
+    z = v o u whose exact Psi on M (_psi) is negative is the witness, with psi_value that Psi
+    correctly rounded; else the verdict is inconclusive, as the search never certifies membership.
+    For d > 16 the float candidates, and so a witness's bits, can differ with the BLAS build: BLAS
+    sums p @ n in an order that depends on the row count.  _psi keeps every verdict exact, and the
+    slicing itself is a fixed function of d.
 
     The earlier fixed probes are covered.  For a constant diagonal, up to scale, the ones
     vector is r = 1 in any block, a spike 10^(+-3) a singleton at that r and the gamma grid
@@ -533,7 +534,7 @@ def sample_membership_general(matrix) -> GeneralReport:
     step = max(1, _SLICE_CUBICS // (2 * d - 1))
     with np.errstate(all="ignore"):  # overflow and 0/0 only give candidates that are dropped
         v = np.where(m.diagonal() > 0.0, m.diagonal(), 1.0) ** (-1.0 / 3.0)
-        n = v[:, None] * m * (v * v)
+        n = _unit_scaled(v[:, None] * m * (v * v))[0]  # the screen's sums stay in float range
         for lo in range(0, len(pats), step):
             _, r, hits = _two_level(n, pats[lo : lo + step])
             for k, a, i in np.argwhere(hits.transpose(1, 2, 0)):
@@ -550,72 +551,73 @@ def sample_membership_general(matrix) -> GeneralReport:
 def certify_general(matrix) -> GeneralReport:
     """Three-stage check for an explicit matrix.
 
-    Diagonal dominance, then the perturbation certificate (both
-    sufficient, so a hit is member_certified), then the search of
-    sample_membership_general.
+    Diagonal dominance, then the perturbation certificate (both sufficient, so a hit is
+    member_certified), then the search of sample_membership_general.
 
-    Perturbation certificate.  Let t = all_split_threshold(d), b >= 0
-    and E = M - M_d(b).  Every pattern splits z into blocks with
-    1 + Q <= 1/t, so Psi_{M_d(b)}(z, s) = M3(z) (1 - b (1 + Q)) >=
-    M3(z) (1 - b/t).  Weighted AM-GM, z_l z_k^2 <= (z_l^3 + 2 z_k^3)/3,
-    bounds each off-diagonal term of Psi_E; collecting z_l^3 gives
-    Psi_M(z, s) >= sum_l z_l^3 slack_l(b) with
+    Perturbation certificate.  Let t = all_split_threshold(d), b >= 0 and E = M - M_d(b).  Every
+    pattern splits z into blocks with 1 + Q <= 1/t, so Psi_{M_d(b)}(z, s) = M3(z) (1 - b (1 + Q))
+    >= M3(z) (1 - b/t).  Weighted AM-GM, z_l z_k^2 <= (z_l^3 + 2 z_k^3)/3, bounds each
+    off-diagonal term of Psi_E; collecting z_l^3 gives Psi_M(z, s) >= sum_l z_l^3 slack_l(b) with
 
         slack_l(b) = m_ll - b/t - sum_{k != l} (|m_lk - b| + 2 |m_kl - b|) / 3.
 
-    f(b) = min_l slack_l(b) is concave and piecewise linear, bending only
-    where b is an off-diagonal entry.  A binary search over 0, those
-    entries and hi = max(t, max_{k != l} m_lk) finds the last candidate
-    where f's right slope (least among the minimizing rows) is positive;
-    by concavity the maximum lies before the next candidate, where each
-    row is a line, at the crossing of the lowest rising and falling lines.
-    M is certified when f there exceeds 1e-9 max(1, d max|m_ij|), far
-    above the float error of t and the sums.
+    f(b) = min_l slack_l(b) is concave and piecewise linear, bending only where b is an
+    off-diagonal entry.  A binary search over 0, those entries and hi = max(t, max_{k != l} m_lk)
+    (f falls beyond every entry, so t there needs no scaling) finds the last candidate where f's
+    right slope (least among the minimizing rows) is positive; by concavity the maximum lies before
+    the next candidate, where each row is a line, at the crossing of the lowest rising and falling
+    lines.  M is certified when f there exceeds 1e-9 d max|m_ij|, far above the float error of t,
+    the sums and a subnormal entry of the copy below.  Both certificates are linear in M: they run
+    on M 2^-k (_unit_scaled), where no sum overflows, and b and the slack are scaled back.  The
+    dominance test has no margin, so it certifies only where that copy is exact.
     """
+    import numpy as np
     m = _as_matrix(matrix)
     d = m.shape[0]
-    if check_diagonal_dominance(m):
+    n, k, top = _unit_scaled(m)
+    diag, off = _diag_off(n)
+    if diag.min() > float(abs(off).sum()) and (np.ldexp(n, k) == m).all():
         return GeneralReport(d, "member_certified", "diagonal_dominance", 0)
-    b, slack, t, evaluations = _best_perturbation_slack(m)
-    if slack > 1e-9 * max(1.0, d * float(abs(m).max())):
-        diagnostics = {"b": b, "slack": slack, "threshold": t, "evaluations": evaluations}
+    b, slack, t, evaluations = _best_perturbation_slack(n)
+    if slack > 1e-9 * (d * top):
+        diagnostics = {"b": math.ldexp(b, k), "slack": math.ldexp(slack, k), "threshold": t, "evaluations": evaluations}
         return GeneralReport(d, "member_certified", "perturbation", 0, diagnostics=diagnostics)
+    del n, diag, off  # the search builds its own d x d arrays
     return sample_membership_general(m)
 
 
 def _best_perturbation_slack(m: np.ndarray) -> Tuple[float, float, float, int]:
-    """(b, min_l slack_l(b), t, dense slack evaluations) at the best b; an overflowed slack never certifies."""
+    """(b, min_l slack_l(b), t, dense slack evaluations) at the best b; certify_general passes M 2^-k."""
     import numpy as np
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = m.shape[0]
-        t = all_split_threshold(d)
-        diag, off = m.diagonal(), ~np.eye(d, dtype=bool)
-        evaluations = 0
+    d = m.shape[0]
+    t = all_split_threshold(d)
+    diag, off = m.diagonal(), ~np.eye(d, dtype=bool)
+    evaluations = 0
 
-        def slacks(b):
-            nonlocal evaluations
-            evaluations += 1
-            a = abs(m - b)
-            np.fill_diagonal(a, 0.0)
-            rows = diag - b / t - (a.sum(axis=1) + 2.0 * a.sum(axis=0)) / 3.0
-            # Right slopes: d|m - b|/db = +1 where m <= b, else -1; f's is the least over minimizing rows.
-            le = (m <= b) & off
-            slopes = -1.0 / t - (2 * (le.sum(axis=1) + 2 * le.sum(axis=0)) - 3 * (d - 1)) / 3.0
-            return rows, slopes, slopes[rows == rows.min()].min()
+    def slacks(b):
+        nonlocal evaluations
+        evaluations += 1
+        a = abs(m - b)
+        np.fill_diagonal(a, 0.0)
+        rows = diag - b / t - (a.sum(axis=1) + 2.0 * a.sum(axis=0)) / 3.0
+        # Right slopes: d|m - b|/db = +1 where m <= b, else -1; f's is the least over minimizing rows.
+        le = (m <= b) & off
+        slopes = -1.0 / t - (2 * (le.sum(axis=1) + 2 * le.sum(axis=0)) - 3 * (d - 1)) / 3.0
+        return rows, slopes, slopes[rows == rows.min()].min()
 
-        cands = np.sort(np.append(np.maximum(m[off], 0.0), (0.0, m[off].max(initial=t))))
-        rows, slopes, rising = slacks(0.0)
-        if rising <= 0.0:
-            return 0.0, float(rows.min()), t, evaluations
-        lo, hi = 0, len(cands) - 1  # f's right slope is > 0 at cands[lo], <= 0 at cands[hi]
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            r, s, rising = slacks(cands[mid])
-            lo, hi, rows, slopes = (mid, hi, r, s) if rising > 0.0 else (lo, mid, rows, slopes)
-        # On [cands[lo], cands[hi]] each slack_l is the line rows + slopes x; f peaks where the
-        # lowest rising and falling lines meet, at min over falling q of q's last rising crossing.
-        p, q = slopes > 0.0, slopes <= 0.0
-        cross = (rows[q] - rows[p, None]) / (slopes[p, None] - slopes[q])
-        x = cross.max(axis=0, initial=-np.inf).min(initial=np.inf)
-        b = float(np.clip(cands[lo] + x, cands[lo], cands[hi]))
-        return b, float(slacks(b)[0].min()), t, evaluations
+    cands = np.sort(np.append(np.maximum(m[off], 0.0), (0.0, m[off].max(initial=t))))
+    rows, slopes, rising = slacks(0.0)
+    if rising <= 0.0:
+        return 0.0, float(rows.min()), t, evaluations
+    lo, hi = 0, len(cands) - 1  # f's right slope is > 0 at cands[lo], <= 0 at cands[hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        r, s, rising = slacks(cands[mid])
+        lo, hi, rows, slopes = (mid, hi, r, s) if rising > 0.0 else (lo, mid, rows, slopes)
+    # On [cands[lo], cands[hi]] each slack_l is the line rows + slopes x; f peaks where the
+    # lowest rising and falling lines meet, at min over falling q of q's last rising crossing.
+    p, q = slopes > 0.0, slopes <= 0.0
+    cross = (rows[q] - rows[p, None]) / (slopes[p, None] - slopes[q])
+    x = cross.max(axis=0, initial=-np.inf).min(initial=np.inf)
+    b = float(np.clip(cands[lo] + x, cands[lo], cands[hi]))
+    return b, float(slacks(b)[0].min()), t, evaluations

@@ -274,8 +274,8 @@ def _block_power_sums(blocks) -> PowerSumTriple:
     math.fsum of exact parts of each c * w, w = v, v * v, (v * v) * v:
     Veltkamp's split w = hi + lo, hi = a - (a - w), a = w * (2**27 + 1),
     leaves at most 27 significant bits in each, underflow included
-    (Boldo 2006), so each times a 26-bit part of c is exact.  No product
-    overflows while c v**3 (2**27 + 1) < 2**1024, as for every structured
+    (Boldo 2006), so each times a 26-bit part of c is exact.  No product overflows
+    while c < 2**1024 and c v**3 (2**27 + 1) < 2**1024, as for every structured
     block (v <= 1, c < 2**518); ValueError when a product or sum overflows.
     """
     t1, t2, t3 = [], [], []

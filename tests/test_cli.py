@@ -290,7 +290,7 @@ class TestCertify:
         assert doc["witness"]["psi"] < 0
 
     def test_near_float_max_writes_no_warning(self, cli, tmp_path):
-        # The certificates' float sums overflow; numpy must not warn on stderr or raise under -W error.
+        # A boundary member near float max: numpy must not warn on stderr or raise under -W error.
         mpath = tmp_path / "m.json"
         mpath.write_text(json.dumps({"entries": [[1e308, 1e308], [1e308, 1e308]]}))
         with warnings.catch_warnings():
@@ -298,6 +298,38 @@ class TestCertify:
             out = cli(["certify", "--matrix", str(mpath)])
         assert (out.code, out.err) == (3, "")
         assert json.loads(out.out)["verdict"] == "inconclusive"
+
+    def test_float_range_extremes(self, cli, tmp_path):
+        # Decided as their rescaled twins are; a witness whose Psi lies below -float max writes
+        # "psi": null, never the non-JSON -Infinity, and verify confirms it.
+        def no_constants(name):
+            raise ValueError(f"not JSON: {name}")
+
+        for entries, code in (
+            ([[2.0 ** -1000, 2.0 ** -1001], [2.0 ** -1001, 2.0 ** -1000]], 0),
+            ([[1.7e308, 1e308], [1e308, 1.7e308]], 0),
+            ([[-1e308, 0.0], [0.0, 1.0]], 1),
+            ([[-1.7e308] * 3] * 3, 1),
+        ):
+            mpath, rpath, wpath = tmp_path / "m.json", tmp_path / "r.json", tmp_path / "w.json"
+            mpath.write_text(json.dumps({"entries": entries}))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = cli(["certify", "--matrix", str(mpath), "--json", str(rpath)])
+            assert (out.code, out.err) == (code, ""), entries
+            doc = json.loads(rpath.read_text(), parse_constant=no_constants)
+            assert json.loads(out.out, parse_constant=no_constants) == doc
+            if code == 1:
+                wpath.write_text(json.dumps(doc["witness"]))
+                out = cli(["verify", "--matrix", str(mpath), "--witness", str(wpath)])
+                assert out.code == 0 and json.loads(out.out)["psi"] == doc["witness"]["psi"]
+        assert doc["witness"]["psi"] is None
+
+    def test_huge_d_identity_is_a_member(self, cli):
+        # The relative margin 1e-8 b_d keeps b = 0 outside it at d = 10^10, where b_d < 1e-8.
+        out = cli(["certify", "--d", "10000000000", "--b", "0"])
+        assert (out.code, out.err) == (0, "")
+        assert json.loads(out.out)["verdict"] == "member_certified"
 
     def test_inconclusive_at_threshold(self, cli):
         bd = json.loads(cli(["bd", "--d", "5"]).out)["b_d"]

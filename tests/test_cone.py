@@ -25,7 +25,6 @@ from psq.cone import (
     _two_level,
     b3_radical,
     certify_general,
-    check_diagonal_dominance,
     compute_bd,
     enumerate_sign_patterns,
     growth_lower_bound,
@@ -141,7 +140,7 @@ class TestMatrixSpec:
                 MatrixSpec.from_json_dict({"entries": entries})
             assert str(err.value) == message
         # An empty matrix gets psq's message from every function on explicit matrices.
-        for func in (certify_general, check_diagonal_dominance, sample_membership_general, lambda m: psi(m, [], [])):
+        for func in (certify_general, sample_membership_general, lambda m: psi(m, [], [])):
             with pytest.raises(ValueError) as err:
                 func(np.zeros((0, 0)))
             assert str(err.value) == "matrix must not be empty, got shape (0, 0)"
@@ -367,7 +366,7 @@ class TestPsi:
         for call in (
             lambda: psi(m, [1.0, 1.0], [-1, 1]),
             lambda: psi_over_patterns(m, [1.0, 1.0], [[-1, 1]]),
-            lambda: check_diagonal_dominance(m),
+            lambda: sample_membership_general(m),
             lambda: certify_general(m),
         ):
             with pytest.raises(ValueError, match="matrix entries must be finite"):
@@ -376,12 +375,16 @@ class TestPsi:
 
 class TestDiagonalDominance:
     def test_hits_and_misses(self):
-        assert check_diagonal_dominance(np.eye(3))
-        assert check_diagonal_dominance([[5.0, 0.5, 0.5], [0.5, 5.0, 0.5], [0.5, 0.5, 5.0]])
-        # row-wise dominant but not whole-matrix dominant
+        # certify_general's first stage: min diagonal above the whole off-diagonal absolute sum.
+        for m in (np.eye(3), [[5.0, 0.5, 0.5], [0.5, 5.0, 0.5], [0.5, 0.5, 5.0]], [[1.0, 0.5], [0.4, 1.0]]):
+            assert certify_general(m).method == "diagonal_dominance"
+        # row-wise dominant but not whole-matrix dominant; the perturbation certificate holds
         m = np.full((4, 4), 0.4)
         np.fill_diagonal(m, 2.0)
-        assert not check_diagonal_dominance(m)
+        rep = certify_general(m)
+        assert (rep.verdict, rep.method) == ("member_certified", "perturbation")
+        # the comparison is strict: a diagonal equal to the off-diagonal sum is not dominant
+        assert certify_general([[1.0, 0.5], [0.5, 1.0]]).method != "diagonal_dominance"
 
     def test_dominant_matrix_has_no_violation(self):
         m = np.array([[5.0, 0.5, 0.5], [0.5, 5.0, 0.5], [0.5, 0.5, 5.0]])
@@ -507,6 +510,13 @@ class TestComputeBd:
         with pytest.raises(ValueError, match="too large"):
             compute_bd(d)
 
+    def test_growth_lower_bound_beyond_float_range(self):
+        # c* times a half beyond float range overflowed with an OverflowError.
+        assert 0.0 < growth_lower_bound(10**300) < 1e-298
+        for d in (10**400, 2 * 2**1024):
+            with pytest.raises(ValueError, match="d is too large for float64"):
+                growth_lower_bound(d)
+
 
 def _psi_exact_offdiag(b, z, s):
     """Exact Psi of M_d(b) at (z, s), summed over groups of equal (z_l, s_l):
@@ -580,6 +590,17 @@ class TestMembership:
     @pytest.mark.parametrize("d", [10**3, 10**4, 10**5, 10**6])
     def test_nonmember_witness_exact_large_d(self, d):
         _check_nonmember_witnesses(d, 2, random.Random(d))
+
+    def test_margin_is_relative(self):
+        # margin = 1e-8 b_d: a fixed 1e-8 exceeded b_d itself from d of about 3.6e9, and then
+        # every b, the identity matrix b = 0 included, was inconclusive.
+        for d in (5, 10**10, 10**15):
+            bd = compute_bd(d).b_d
+            rep = membership_equal_offdiag(d, 0.0)
+            assert rep.margin == 1e-8 * bd and rep.verdict == "member_certified", d
+            assert membership_equal_offdiag(d, bd * (1 - 2e-8)).verdict == "member_certified", d
+            assert membership_equal_offdiag(d, bd * (1 - 5e-9)).verdict == "inconclusive", d
+        assert membership_equal_offdiag(5, compute_bd(5).b_d * (1 + 2e-8)).verdict == "nonmember"
 
     def test_far_sides(self):
         assert membership_equal_offdiag(4, 0.1).verdict == "member_certified"
@@ -791,6 +812,15 @@ class TestSampler:
             assert rep.verdict == "nonmember" and rep.method == "sampling", d
             assert _exact_psi(m.tolist(), rep.witness.z, rep.witness.s) < 0, d
 
+    def test_local_minimum_does_not_cancel(self):
+        # With a2 < 0, -a1 / (a2 + sqrt(a2^2 - 3 a3 a1)) cancels; (sqrt(.) - a2) / (3 a3) does not.
+        # The 1e-20 diagonal was inconclusive, while 1e-10 and 0 were refuted.
+        for eps in (0.0, 1e-10, 1e-20, 1e-100):
+            m = np.array([[eps, 1.0], [1.0, eps]])
+            rep = sample_membership_general(m)
+            assert rep.verdict == "nonmember", eps
+            assert _exact_psi(m.tolist(), rep.witness.z, rep.witness.s) < 0, eps
+
     def test_entries_spanning_float_range(self):
         # Normalizing by m_ll^(-1/3) overflows or underflows here; such
         # candidates are dropped, and any witness is still exactly negative.
@@ -837,14 +867,95 @@ class TestCertifyGeneral:
         json.dumps(rep.to_json_dict())
 
     def test_near_float_max_warns_nothing(self):
-        # The float sums overflow to inf; the slack is -inf and neither certificate fires.
+        # The certificates run on M 2^-1024, so no float sum overflows.  Neither holds for these
+        # members (M_2(1) scaled is on the cone's boundary; the second has slack 0 at b = 0 and
+        # less elsewhere), and the search cannot certify, so both stay inconclusive.
         for m in (np.full((2, 2), 1e308), np.array([[1e308, -1e308], [1e308, 1e308]])):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert check_diagonal_dominance(m) is False
-                assert _best_perturbation_slack(m)[1] == -math.inf
-                rep = certify_general(m)
-            assert (rep.verdict, rep.method) == ("inconclusive", "sampling")
+                rep, twin = certify_general(m), certify_general(np.ldexp(m, -1000))
+            assert (rep.verdict, rep.method) == (twin.verdict, twin.method) == ("inconclusive", "sampling")
+
+    def test_float_range_extremes_match_rescaled_twins(self):
+        # Each of these gave inconclusive while its twin 2^j M was decided: an overflowed sum or
+        # slack, the max(1, .) floor of the margin, or an overflowed search screen.
+        for m, j, want in (
+            (1e-300 * MatrixSpec(2, 0.5).dense(), 990, ("member_certified", "perturbation")),
+            (np.ldexp(MatrixSpec(2, 0.5).dense(), -1000), 1000, ("member_certified", "perturbation")),
+            (np.array([[1.7e308, 1e308], [1e308, 1.7e308]]), -1000, ("member_certified", "perturbation")),
+            (np.array([[-1e308, 0.0], [0.0, 1.0]]), -1000, ("nonmember", "sampling")),
+            (np.array([[-1e308, 1e308], [1e308, -1e308]]), -1000, ("nonmember", "sampling")),
+            (np.array([[0.0, -1e308], [-1e308, 0.0]]), -1000, ("nonmember", "sampling")),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                reps = certify_general(m), certify_general(np.ldexp(m, j))
+            for rep, mm in zip(reps, (m, np.ldexp(m, j))):
+                assert (rep.verdict, rep.method) == want, m.tolist()
+                if rep.witness is not None:
+                    assert _exact_psi(mm.tolist(), rep.witness.z, rep.witness.s) < 0
+        # Its diagonal is 1e-308 of its off-diagonal.  The local minimum r = 2 / (3 * 1e-308) at
+        # s = (-1, -1) no longer cancels, so M is refuted, with Psi below -float max.  (Its twin
+        # 2^-1000 M is not yet: z = v o u there, v_1 = 2^(1000/3), lies beyond float range.)
+        m = np.array([[1.0, -1e308], [-1e308, 1.0]])
+        rep = certify_general(m)
+        assert rep.verdict == "nonmember" and rep.witness.psi_value == -math.inf
+        assert _exact_psi(m.tolist(), rep.witness.z, rep.witness.s) < 0
+
+    def test_inexact_copy_certifies_no_dominance(self):
+        # M spans 2^1073, so in M 2^-1024 the block's diagonal is 2^-1074 and its off-diagonal
+        # 0.49 2^-1074 rounds to 0: the copy is dominant, M is not.  Psi adds over the blocks and
+        # 0.49 lies above b_100, so M is a nonmember.
+        m = np.zeros((101, 101))
+        m[0, 0], m[1:, 1:] = 2.0**1023, 2.0**-50 * MatrixSpec(100, 0.49).dense()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = certify_general(m)
+        assert (rep.verdict, rep.method) == ("nonmember", "sampling")
+        assert _exact_psi(m.tolist(), rep.witness.z, rep.witness.s) < 0
+
+    @pytest.mark.parametrize("j", [-1000, -500, 500, 1000])
+    def test_scale_invariance(self, j):
+        # Psi is linear in M, so 2^j M has M's verdict and method, and an exact 2^j scaling
+        # gives exactly 2^j times the certificate's b and slack, with no warning at any scale.
+        rng = np.random.default_rng(3901)
+        cases = []
+        for d in range(2, 9):
+            for _ in range(6):
+                m = rng.uniform(-0.6, 1.0, (d, d))
+                np.fill_diagonal(m, 1.0)
+                mixed = rng.uniform(-1.0, 1.0, (d, d))
+                np.fill_diagonal(mixed, rng.uniform(-0.5, 2.0, d))
+                near = MatrixSpec(d, min(1.0, all_split_threshold(d) * rng.uniform(0.9, 1.1))).dense()
+                dominant = rng.uniform(-1.0, 1.0, (d, d))
+                np.fill_diagonal(dominant, d * d)
+                cases += [m, mixed, near + rng.uniform(-1e-3, 1e-3, (d, d)), dominant]
+        methods = Counter()
+        for m in cases:
+            scaled = np.ldexp(m, j)
+            assert (np.ldexp(scaled, -j) == m).all()  # no entry left the normal range
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep, twin = certify_general(m), certify_general(scaled)
+                certify_general(np.ldexp(m, -1040))  # subnormal entries: the verdict may move, nothing raises
+            assert (twin.verdict, twin.method) == (rep.verdict, rep.method), m.tolist()
+            methods[rep.method] += 1
+            if rep.method == "perturbation":
+                for key in ("b", "slack"):
+                    assert twin.diagnostics[key] == math.ldexp(rep.diagnostics[key], j)
+                assert twin.diagnostics["evaluations"] == rep.diagnostics["evaluations"]
+            if rep.witness is not None:
+                assert _exact_psi(scaled.tolist(), twin.witness.z, twin.witness.s) < 0
+        assert min(methods.values()) >= 10 and len(methods) == 3
+
+    def test_witness_json_beyond_float_range(self):
+        # Psi of this witness is below -float max: psi_value is -inf, and the JSON holds null
+        # in its place, as psq verify prints it, never the non-JSON -Infinity.
+        rep = certify_general(np.full((3, 3), -1.7e308))
+        assert rep.verdict == "nonmember" and rep.witness.psi_value == -math.inf
+        doc = json.loads(json.dumps(rep.to_json_dict(), allow_nan=False))
+        assert doc["witness"]["psi"] is None and doc["witness"]["z"] == list(rep.witness.z)
+        assert _exact_psi(np.full((3, 3), -1.7e308).tolist(), rep.witness.z, rep.witness.s) < 0
 
     def test_one_by_one(self):
         assert certify_general(np.array([[2.0]])).method == "diagonal_dominance"

@@ -581,8 +581,8 @@ class TestBlockPowerSums:
                 for _ in range(rng.randint(1, 3))
             ]
             want = self.fraction_sums(blocks)
-            # The documented domain: c v**3 (2**27 + 1) < 2**1024 for every block.
-            if all(c * Fraction(v * v * v) * (2 ** 27 + 1) < 2 ** 1024 for v, c in blocks):
+            # The documented domain: c < 2**1024 and c v**3 (2**27 + 1) < 2**1024 for every block.
+            if all(c < 2 ** 1024 and c * Fraction(v * v * v) * (2 ** 27 + 1) < 2 ** 1024 for v, c in blocks):
                 inside += 1
                 assert tuple(ps._block_power_sums(blocks)) == want, blocks
                 continue
@@ -606,8 +606,9 @@ class TestBlockPowerSums:
 
     def test_overflow_is_a_value_error(self):
         # 2**333 lies outside the domain c v**3 (2**27 + 1) < 2**1024: its cube
-        # 2**999 is finite, but the cube times 2**27 + 1 overflows.
-        for blocks in (((1e103, 1),), ((1e300, 1),), ((1.0, 10 ** 400),), ((2.0 ** 333, 1),)):
+        # 2**999 is finite, but the cube times 2**27 + 1 overflows.  A count of
+        # 2**1030 lies outside c < 2**1024, though its sums at v = 2**-30 are finite.
+        for blocks in (((1e103, 1),), ((1e300, 1),), ((1.0, 10 ** 400),), ((2.0 ** 333, 1),), ((2.0 ** -30, 2 ** 1030),)):
             with pytest.raises(ValueError, match="block power sums overflow float64"):
                 ps._block_power_sums(blocks)
         assert ps._block_power_sums(((2.0 ** 332, 3),)).m3 == 3 * 2.0 ** 996
