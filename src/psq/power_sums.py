@@ -16,13 +16,13 @@ sign).  The denominator is always positive.
 Float inputs: each power is rounded once, as the IEEE products e * e
 and (e * e) * e, then summed exactly and rounded once, the value
 math.fsum returns, so results are deterministic and order-stable.
-A 1-D float64 ndarray, or an all-float list or tuple of at least
-_ARRAY_MIN entries once numpy is loaded (neither imports it), is summed
-in numpy blocks of 2**16 entries: each value splits by bit mask into
-its top 26 significand bits and the exact remainder, and np.bincount
-sums each half per binary exponent, where every partial sum is exact;
-math.fsum of those bucket sums is then the correctly rounded total
-(exponent-bucket summation, Demmel and Hida 2004).  Other float input
+A 1-D float64 ndarray, or an all-float list or tuple of at least _ARRAY_MIN
+entries once numpy is loaded (neither imports it), read into a float64 array,
+is summed in numpy blocks of 2**16 entries: each of x, x * x and (x * x) * x
+splits by bit mask into its top 26 significand bits and the exact remainder,
+and np.bincount sums each half per binary exponent of the entry x, where every
+partial sum is exact; math.fsum of those bucket sums is the correctly rounded
+total (exponent-bucket summation, Demmel and Hida 2004).  Other float input
 streams through math.fsum.  A float M_3 or Q that overflows, and a
 float Q whose cubes all underflow to 0, raise ValueError.  All-exact
 input (int or fractions.Fraction) stays exact: int sums for ints,
@@ -36,8 +36,7 @@ import math
 import numbers
 import sys
 from fractions import Fraction
-from itertools import repeat
-from operator import attrgetter, ge, index, le, mul
+from operator import attrgetter, countOf, ge, index, le, mul
 from typing import TYPE_CHECKING, NamedTuple, Union
 
 if TYPE_CHECKING:
@@ -129,50 +128,52 @@ def _validated(entries, name: str):
 
     A 1-D float64 ndarray that passes, or a long all-float sequence made
     one, comes back as an array with types None; anything else as a
-    list with the set of its entry types.
+    new list with the set of its entry types.
     """
     # An ndarray or numpy scalar exists only once numpy is loaded.
     np = sys.modules.get("numpy")
+    seq = entries  # a list or tuple is read in place; the list route returns a copy
     if np is not None and isinstance(entries, np.ndarray):
         # C-level checks first; a NaN propagates through min and max.
         if type(entries) is np.ndarray and entries.dtype == np.float64 and entries.ndim == 1:
             if entries.size and 0.0 < entries.min() and entries.max() < math.inf:
                 return entries, None
-        entries = entries.tolist()
-    try:
-        out = list(entries)
-    except TypeError:
-        raise ValueError(f"{name} must be a sequence of numbers") from None
-    if not out:
+        seq = entries.tolist()  # a new list, or a scalar for a 0-d array
+    if type(seq) not in (list, tuple):
+        try:
+            seq = list(seq)
+        except TypeError:
+            raise ValueError(f"{name} must be a sequence of numbers") from None
+    if not seq:
         raise ValueError(f"{name} must be nonempty")
-    types = set(map(type, out))
-    if len(out) >= _ARRAY_MIN and np is not None and types == {float}:
-        a = np.fromiter(out, np.float64, len(out))
+    # One exact-type pass (the test types == {float}) picks the array route.
+    n = len(seq)
+    if n >= _ARRAY_MIN and np is not None and type(seq[0]) is float and countOf(map(type, seq), float) == n:
+        a = np.fromiter(seq, np.float64, n)
         if 0.0 < a.min() and a.max() < math.inf:
             return a, None
-    # min and max skip a NaN that is not first, hence the isnan pass.
-    if types == {float} and min(out) > 0.0 and max(out) < math.inf:
-        if not any(map(math.isnan, out)):
-            return out, types
-    # A Fraction's denominator is positive, so its sign is its numerator's.
-    if types <= {int, Fraction} and min(map(attrgetter("numerator"), out)) > 0:
-        return out, types
-    # isinstance accepts nested tuples, and () matches nothing.
-    np_int, np_float = (np.integer, np.floating) if np is not None else ((), ())
-    for idx, e in enumerate(out):
-        if isinstance(e, bool) or not isinstance(e, (int, float, Fraction, np_int, np_float)):
-            raise ValueError(f"{name}[{idx}] = {e!r} is not a number")
-        if isinstance(e, (float, np_float)) and not math.isfinite(e):
-            raise ValueError(f"{name}[{idx}] = {e!r} is not finite")
-        if e <= 0:
-            raise ValueError(f"{name}[{idx}] = {e!r} is not > 0; all entries must be positive")
-    return out, types
+    types = set(map(type, seq))
+    if types == {float}:  # min and max skip a NaN that is not first, hence the isnan pass
+        ok = min(seq) > 0.0 and max(seq) < math.inf and not any(map(math.isnan, seq))
+    else:  # a Fraction's denominator is positive, so its sign is its numerator's
+        ok = types <= {int, Fraction} and min(map(attrgetter("numerator"), seq)) > 0
+    if not ok:
+        # isinstance accepts nested tuples, and () matches nothing.
+        np_int, np_float = (np.integer, np.floating) if np is not None else ((), ())
+        for idx, e in enumerate(seq):
+            if isinstance(e, bool) or not isinstance(e, (int, float, Fraction, np_int, np_float)):
+                raise ValueError(f"{name}[{idx}] = {e!r} is not a number")
+            if isinstance(e, (float, np_float)) and not math.isfinite(e):
+                raise ValueError(f"{name}[{idx}] = {e!r} is not finite")
+            if e <= 0:
+                raise ValueError(f"{name}[{idx}] = {e!r} is not > 0; all entries must be positive")
+    return (list(seq) if seq is entries else seq), types
 
 
 def validate_positive_vector(entries, name: str = "x") -> list:
     """Check entries are a nonempty sequence of finite, positive numbers.
 
-    Returns the entries as a plain list (Fractions preserved).  Raises
+    Returns the entries as a new plain list (Fractions preserved).  Raises
     ValueError naming the offending entry on the first violation.
     Subnormal floats are accepted; zero, negatives, NaN and inf are not.
     """
@@ -180,17 +181,18 @@ def validate_positive_vector(entries, name: str = "x") -> list:
     return values.tolist() if types is None else values
 
 
-# Entries per numpy block, and the mask that keeps a float64's sign,
-# exponent and top 26 significand bits.  Within one binary exponent,
-# up to 2**26 such top parts, and as many remainders, sum exactly, so
-# np.bincount's per-exponent sums of a block are exact.
+# Entries per numpy block, and the mask that keeps a float64's sign, exponent and top 26
+# significand bits.  A block buckets x, x * x and (x * x) * x by the binade E of the entry x
+# (subnormals in E = -1022).  A p-th power lies in binades pE to pE + p - 1 (p <= 3), so its top
+# part is a multiple of 2**max(pE - 25, -1047) below 2**(pE + 3), and its remainder a multiple of
+# 2**max(pE - 52, -1074) below 2**max(pE - 23, -1047): 2**16 of either sum exactly in float64.
 _BLOCK = 1 << 16
 _HI_MASK = -(1 << 27)
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant for float64 (_block_power_sums)
 
 
 def _array_sums(a) -> tuple:
-    """math.fsum of a, a * a and (a * a) * a for a 1-D float64 ndarray a.
+    """math.fsum of a, a * a and (a * a) * a for a 1-D float64 ndarray a >= 0.
 
     Raises OverflowError if a total overflows; a non-finite power gives
     an inf or NaN total.
@@ -200,12 +202,11 @@ def _array_sums(a) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, a.size, _BLOCK):
             b = a[start:start + _BLOCK]
+            e = b.view(np.int64) >> 52
+            e -= e.min()
             sq = b * b
             for part, w in zip(parts, (b, sq, sq * b)):
-                bits = w.view(np.int64)
-                e = bits >> 52
-                e -= e.min()
-                hi = (bits & _HI_MASK).view(np.float64)
+                hi = (w.view(np.int64) & _HI_MASK).view(np.float64)
                 part += np.bincount(e, weights=hi).tolist()
                 # An infinite w gives inf - inf = NaN here, and a NaN total.
                 part += np.bincount(e, weights=w - hi).tolist()
@@ -221,13 +222,12 @@ def _integer_ratios(xs):
 
 def _sums(v, types, name: str) -> PowerSumTriple:
     """M_1, M_2, M_3 of values checked by _validated, with their types."""
-    exact = types is not None and all(issubclass(t, (int, Fraction)) for t in types)
-    if exact and all(issubclass(t, int) for t in types):
-        return PowerSumTriple(sum(v), sum(map(mul, v, v)), sum(map(pow, v, repeat(3))))
-    if exact:
-        n, den = _integer_ratios(v)
-        sums = sum(n), sum(map(mul, n, n)), sum(map(pow, n, repeat(3)))
-        return PowerSumTriple(*(Fraction(s, den ** p) for p, s in enumerate(sums, 1)))
+    if types is not None and all(issubclass(t, (int, Fraction)) for t in types):
+        ints = all(issubclass(t, int) for t in types)
+        n, den = (v, 1) if ints else _integer_ratios(v)
+        sq = list(map(mul, n, n))
+        sums = sum(n), sum(sq), sum(map(mul, sq, n))
+        return PowerSumTriple(*(s if ints else Fraction(s, den ** p) for p, s in enumerate(sums, 1)))
     try:
         if types is None:
             sums = _array_sums(v)

@@ -20,6 +20,7 @@ from psq import (
     growth_blocks,
     growth_lower_bound,
     membership_equal_offdiag,
+    psi,
     reduced_sign_pattern,
     sup_q,
     table2_rows,
@@ -205,6 +206,22 @@ class TestExactArraySums:
             else:
                 assert not math.isfinite(g)
 
+    def test_cubes_at_the_top_of_their_bucket(self):
+        # Entries just below 2 sit in binade 0; their cubes just below 8
+        # are the largest values one bucket holds.
+        v = [math.nextafter(2.0, 0.0)] * B
+        assert [s.hex() for s in ps._array_sums(np.array(v))] == [s.hex() for s in list_sums(v)]
+
+    def test_powers_into_subnormals_and_zero(self):
+        # Squares of entries near 2**-512 and cubes of entries near 2**-342
+        # are subnormal or 0, and share their bucket with normal powers.
+        rng = np.random.default_rng(342)
+        a = rng.uniform(0.5, 2.0, B) * 2.0 ** rng.choice([-512, -511, -342, -341, -1, 0, 30], B)
+        a[:4] = 2.0 ** -512, 2.0 ** -538, 2.0 ** -342, 2.0 ** -359
+        assert any(0.0 < e ** 2 < 2.0 ** -1022 for e in a[:2]) and 0.0 < a[2] ** 3 < 2.0 ** -1022
+        assert a[1] ** 2 == a[3] ** 3 == 0.0
+        assert [s.hex() for s in ps._array_sums(a)] == [s.hex() for s in list_sums(a.tolist())]
+
     def test_ties_round_to_even_across_blocks(self):
         # 1 + 2**-53 is a tie, so it rounds to the even 1.0; one more
         # 2**-106 past the tie, in a later block, rounds it up.
@@ -295,12 +312,18 @@ class TestLongFloatLists:
             (0, "x[1100] = 0 is not > 0; all entries must be positive"),
             ("2.0", "x[1100] = '2.0' is not a number"),
             (2, None),
+            (math.nan, "x[0] = nan is not finite"),
+            (-0.0, "x[0] = -0.0 is not > 0; all entries must be positive"),
+            (math.inf, "x[0] = inf is not finite"),
+            (True, "x[0] = True is not a number"),
+            (0, "x[0] = 0 is not > 0; all entries must be positive"),
+            ("2.0", "x[0] = '2.0' is not a number"),
         ],
     )
     def test_planted_entry_takes_the_entry_loop(self, planted, message):
         assert ps._ARRAY_MIN < 1100
         v = (10.0 ** np.random.default_rng(1100).uniform(-2.0, 0.0, 1200)).tolist()
-        v[1100] = planted
+        v[0 if message and message.startswith("x[0]") else 1100] = planted
         if message is None:
             assert bits(tuple(power_sums(v))) == bits(reference_sums(v))
             return
@@ -309,6 +332,30 @@ class TestLongFloatLists:
             with pytest.raises(ValueError) as err:
                 call(v)
             assert str(err.value) == message
+
+    @pytest.mark.parametrize("at", [0, 1100])
+    def test_int_entry_falls_through_to_the_list_route(self, at):
+        v = (10.0 ** np.random.default_rng(at).uniform(-2.0, 0.0, 1200)).tolist()
+        v[at] = 3
+        assert ps._validated(v, "x")[1] == {float, int}
+        assert bits(tuple(power_sums(v))) == bits(reference_sums(v))
+        assert bits(tuple(power_sums(tuple(v)))) == bits(reference_sums(v))
+
+    @pytest.mark.parametrize("n", [3, ps._ARRAY_MIN + 1])
+    def test_validate_returns_a_new_list(self, n):
+        v = [0.5] * n
+        for form in (v, tuple(v), v[:2] + [1, Fraction(1, 3)] + v[4:]):
+            out = validate_positive_vector(form)
+            assert type(out) is list and out is not form and out == list(form)
+            before = list(form)
+            out[0] = -1.0
+            assert list(form) == before
+
+    def test_psi_leaves_a_mixed_z_unchanged(self):
+        z = [1, np.float64(0.5), Fraction(1, 3), np.int64(2)]
+        before = [(type(e), e) for e in z]
+        psi(MatrixSpec(4, 0.3), z, [1, -1, 1, 1])
+        assert [(type(e), e) for e in z] == before
 
 
 class TestValidation:
