@@ -14,8 +14,8 @@ The package exports each module's __all__.  Importing it loads
 power_sums alone, which every routine needs; every other public name
 loads its module (structured, cone, oracle or tables) on first use, and
 that module's names are then bound here, so later lookups are plain
-attribute reads.  numpy stays unloaded until the oracle or an array
-routine needs it.
+attribute reads.  numpy stays unloaded until an array routine needs
+it.
 """
 
 from importlib import import_module

@@ -192,10 +192,10 @@ def sup_q(n_x: int, n_y: int) -> SupQResult:
     [1, block length], are evaluated, each at the single root gamma of
     a quartic.  The value is >= 0, with equality exactly for (1, 1),
     where the degenerate x = y limit (gamma -> 1) is reported.
-    Restricting the constant side to full length loses nothing: the
-    best value of the (i, m) configuration is nondecreasing in m, and
-    an independent multistart oracle confirms agreement for all small
-    dimensions.
+    Restricting the constant side to full length loses nothing: at a
+    maximizer each of its entries is the one positive root of the same
+    quadratic, so none is zero (psq.oracle's fact 2); that oracle also
+    checks every block count for all dimensions up to 8.
 
     Why two candidates suffice.  By homogeneity g_{i,m}(gamma) =
     m f(p, gamma) with p = i/m, and three facts about f hold:

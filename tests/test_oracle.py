@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import subprocess
 import sys
@@ -11,7 +10,7 @@ import pytest
 
 import psq
 from psq.cone import compute_bd
-from psq.oracle import OracleResult, _ascend, _q_grad_hess, brute_force_sup, check_structured_shape
+from psq.oracle import OracleResult, brute_force_sup, check_structured_shape
 from psq.power_sums import quotient_q
 from psq.structured import C_STAR, sup_q
 
@@ -33,9 +32,37 @@ class TestBruteForce:
         assert res.best_value <= C_STAR * 4
 
     def test_best_value_reevaluates(self):
+        # The closure zeros are exact and add nothing to the power sums; quotient_q rejects them.
         res = brute_force_sup(3, 2, n_starts=40, seed=3)
-        q = float(quotient_q(list(res.best_x), list(res.best_y)).value)
+        assert 0.0 in res.best_x + res.best_y
+        q = float(quotient_q([v for v in res.best_x if v], [v for v in res.best_y if v]).value)
         assert abs(q - res.best_value) <= 1e-12
+
+    @pytest.mark.parametrize("n_x", range(1, 9))
+    def test_no_point_beats_best_value(self, n_x):
+        # 10^4 seeded log-uniform points per shape, and every (side, i) block
+        # configuration against a constant gamma on a 200-point grid over [1e-3, 1e3].
+        rng = np.random.default_rng(n_x)
+        gammas = np.geomspace(1e-3, 1e3, 200)[:, None]
+        for n_y in range(1, 9):
+            best = brute_force_sup(n_x, n_y).best_value
+            points = [10.0 ** rng.uniform(-3.0, 3.0, (10**4, n_x + n_y))]
+            for block_len, m, x_is_block in ((n_x, n_y, True), (n_y, n_x, False)):
+                for i in range(1, block_len + 1):
+                    block = np.broadcast_to((np.arange(block_len) < i).astype(float), (200, block_len))
+                    const = np.broadcast_to(gammas, (200, m))
+                    points.append(np.hstack((block, const) if x_is_block else (const, block)))
+            z = np.vstack(points)
+            x, y = z[:, :n_x], z[:, n_x:]
+            s1 = x.sum(1) - y.sum(1)
+            s2 = (y * y).sum(1) - (x * x).sum(1)
+            q = s1 * s2 / ((x ** 3).sum(1) + (y ** 3).sum(1))
+            assert q.max() <= best + 1e-12 * abs(best), (n_x, n_y)
+
+    def test_gradient_vanishes_at_best_point(self):
+        for n_x in range(1, 9):
+            for n_y in range(1, 9):
+                assert brute_force_sup(n_x, n_y).fd_grad_sup <= 1e-7, (n_x, n_y)
 
     def test_deterministic_across_jobs(self):
         a = brute_force_sup(3, 2, n_starts=30, seed=5, n_jobs=1)
@@ -71,77 +98,6 @@ class TestBruteForce:
         with pytest.raises(ValueError) as err:
             brute_force_sup(*args, **kwargs)
         assert str(err.value) == message
-
-
-def _numpy_neg_q_and_grad(w, n_x):
-    """Reference objective: the same formulas as numpy array operations."""
-    x = np.exp(w[:n_x])
-    y = np.exp(w[n_x:])
-    s1 = x.sum() - y.sum()
-    s2 = (y * y).sum() - (x * x).sum()
-    s3 = (x ** 3).sum() + (y ** 3).sum()
-    q = s1 * s2 / s3
-    gx = x * ((s2 - 2.0 * x * s1 - 3.0 * x * x * q) / s3)
-    gy = y * ((-s2 + 2.0 * y * s1 - 3.0 * y * y * q) / s3)
-    return -q, -np.concatenate([gx, gy])
-
-
-class TestObjective:
-    def test_matches_numpy_reference(self):
-        # Errors are measured against the size of the summed terms, the
-        # scale at which rounding acts: where s1 or s2 nearly cancels, a
-        # last-bit difference in exp or in the summation order is large
-        # relative to the result itself.
-        rng = np.random.default_rng(2024)
-        for _ in range(3000):
-            n_x, n_y = (int(v) for v in rng.integers(1, 9, 2))
-            w = rng.uniform(-3.0, 3.0, n_x + n_y) * math.log(10.0)
-            val, grad, _ = _q_grad_hess(w[None, :], n_x)
-            ref_val, ref_grad = _numpy_neg_q_and_grad(w, n_x)
-            assert val.shape == (1,) and grad.shape == (1,) + ref_grad.shape
-            z = np.exp(w)
-            a1, a2, s3 = z.sum(), (z * z).sum(), (z ** 3).sum()
-            x, y = z[:n_x], z[n_x:]
-            s1 = abs(x.sum() - y.sum())
-            s2 = abs((y * y).sum() - (x * x).sum())
-            val_scale = (s2 * a1 + s1 * a2) / s3
-            grad_scale = z * (a2 + 2.0 * z * a1 + 3.0 * z * z * val_scale) / s3
-            assert abs(val[0] + ref_val) <= 1e-13 * val_scale
-            assert np.all(np.abs(grad[0] + ref_grad) <= 1e-13 * grad_scale)
-
-    def test_hessian_matches_central_differences(self):
-        # Central differences of the analytic gradient, batched over
-        # rows; at step 1e-5 they agree to about 1e-9 of the largest entry.
-        rng = np.random.default_rng(11)
-        step = 1e-5
-        for n_x in range(1, 9):
-            for n_y in range(1, 9):
-                n = n_x + n_y
-                w = rng.uniform(-1.0, 1.0, (8, n)) * math.log(10.0)
-                _, _, h = _q_grad_hess(w, n_x)
-                shifted = (w[:, None, :] + step * np.eye(n)).reshape(-1, n)
-                g_plus = _q_grad_hess(shifted, n_x)[1].reshape(8, n, n)
-                shifted = (w[:, None, :] - step * np.eye(n)).reshape(-1, n)
-                g_minus = _q_grad_hess(shifted, n_x)[1].reshape(8, n, n)
-                # fd[r, j, i] = dg_i / dw_j
-                fd = (g_plus - g_minus) / (2.0 * step)
-                assert np.allclose(h, h.transpose(0, 2, 1), rtol=0.0, atol=1e-14)
-                scale = np.abs(h).max(axis=(1, 2))[:, None, None]
-                assert np.all(np.abs(fd - h) <= 1e-7 * scale)
-
-
-class TestRandomStarts:
-    def test_random_starts_alone_reach_sup_q(self):
-        # The oracle is meant to be independent of the structured route,
-        # so the ascent must find the supremum without block starts.
-        worst = 0.0
-        for n_x in range(1, 5):
-            for n_y in range(1, 5):
-                rng = np.random.default_rng(7)
-                w0 = rng.uniform(-3.0, 3.0, (64, n_x + n_y)) * math.log(10.0)
-                q, _ = _ascend(w0, n_x)
-                worst = max(worst, abs(float(q.max()) - sup_q(n_x, n_y).sup_value))
-        assert worst <= 1e-5
 
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -234,6 +190,16 @@ class TestNoNumpy:
         assert out.returncode == want.code, out.stderr
         assert out.stdout == want.out
 
+    def test_oracle_runs_with_numpy_blocked(self):
+        code = _BLOCK_NUMPY + (
+            "from psq import brute_force_sup\n"
+            "res = brute_force_sup(8, 8)\n"
+            "print(repr(res.best_value))\n"
+        )
+        out = _python(code)
+        assert out.returncode == 0, out.stderr
+        assert abs(float(out.stdout) - sup_q(8, 8).sup_value) <= 1e-12
+
     def test_verify_on_offdiag_file_leaves_numpy_unloaded(self, tmp_path):
         # A {"d", "b"} file is verified from the blocks of z, with no dense matrix.
         mpath, wpath = tmp_path / "m.json", tmp_path / "w.json"
@@ -310,13 +276,17 @@ class TestModuleFootprint:
         "args, want",
         [
             (["eval-q", "-x", "1,1/2", "-y", "3/4"], _PS),
+            (["eval-q", "-x", "0.5,1/4", "-y", "0.75"], _PS),
             (["sup-q", "--nx", "3", "--ny", "2"], _STRUCTURED),
+            (["sup-q", "--nx", "24", "--ny", "23"], _STRUCTURED),
             (["witness", "--nx", "7", "--ny", "6"], _STRUCTURED),
             (["witness", "--growth-n", "100"], _STRUCTURED),
+            (["witness", "--growth-n", "10000"], _STRUCTURED),
             (["bd", "--d", "100"], _CONE),
             (["certify", "--d", "6", "--b", "0.5"], _CONE),
             (["certify", "--d", "6", "--b", "0.99"], _CONE),
             (["certify", "--matrix"], _CONE),
+            (["certify", "--matrix", "dominant"], _CONE),
             (["verify"], _CONE),
             (["table1"], _ALL),
             (["table2", "--dims", "50"], _ALL),
@@ -324,18 +294,25 @@ class TestModuleFootprint:
         ids=" ".join,
     )
     def test_cli_subcommand(self, tmp_path, args, want):
+        # Members and every other request exit 0; the two nonmembers exit 1.
+        code = 1 if args in (["certify", "--d", "6", "--b", "0.99"], ["certify", "--matrix"]) else 0
         if args == ["verify"]:
             mpath, wpath = tmp_path / "m.json", tmp_path / "w.json"
             mpath.write_text(json.dumps({"d": 6, "b": 0.9}))
             wpath.write_text(json.dumps({"z": [1.0] + [0.3] * 5, "s": [-1] + [1] * 5}))
             args = ["verify", "--matrix", str(mpath), "--witness", str(wpath)]
-        if args == ["certify", "--matrix"]:
-            # An explicit matrix (a nonmember, exit 1) loads numpy, but neither tables nor oracle.
-            gpath = tmp_path / "g4.json"
-            gpath.write_text(json.dumps({"entries": [[1.0 if i == j else 0.99 for j in range(4)] for i in range(4)]}))
-            args = [*args, str(gpath)]
+        if args[:2] == ["certify", "--matrix"]:
+            # An explicit matrix loads numpy, but neither tables nor oracle: a 4 x 4 nonmember,
+            # or a diagonally dominant 2 x 2 member.
+            gpath = tmp_path / "g.json"
+            if args[2:]:
+                entries = [[1, 0.3], [0.3, 1]]
+            else:
+                entries = [[1.0 if i == j else 0.99 for j in range(4)] for i in range(4)]
+            gpath.write_text(json.dumps({"entries": entries}))
+            args = ["certify", "--matrix", str(gpath)]
         out = _python(_loaded(_RUN_CLI), *args)
-        assert out.returncode in (0, 1), out.stderr
+        assert out.returncode == code, out.stderr
         assert out.stderr.splitlines()[-1] == repr(sorted(want))
 
     @pytest.mark.parametrize(
