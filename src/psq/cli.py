@@ -149,8 +149,8 @@ def certify_cmd(args):
 
     Equal-off-diagonal matrices (via --d/--b or a {"d","b"} file) are
     decided exactly against the threshold b_d, with an explicit witness
-    on the nonmember side; b within a fixed 1e-8 of b_d is
-    inconclusive.  General matrices get the sufficient
+    on the nonmember side; b within the relative margin 1e-8 b_d of
+    b_d is inconclusive.  General matrices get the sufficient
     diagonal-dominance and perturbation certificates (the latter with b
     and the slack under "diagnostics"), then a search of two-level
     vectors, which can only certify non-membership.

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -24,3 +28,28 @@ def cli(capsys):
         return CliResult(code, out, err)
 
     return run
+
+
+# The cold-process runner: a fresh interpreter on the source tree, for what an
+# in-process test cannot see (imports, blocked modules, time and memory limits).
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None\n"
+_RUN_CLI = "import runpy; runpy.run_module('psq.cli', run_name='__main__', alter_sys=True)"
+
+
+def _python(code, *args, timeout=120):
+    """Run `python -c code *args` cold; exceeding `timeout` seconds fails the test."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
+def _then_print(run, expr):
+    """Code that runs `run` and then, however it ends, prints `expr` as its last stderr line."""
+    return f"import sys\ntry:\n    {run}\nfinally:\n    print({expr}, file=sys.stderr)"
+
+
+def _loaded(run):
+    """Code that runs `run` and then prints the psq modules it loaded to stderr."""
+    return _then_print(run, "sorted(m for m in sys.modules if m.startswith('psq'))")

@@ -3,6 +3,7 @@ import os
 import warnings
 
 import pytest
+from conftest import _RUN_CLI, _python, _then_print
 
 from psq.cli import main
 from psq.cone import certify_general, compute_bd, membership_equal_offdiag
@@ -221,7 +222,7 @@ class TestTables:
     ],
 )
 def test_removed_options_are_usage_errors(cli, args):
-    assert cli(args).code == 2
+    _assert_usage_error(cli(args))
 
 
 @pytest.mark.parametrize(
@@ -316,13 +317,13 @@ class TestCertify:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 out = cli(["certify", "--matrix", str(mpath), "--json", str(rpath)])
-            assert (out.code, out.err) == (code, ""), entries
-            doc = json.loads(rpath.read_text(), parse_constant=no_constants)
-            assert json.loads(out.out, parse_constant=no_constants) == doc
-            if code == 1:
-                wpath.write_text(json.dumps(doc["witness"]))
-                out = cli(["verify", "--matrix", str(mpath), "--witness", str(wpath)])
-                assert out.code == 0 and json.loads(out.out)["psi"] == doc["witness"]["psi"]
+                assert (out.code, out.err) == (code, ""), entries
+                doc = json.loads(rpath.read_text(), parse_constant=no_constants)
+                assert json.loads(out.out, parse_constant=no_constants) == doc
+                if code == 1:
+                    wpath.write_text(json.dumps(doc["witness"]))
+                    out = cli(["verify", "--matrix", str(mpath), "--witness", str(wpath)])
+                    assert (out.code, out.err) == (0, "") and json.loads(out.out)["psi"] == doc["witness"]["psi"]
         assert doc["witness"]["psi"] is None
 
     def test_huge_d_identity_is_a_member(self, cli):
@@ -409,6 +410,44 @@ def test_verify_rejects_mixed_spec(cli, tmp_path, spec):
     assert "matrix spec must hold the keys 'd' and 'b'" in out.err
 
 
+def _family(d, step):
+    """The {"d", "entries"} file with 1 on the diagonal and 0.04 + step ((3i + 7j) mod 11) off it."""
+    rows = [[1.0 if i == j else 0.04 + step * ((3 * i + 7 * j) % 11) for j in range(d)] for i in range(d)]
+    return json.dumps({"d": d, "entries": rows})
+
+
+class TestColdExplicitMatrix:
+    """certify --matrix in a cold process, within the time and memory limits that bound it."""
+
+    @pytest.mark.parametrize(
+        "step, code, verdict, method, timeout",
+        [(0.0001, 0, "member_certified", "perturbation", 20), (0.001, 3, "inconclusive", "sampling", 5)],
+        ids=["p200", "f200"],
+    )
+    def test_d200(self, tmp_path, step, code, verdict, method, timeout):
+        # For f200 neither certificate holds and the search finds no witness: inconclusive, fast.
+        path = tmp_path / "m.json"
+        path.write_text(_family(200, step))
+        out = _python(_RUN_CLI, "certify", "--matrix", str(path), timeout=timeout)
+        assert out.returncode == code, out.stderr
+        doc = json.loads(out.stdout)
+        assert (doc["verdict"], doc["method"]) == (verdict, method)
+
+    def test_d1000_nonmember_within_time_and_memory(self, tmp_path):
+        # Its exact Psi takes one frexp pass over M, and the search screens its cubics in
+        # bounded slices.  The child prints its own peak RSS: ru_maxrss, in KB on Linux.
+        mpath, rpath, wpath = tmp_path / "m.json", tmp_path / "r.json", tmp_path / "w.json"
+        mpath.write_text(_family(1000, 0.001))
+        code = "import resource\n" + _then_print(_RUN_CLI, "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss")
+        out = _python(code, "certify", "--matrix", str(mpath), "--json", str(rpath), timeout=10)
+        assert out.returncode == 1, out.stderr
+        peak_kb = int(out.stderr.splitlines()[-1])
+        assert peak_kb < 300 * 1024, peak_kb
+        wpath.write_text(json.dumps(json.loads(rpath.read_text())["witness"]))
+        out = _python(_RUN_CLI, "verify", "--matrix", str(mpath), "--witness", str(wpath), timeout=20)
+        assert out.returncode == 0, out.stderr
+
+
 _M6_ENTRIES = [[1.0 if i == j else 0.9 for j in range(6)] for i in range(6)]
 
 
@@ -417,13 +456,15 @@ class TestVerify:
         mpath = tmp_path / "m.json"
         wpath = tmp_path / "w.json"
         rpath = tmp_path / "r.json"
-        mpath.write_text(json.dumps({"d": 4, "b": 0.99}))
-        out = cli(["certify", "--matrix", str(mpath), "--json", str(rpath)])
-        assert out.code == 1
-        wpath.write_text(json.dumps(json.loads(rpath.read_text())["witness"]))
-        out = cli(["verify", "--matrix", str(mpath), "--witness", str(wpath)])
-        assert out.code == 0
-        assert json.loads(out.out)["confirmed"] is True
+        g4 = [[1.0 if i == j else 0.99 for j in range(4)] for i in range(4)]
+        for spec in ({"d": 4, "b": 0.99}, {"d": 4, "entries": g4}):
+            mpath.write_text(json.dumps(spec))
+            out = cli(["certify", "--matrix", str(mpath), "--json", str(rpath)])
+            assert out.code == 1, spec
+            wpath.write_text(json.dumps(json.loads(rpath.read_text())["witness"]))
+            out = cli(["verify", "--matrix", str(mpath), "--witness", str(wpath)])
+            assert out.code == 0, spec
+            assert json.loads(out.out)["confirmed"] is True
 
     def test_round_trip_one_sign_general(self, cli, tmp_path):
         # Negative only at the one-sign pattern s = (-1, -1): Psi(1, 1) = -8.
@@ -493,23 +534,33 @@ class TestVerify:
         assert json.loads(out.out)["confirmed"] is True
         assert f'"psi": {shown},' in out.out
 
-    @pytest.mark.parametrize("spec", [{"d": 2, "b": 0.3}, {"entries": [[1.0, 0.3], [0.3, 1.0]]}], ids=["d-b", "entries"])
-    def test_z_beyond_float_range(self, cli, tmp_path, spec):
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"d": 2, "b": 0.3}, "z[1] lies beyond float range"),
+            ({"entries": [[1.0, 0.3], [0.3, 1.0]]}, "z[1] lies beyond float range"),
+            # A 3 x 3 matrix rejects the two-entry z for its length first.
+            ({"entries": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, "z must have length 3, got 2"),
+        ],
+        ids=["d-b", "entries", "entries-3x3"],
+    )
+    def test_z_beyond_float_range(self, cli, tmp_path, spec, message):
         mpath, wpath = tmp_path / "m.json", tmp_path / "w.json"
         mpath.write_text(json.dumps(spec))
         wpath.write_text(json.dumps({"z": [1.0, 10 ** 400], "s": [-1, 1]}))
         out = cli(["verify", "--matrix", str(mpath), "--witness", str(wpath)])
         _assert_usage_error(out)
-        assert "z[1] lies beyond float range" in out.err
+        assert message in out.err
 
     @pytest.mark.parametrize("bad", ["matrix", "witness"])
     def test_non_utf8_file(self, cli, tmp_path, bad):
         paths = {"matrix": tmp_path / "m.json", "witness": tmp_path / "w.json"}
         paths["matrix"].write_text(json.dumps({"d": 2, "b": 0.3}))
         paths["witness"].write_text(json.dumps({"z": [1.0, 1.0], "s": [-1, 1]}))
-        paths[bad].write_bytes(b'{"d": "\xff\xfe"}')
-        out = cli(["verify", "--matrix", str(paths["matrix"]), "--witness", str(paths["witness"])])
-        _assert_usage_error(out)
+        for data in (b'{"d": "\xff\xfe"}', b"\xff\xfe"):
+            paths[bad].write_bytes(data)
+            out = cli(["verify", "--matrix", str(paths["matrix"]), "--witness", str(paths["witness"])])
+            _assert_usage_error(out)
 
 
 class TestWitness:

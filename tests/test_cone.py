@@ -804,8 +804,10 @@ class TestSampler:
         # P W M_d(t_d (1 + 1e-6)) W^2 P^T is a nonmember like M_d itself;
         # the diagonal normalization makes the scaling invisible to the search.
         rng = np.random.default_rng(2903)
-        for d in range(4, 25):
-            w, p = 10.0 ** rng.uniform(-1.5, 1.5, d), rng.permutation(d)
+        cases = [(d, 10.0 ** rng.uniform(-1.5, 1.5, d), rng.permutation(d)) for d in range(4, 25)]
+        # Unpermuted, with w_l = 10^((l mod 5 - 2) / 2).
+        cases.append((24, 10.0 ** ((np.arange(24) % 5 - 2) / 2), np.arange(24)))
+        for d, w, p in cases:
             m = MatrixSpec(d, all_split_threshold(d) * (1 + 1e-6)).dense()
             m = (w[:, None] * m * (w * w))[np.ix_(p, p)]
             rep = certify_general(m)
@@ -1124,7 +1126,7 @@ class TestPerturbationCertificate:
             t = all_split_threshold(d)
             above = MatrixSpec(d, t * (1 + 1e-6)).dense()
             rep = certify_general(above)
-            assert rep.verdict == "nonmember", d
+            assert rep.verdict == "nonmember" and rep.method == "sampling", d
             assert _exact_psi(above.tolist(), rep.witness.z, rep.witness.s) < 0, d
             below = MatrixSpec(d, t * (1 - 1e-6)).dense()
             assert certify_general(below).method == "perturbation", d

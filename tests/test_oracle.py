@@ -1,12 +1,10 @@
 import json
-import os
-import subprocess
 import sys
 from importlib import import_module
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import _BLOCK_NUMPY, _RUN_CLI, _loaded, _python, _then_print
 
 import psq
 from psq.cone import compute_bd
@@ -100,17 +98,7 @@ class TestBruteForce:
         assert str(err.value) == message
 
 
-_SRC = str(Path(__file__).resolve().parents[1] / "src")
 _BLOCK_SCIPY = "import sys; sys.modules['scipy'] = None\n"
-_BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None\n"
-_RUN_CLI = "import runpy; runpy.run_module('psq.cli', run_name='__main__', alter_sys=True)"
-
-
-def _python(code, *args):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
-    return subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
-    )
 
 
 class TestNoScipy:
@@ -181,6 +169,15 @@ class TestNoNumpy:
             ["certify", "--d", "6", "--b", repr(compute_bd(6).b_d)],
             ["certify", "--d", "6", "--b", "0.99"],
             ["certify", "--d", "3000", "--b", "0.5"],
+            ["certify", "--d", "100000", "--b", "0.5"],
+            ["sup-q", "--nx", "3", "--ny", "3"],
+            ["witness", "--growth-n", "10000"],
+            # A float -x longer than the shortest list that numpy, once loaded, sums
+            # as a float64 array: the in-process run has numpy loaded.
+            pytest.param(
+                ["eval-q", "-x", ",".join(repr(10.0 ** (k / 50 - 20)) for k in range(1100)), "-y", "0.75"],
+                id="eval-q 1100 floats",
+            ),
         ],
         ids=" ".join,
     )
@@ -205,8 +202,7 @@ class TestNoNumpy:
         mpath, wpath = tmp_path / "m.json", tmp_path / "w.json"
         mpath.write_text(json.dumps({"d": 6, "b": 0.9}))
         wpath.write_text(json.dumps({"z": [1.0] + [0.3] * 5, "s": [-1] + [1] * 5}))
-        code = f"import sys\ntry:\n    {_RUN_CLI}\nfinally:\n    print('numpy' in sys.modules, file=sys.stderr)"
-        out = _python(code, "verify", "--matrix", str(mpath), "--witness", str(wpath))
+        out = _python(_then_print(_RUN_CLI, "'numpy' in sys.modules"), "verify", "--matrix", str(mpath), "--witness", str(wpath))
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["confirmed"] is True
         assert out.stderr.splitlines()[-1] == "False"
@@ -222,7 +218,10 @@ class TestNoNumpy:
             ["sup-q", "--nx", "24", "--ny", "23"],
             ["witness", "--nx", "7", "--ny", "6"],
             ["witness", "--growth-n", "100"],
+            ["witness", "--growth-n", "10000"],
             ["eval-q", "-x", "1,1/2,1/4", "-y", "3/4"],
+            ["eval-q", "-x", "0.5,0.25", "-y", "0.75"],
+            ["sup-q", "--nx", "3", "--ny", "3"],
             ["certify", "--d", "6", "--b", "0.5"],
             ["certify", "--d", "6", "--b", "0.99"],
         ],
@@ -232,10 +231,23 @@ class TestNoNumpy:
         # Results are NamedTuples: dataclasses (and the inspect it pulls in)
         # would add about 20 ms to every cold psq process.
         run, argv = (args[0], []) if args[0].startswith("import") else (_RUN_CLI, args)
-        code = f"import sys\ntry:\n    {run}\nfinally:\n    print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)), file=sys.stderr)"
-        out = _python(code, *argv)
-        assert out.returncode in (0, 1), out.stderr
+        out = _python(_then_print(run, "sorted({'dataclasses', 'inspect'} & set(sys.modules))"), *argv)
+        assert out.returncode == (1 if args == ["certify", "--d", "6", "--b", "0.99"] else 0), out.stderr
         assert out.stderr.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("d, b", [(6, 0.99), (3, 1.0), (100000, 0.5)])
+    def test_round_trip_with_numpy_blocked(self, tmp_path, d, b):
+        # An M_d(b) nonmember witness (a unit block against d - i equal entries)
+        # re-verifies on its {"d", "b"} file from the blocks of z, in O(d).
+        mpath, rpath, wpath = tmp_path / "m.json", tmp_path / "r.json", tmp_path / "w.json"
+        out = _python(_BLOCK_NUMPY + _RUN_CLI, "certify", "--d", str(d), "--b", str(b), "--json", str(rpath), timeout=20)
+        assert out.returncode == 1, out.stderr
+        assert json.loads(out.stdout)["verdict"] == "nonmember"
+        mpath.write_text(json.dumps({"d": d, "b": b}))
+        wpath.write_text(json.dumps(json.loads(rpath.read_text())["witness"]))
+        out = _python(_BLOCK_NUMPY + _RUN_CLI, "verify", "--matrix", str(mpath), "--witness", str(wpath), timeout=20)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["confirmed"] is True
 
     def test_array_names_load_numpy_on_use(self):
         code = (
@@ -262,11 +274,6 @@ _PS = ["psq", "psq.power_sums"]
 _STRUCTURED = [*_PS, "psq.structured"]
 _CONE = [*_STRUCTURED, "psq.cone"]
 _ALL = [*_CONE, "psq.tables"]
-
-
-def _loaded(run):
-    """Code that runs `run` and then prints the psq modules it loaded to stderr."""
-    return f"import sys\ntry:\n    {run}\nfinally:\n    print(sorted(m for m in sys.modules if m.startswith('psq')), file=sys.stderr)"
 
 
 class TestModuleFootprint:
