@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -44,7 +45,11 @@ def _write_json(doc, json_path):
 
 def _emit(doc, json_path):
     _write_json(doc, json_path)
-    print(json.dumps(doc, indent=2))
+    try:
+        print(json.dumps(doc, indent=2), flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout early: what is left, and the flush at exit, go to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _parse_entries(tokens):

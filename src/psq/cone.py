@@ -383,10 +383,10 @@ def all_split_threshold(d: int) -> float:
     phi(p) = F(p) / (1 + p), F(p) = max_gamma f(p, gamma):
 
     1. Only full short blocks count.  i units against m constants give
-       m F(i/m), nondecreasing in m (sup_q).  A block on the short side
-       has i <= a, m = d - a; on the long side i < m = a.  Both have
-       i <= d // 2 and m <= d - i, so the value is at most that of the
-       full block of split (i, d - i), d phi(i / (d - i)) <= C_T d.
+       m F(i/m), rising strictly in m (sup_q's shorter-vector proof).  A block
+       on the short side has i <= a, m = d - a; on the long side i < m = a.
+       Both have i <= d // 2 and m <= d - i, so the value is at most that of
+       the full block of split (i, d - i), d phi(i / (d - i)) <= C_T d.
     2. phi peaks once, at P_T.  Along sup_q's root curve p(gamma),
        F'(p)(1 + p) - F(p) = (1 - gamma) q(gamma) / (9 gamma (1 + gamma)
        (1 + gamma^2)) with q / gamma^2 = u^2 - 4u - 8, u = gamma + 1/gamma,
@@ -446,7 +446,7 @@ def membership_equal_offdiag(d: int, b: float) -> MembershipReport:
     the unit count i of the balanced maximizer as a full block against
     all d - i remaining entries, at gamma = the root for (i, d - i).  Its
     Q is at least the balanced sup, since the best value of an (i, m)
-    configuration is nondecreasing in m (sup_q), so Psi < 0 with no
+    configuration rises with m (sup_q), so Psi < 0 with no
     closure zeros.  Psi is decided exactly, in O(1) from the two blocks,
     and psi_value is it correctly rounded.  Inside the margin: inconclusive.
     """

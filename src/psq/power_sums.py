@@ -26,8 +26,8 @@ total (exponent-bucket summation, Demmel and Hida 2004).  Other float input
 streams through math.fsum.  A float M_3 or Q that overflows, and a
 float Q whose cubes all underflow to 0, raise ValueError.  All-exact
 input (int or fractions.Fraction) stays exact: int sums for ints,
-otherwise integer sums S_p over the least common denominator L,
-M_p = S_p / L**p.
+otherwise integer sums S_p of the numerators over each distinct
+denominator q, M_p = sum of S_p / q**p.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from collections import defaultdict
 from fractions import Fraction
 from operator import attrgetter, countOf, ge, index, le, mul
 from typing import TYPE_CHECKING, NamedTuple, Union
@@ -220,14 +221,22 @@ def _integer_ratios(xs):
     return [n * (den // q) for n, q in ratios], den
 
 
+def _int_sums(n) -> tuple:
+    sq = list(map(mul, n, n))
+    return sum(n), sum(sq), sum(map(mul, sq, n))
+
+
 def _sums(v, types, name: str) -> PowerSumTriple:
     """M_1, M_2, M_3 of values checked by _validated, with their types."""
     if types is not None and all(issubclass(t, (int, Fraction)) for t in types):
-        ints = all(issubclass(t, int) for t in types)
-        n, den = (v, 1) if ints else _integer_ratios(v)
-        sq = list(map(mul, n, n))
-        sums = sum(n), sum(sq), sum(map(mul, sq, n))
-        return PowerSumTriple(*(s if ints else Fraction(s, den ** p) for p, s in enumerate(sums, 1)))
+        if all(issubclass(t, int) for t in types):
+            return PowerSumTriple(*_int_sums(v))
+        groups = defaultdict(list)  # the numerators of each distinct denominator q
+        for n, q in [e.as_integer_ratio() for e in v]:
+            groups[q].append(n)
+        den = math.lcm(*groups)  # S_p / q^p = S_p (den / q)^p / den^p
+        parts = [(den // q, _int_sums(n)) for q, n in groups.items()]
+        return PowerSumTriple(*(Fraction(sum(r ** p * s[p - 1] for r, s in parts), den ** p) for p in (1, 2, 3)))
     try:
         if types is None:
             sums = _array_sums(v)

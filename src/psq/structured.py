@@ -26,16 +26,15 @@ c* governs the sharp linear growth sup Q < c* * n.
 
 Homogeneity, g_{i,m}(gamma) = m * f(i/m, gamma), makes sup_q closed
 form: the best gamma of a configuration is the single root in (0, 1)
-of a quartic, and max_gamma f(p, gamma) is unimodal in p with its peak
-at p*, so each side needs only the block counts floor(p* m) and
-ceil(p* m).  The cost is O(1) in the dimensions; sup_q's docstring
-holds the proofs.  Results are memoized per shape, bounded at 256
-shapes, and shared by compute_bd, membership, all_split_threshold and
-positivity_witness.  Positive-quotient witnesses are that maximizer
-materialized with eps = 1e-6 in place of the closure zeros.  Such a
-pair is kept as blocks ((value, count), ...) per vector, and its Q comes
-from the blocks' exact sums in O(1), with the bits of quotient_q on the
-lists, which are built only for output.
+of a quartic, max_gamma f(p, gamma) is unimodal in p with its peak at
+p*, and the unit block belongs on the shorter vector, so only the block
+counts floor(p* m) and ceil(p* m) against the longer length m are
+evaluated.  The cost is O(1) in the dimensions; sup_q's docstring holds
+the proofs and describes its memo.  Positive-quotient witnesses are that
+maximizer materialized with eps = 1e-6 in place of the closure zeros.
+Such a pair is kept as blocks ((value, count), ...) per vector, and its
+Q comes from the blocks' exact sums in O(1), with the bits of quotient_q
+on the lists, which are built only for output.
 """
 
 from __future__ import annotations
@@ -67,9 +66,9 @@ _SUP_Q_SHAPES = 256  # how many recently used shapes keep their sup_q result
 class StructuredConfig(NamedTuple):
     """One block configuration: i unit entries vs m constant entries.
 
-    side says which vector carries the unit block; the other vector is
-    constant at gamma.  q_value = g_{i,m}(gamma), the configuration's Q
-    (the same for either side).
+    side says which vector carries the unit block: the shorter one, x on
+    a tie.  The other vector is constant at gamma.  q_value =
+    g_{i,m}(gamma), the configuration's Q (the same for either side).
     """
 
     i: int
@@ -98,9 +97,8 @@ class SupQResult(NamedTuple):
         zeros of the block side.  Q of the pair tends to sup_value as eps -> 0."""
         if not (_is_real(eps) and 0 < eps < math.inf):
             raise ValueError(f"eps must be positive and finite, got {eps!r}")
-        c = self.maximizing_config
-        block_len = self.n_x if c.side == "x_is_block" else self.n_y
-        block, const = ((1.0, c.i), (eps, block_len - c.i)), ((c.gamma, c.m),)
+        c = self.maximizing_config  # the block is on the shorter vector
+        block, const = ((1.0, c.i), (eps, min(self.n_x, self.n_y) - c.i)), ((c.gamma, c.m),)
         return (block, const) if c.side == "x_is_block" else (const, block)
 
     def witness_pair(self, eps: float = 1e-6):
@@ -187,15 +185,13 @@ def _gamma_root(i: int, m: int) -> float:
 def sup_q(n_x: int, n_y: int) -> SupQResult:
     """Supremum of Q over positive orthants of dimensions (n_x, n_y).
 
-    Closed form, O(1) in the dimensions: per side assignment only the
-    unit-block counts i in {floor(p* m), ceil(p* m)}, clipped to
-    [1, block length], are evaluated, each at the single root gamma of
-    a quartic.  The value is >= 0, with equality exactly for (1, 1),
+    Closed form, O(1) in the dimensions: the unit block sits on the
+    shorter vector (x on a tie) against the full longer length m, and
+    only the counts i in {floor(p* m), ceil(p* m)}, clipped to [1,
+    shorter length], are evaluated, each at the single root gamma of a
+    quartic.  The value is >= 0, with equality exactly for (1, 1),
     where the degenerate x = y limit (gamma -> 1) is reported.
-    Restricting the constant side to full length loses nothing: at a
-    maximizer each of its entries is the one positive root of the same
-    quadratic, so none is zero (psq.oracle's fact 2); that oracle also
-    checks every block count for all dimensions up to 8.
+    psq.oracle checks every block count for all dimensions up to 8.
 
     Why two candidates suffice.  By homogeneity g_{i,m}(gamma) =
     m f(p, gamma) with p = i/m, and three facts about f hold:
@@ -227,13 +223,18 @@ def sup_q(n_x: int, n_y: int) -> SupQResult:
        (the root is irrational), so p* m lies in ((16 m - s - 1) / 27,
        (16 m - s) / 27), which holds no integer: floor(p* m) = (16 m - s - 1) // 27.
 
-    Ties resolve to x_is_block, then to the smaller i, so a square shape
-    skips y_is_block: its candidates are the same.  The winner must
-    satisfy |h(gamma)| <= 1e-12 p, else RuntimeError.  Dimensions whose
-    float arithmetic overflows (from about 1e154) raise ValueError.
-    Results are memoized per shape, the _SUP_Q_SHAPES = 256 most recent,
-    and shared by compute_bd, membership, all_split_threshold and
-    positivity_witness; bad dimensions are rejected before the lookup.
+    Why the block sits on the shorter vector, against its full length.
+    For 1 <= i < m, m F(i/m) rises strictly with m: one more y entry at
+    0 next to the (i, m) maximizer (s1, s2 < 0) raises Q at the rate
+    -s2/s3 > 0, and Q then peaks at a constant y of length m + 1
+    (psq.oracle's fact 2).  So every count the longer side could take as
+    the block is open to the shorter side too, against a larger m.  Ties
+    resolve to the smaller i.  The winner must satisfy |h(gamma)| <=
+    1e-12 p, else RuntimeError.  Dimensions whose float arithmetic
+    overflows (from about 1e154) raise ValueError.  Results are memoized
+    per shape, the _SUP_Q_SHAPES = 256 most recent, and shared by
+    compute_bd, membership, all_split_threshold and positivity_witness;
+    bad dimensions are rejected before the lookup.
     """
     return _sup_q(_integer(n_x, "n_x", 1), _integer(n_y, "n_y", 1))  # checked first: 2.0 and True hash like 2 and 1
 
@@ -245,19 +246,17 @@ def _floor_p_star(m: int) -> int:
 
 @functools.lru_cache(maxsize=_SUP_Q_SHAPES)
 def _sup_q(n_x: int, n_y: int) -> SupQResult:
+    side, block_len, m = ("x_is_block", n_x, n_y) if n_x <= n_y else ("y_is_block", n_y, n_x)
     best: Optional[StructuredConfig] = None
     try:
-        for side, (block_len, m) in (("x_is_block", (n_x, n_y)), ("y_is_block", (n_y, n_x))):
-            if side == "y_is_block" and n_x == n_y:
-                break  # the same candidates as x_is_block, which wins ties
-            k = _floor_p_star(m)
-            for i in sorted({min(max(k, 1), block_len), min(k + 1, block_len)}):
-                if i >= m:
-                    continue
-                gamma = _gamma_root(i, m)
-                value = _g_config(i, m, gamma)
-                if best is None or value > best.q_value:
-                    best = StructuredConfig(i, m, gamma, side, value)
+        k = _floor_p_star(m)
+        for i in sorted({min(max(k, 1), block_len), min(k + 1, block_len)}):
+            if i >= m:
+                continue
+            gamma = _gamma_root(i, m)
+            value = _g_config(i, m, gamma)
+            if best is None or value > best.q_value:
+                best = StructuredConfig(i, m, gamma, side, value)
         if best is not None and not math.isfinite(best.q_value):
             raise OverflowError
     except OverflowError:

@@ -1,9 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
-from conftest import _RUN_CLI, _python, _then_print
+from conftest import _RUN_CLI, _cold_env, _python, _then_print
 
 from psq.cli import main
 from psq.cone import certify_general, compute_bd, membership_equal_offdiag
@@ -251,6 +253,27 @@ def _assert_usage_error(out):
     assert out.code == 2
     assert "Traceback" not in out.err
     assert sum("error:" in line for line in out.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "args, want",
+    [(["certify", "--d", "100000", "--b", "0.5"], 1), (["witness", "--growth-n", "100000"], 0)],
+    ids=["certify", "witness"],
+)
+def test_closed_stdout_ends_quietly(args, want):
+    # A reader that stops after 100 bytes, as `psq ... | head -c 100` does, while
+    # the multi-megabyte document is still being written: the handler's own exit
+    # code, and no traceback or "Exception ignored" line.
+    with subprocess.Popen(
+        [sys.executable, "-c", _RUN_CLI, *args], env=_cold_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        proc.stdout.read(100)
+        proc.stdout.close()
+        try:
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        assert (code, proc.stderr.read()) == (want, b"")
 
 
 def test_report_json_key_order():

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import _psi_exact_offdiag, b3_quartic_root
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -51,23 +52,6 @@ FROZEN_BD = {
     11: 0.7576561737215454,
     12: 0.7576561737215454,
 }
-
-
-def b3_quartic_root():
-    """Root of 20 x^4 + 60 x^3 + 9 x^2 - 54 x - 27 on [0.9, 1.0] by
-    bisection: a route to b_3 independent of psq's b3_radical."""
-
-    def poly(x):
-        return ((((20.0 * x + 60.0) * x) + 9.0) * x - 54.0) * x - 27.0
-
-    lo, hi = 0.9, 1.0  # poly(0.9) < 0 < poly(1.0)
-    while hi - lo > 1e-15:
-        mid = 0.5 * (lo + hi)
-        if poly(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 class TestMatrixSpec:
@@ -516,15 +500,6 @@ class TestComputeBd:
         for d in (10**400, 2 * 2**1024):
             with pytest.raises(ValueError, match="d is too large for float64"):
                 growth_lower_bound(d)
-
-
-def _psi_exact_offdiag(b, z, s):
-    """Exact Psi of M_d(b) at (z, s), summed over groups of equal (z_l, s_l):
-    sum_l z_l^3 + b sum_l s_l z_l (S - s_l z_l^2) with S = sum_k s_k z_k^2."""
-    b = Fraction(b)
-    groups = [(Fraction(v), sg, k) for (v, sg), k in Counter(zip(z, s)).items()]
-    total = sum(k * sg * v * v for v, sg, k in groups)
-    return sum(k * (v ** 3 + b * sg * v * (total - sg * v * v)) for v, sg, k in groups)
 
 
 def _check_nonmember_witnesses(d, n_grid, rng):

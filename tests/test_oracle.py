@@ -98,38 +98,7 @@ class TestBruteForce:
         assert str(err.value) == message
 
 
-_BLOCK_SCIPY = "import sys; sys.modules['scipy'] = None\n"
-
-
-class TestNoScipy:
-    def test_import_does_not_load_scipy(self):
-        out = _python("import sys, psq.cli; print('scipy' in sys.modules)")
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
-
-    def test_oracle_and_cli_run_with_scipy_blocked(self):
-        code = _BLOCK_SCIPY + (
-            "from psq import brute_force_sup\n"
-            "res = brute_force_sup(3, 3, n_starts=16)\n"
-            "print(res.n_starts, res.best_value)\n"
-        )
-        out = _python(code)
-        assert out.returncode == 0, out.stderr
-        n_starts, best = out.stdout.split()
-        assert int(n_starts) >= 16
-        assert abs(float(best) - sup_q(3, 3).sup_value) <= 1e-6
-
-        out = _python(_BLOCK_SCIPY + _RUN_CLI, "sup-q", "--nx", "3", "--ny", "3")
-        assert out.returncode == 0, out.stderr
-        assert json.loads(out.stdout)["sup"] == sup_q(3, 3).sup_value
-
-
 class TestNoNumpy:
-    def test_import_does_not_load_numpy(self):
-        out = _python("import sys, psq, psq.cli; print('numpy' in sys.modules, 'click' in sys.modules)")
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False False"
-
     def test_list_input_leaves_numpy_unloaded(self):
         # A long float list is summed by numpy only when numpy is already
         # loaded, and to the same bits as without it.
@@ -207,34 +176,6 @@ class TestNoNumpy:
         assert json.loads(out.stdout)["confirmed"] is True
         assert out.stderr.splitlines()[-1] == "False"
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["import psq"],
-            ["import psq.cli"],
-            ["table1"],
-            ["table2"],
-            ["bd", "--d", "100"],
-            ["sup-q", "--nx", "24", "--ny", "23"],
-            ["witness", "--nx", "7", "--ny", "6"],
-            ["witness", "--growth-n", "100"],
-            ["witness", "--growth-n", "10000"],
-            ["eval-q", "-x", "1,1/2,1/4", "-y", "3/4"],
-            ["eval-q", "-x", "0.5,0.25", "-y", "0.75"],
-            ["sup-q", "--nx", "3", "--ny", "3"],
-            ["certify", "--d", "6", "--b", "0.5"],
-            ["certify", "--d", "6", "--b", "0.99"],
-        ],
-        ids=" ".join,
-    )
-    def test_cold_process_leaves_dataclasses_unloaded(self, args):
-        # Results are NamedTuples: dataclasses (and the inspect it pulls in)
-        # would add about 20 ms to every cold psq process.
-        run, argv = (args[0], []) if args[0].startswith("import") else (_RUN_CLI, args)
-        out = _python(_then_print(run, "sorted({'dataclasses', 'inspect'} & set(sys.modules))"), *argv)
-        assert out.returncode == (1 if args == ["certify", "--d", "6", "--b", "0.99"] else 0), out.stderr
-        assert out.stderr.splitlines()[-1] == "[]"
-
     @pytest.mark.parametrize("d, b", [(6, 0.99), (3, 1.0), (100000, 0.5)])
     def test_round_trip_with_numpy_blocked(self, tmp_path, d, b):
         # An M_d(b) nonmember witness (a unit block against d - i equal entries)
@@ -277,14 +218,20 @@ _ALL = [*_CONE, "psq.tables"]
 
 
 class TestModuleFootprint:
-    """A cold process loads only the psq modules its call needs."""
+    """A cold process loads only the psq modules its call needs, and of numpy, scipy,
+    click, dataclasses and inspect only what an explicit matrix needs: numpy, which
+    loads inspect.  Results are NamedTuples, so no call loads dataclasses (and the
+    inspect it pulls in), which would add about 20 ms to every cold psq process."""
 
     @pytest.mark.parametrize(
         "args, want",
         [
             (["eval-q", "-x", "1,1/2", "-y", "3/4"], _PS),
             (["eval-q", "-x", "0.5,1/4", "-y", "0.75"], _PS),
+            (["eval-q", "-x", "1,1/2,1/4", "-y", "3/4"], _PS),
+            (["eval-q", "-x", "0.5,0.25", "-y", "0.75"], _PS),
             (["sup-q", "--nx", "3", "--ny", "2"], _STRUCTURED),
+            (["sup-q", "--nx", "3", "--ny", "3"], _STRUCTURED),
             (["sup-q", "--nx", "24", "--ny", "23"], _STRUCTURED),
             (["witness", "--nx", "7", "--ny", "6"], _STRUCTURED),
             (["witness", "--growth-n", "100"], _STRUCTURED),
@@ -292,11 +239,12 @@ class TestModuleFootprint:
             (["bd", "--d", "100"], _CONE),
             (["certify", "--d", "6", "--b", "0.5"], _CONE),
             (["certify", "--d", "6", "--b", "0.99"], _CONE),
-            (["certify", "--matrix"], _CONE),
-            (["certify", "--matrix", "dominant"], _CONE),
+            (["certify", "--matrix"], [*_CONE, "numpy", "inspect"]),
+            (["certify", "--matrix", "dominant"], [*_CONE, "numpy", "inspect"]),
             (["verify"], _CONE),
             (["table1"], _ALL),
             (["table2", "--dims", "50"], _ALL),
+            (["table2"], _ALL),
         ],
         ids=" ".join,
     )
@@ -309,7 +257,7 @@ class TestModuleFootprint:
             wpath.write_text(json.dumps({"z": [1.0] + [0.3] * 5, "s": [-1] + [1] * 5}))
             args = ["verify", "--matrix", str(mpath), "--witness", str(wpath)]
         if args[:2] == ["certify", "--matrix"]:
-            # An explicit matrix loads numpy, but neither tables nor oracle: a 4 x 4 nonmember,
+            # An explicit matrix loads numpy, but neither tables nor oracle nor scipy: a 4 x 4 nonmember,
             # or a diagonally dominant 2 x 2 member.
             gpath = tmp_path / "g.json"
             if args[2:]:
@@ -331,17 +279,13 @@ class TestModuleFootprint:
             ("import psq; psq.sup_q(3, 2)", _STRUCTURED),
             ("import psq; psq.compute_bd(8)", _CONE),
             ("import psq; psq.table1_rows()", _ALL),
+            ("import psq; psq.brute_force_sup(3, 3)", [*_PS, "psq.oracle"]),
         ],
     )
     def test_library_call(self, run, want):
         out = _python(_loaded(run))
         assert out.returncode == 0, out.stderr
         assert out.stderr.splitlines()[-1] == repr(sorted(want))
-
-    def test_import_leaves_heavy_modules_unloaded(self):
-        out = _python("import sys, psq; print(sorted({'numpy', 'psq.oracle', 'dataclasses'} & set(sys.modules)))")
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("first", ["structured", "cone", "tables", "oracle", "power_sums", "cli"])
     def test_power_sums_stays_the_function(self, first):

@@ -144,6 +144,15 @@ class TestPowerSumsMatchReference:
     def test_exact_same_values_and_types(self, v):
         assert bits(tuple(power_sums(v))) == bits(reference_sums(v))
 
+    def test_exact_many_denominators(self):
+        # Sums run per distinct denominator: many of them, one shared, and ints mixed in.
+        rng = random.Random(32)
+        many = [Fraction(rng.randint(1, 10**6), rng.randint(1, 1000)) for _ in range(3000)]
+        shared = [Fraction(rng.randint(1, 10**6), 997) for _ in range(500)]
+        for v in (many, shared, [rng.randint(1, 10**6) if k % 3 else f for k, f in enumerate(many)],
+                  [7, *shared[:5], 10**40], [Fraction(4, 2), 3]):
+            assert bits(tuple(power_sums(v))) == bits(reference_sums(v))
+
     def test_exact_types(self):
         assert [type(m) for m in tuple(power_sums([1, 2, 3]))] == [int] * 3
         # A Fraction with denominator 1 still makes every sum a Fraction.

@@ -505,6 +505,34 @@ class TestSupQMemo:
             assert (c.q_value.hex(), c.side, c.i, c.m, c.gamma.hex()) == (value.hex(), side, i, m, gamma.hex()), n
         assert _two_side_sup(1, 1) is None and sup_q(1, 1).sup_value == 0.0
 
+    def test_shapes_below_2_53_equal_two_sides(self):
+        # Every shape up to 300 x 300, then seeded shapes per decade up to 2^53,
+        # near-square and free: the shorter side alone gives the same bits.
+        rng = random.Random(1819)
+        shapes = [(a, b) for a in range(1, 301) for b in range(1, 301) if (a, b) != (1, 1)]
+        for e in range(3, 16):
+            for _ in range(100):
+                n, k = rng.randint(10 ** (e - 1), 10 ** e), rng.randint(1, 1000)
+                shapes += [(n + k, n), (n, n + k), (n, rng.randint(1, 2**53 - 1))]
+        for shape in shapes:
+            value, side, i, m, gamma = _two_side_sup(*shape)
+            res = sup_q(*shape)
+            c = res.maximizing_config
+            assert (res.sup_value.hex(), c.side, c.i, c.m, c.gamma.hex(), c.q_value.hex()) == (
+                value.hex(), side, i, m, gamma.hex(), value.hex()), shape
+
+    def test_block_sits_on_the_shorter_vector_at_any_size(self):
+        # Beyond 2^53 both sides' floats can tie or cross, but the longer constant
+        # side is strictly better (sup_q's docstring), so it is always the constant one.
+        rng = random.Random(1820)
+        for e in range(17, 25):
+            for _ in range(300):
+                n, k = rng.randint(10**e, 10 ** (e + 1)), rng.randint(1, 1000)
+                for n_x, n_y in ((n + k, n), (n, n + k), (n, n)):
+                    c = sup_q(n_x, n_y).maximizing_config
+                    assert c.m == max(n_x, n_y), (n_x, n_y)
+                    assert c.side == ("x_is_block" if n_x <= n_y else "y_is_block"), (n_x, n_y)
+
     @pytest.mark.parametrize("d", [1000, 1001])
     def test_threshold_request_solves_two_shapes(self, d):
         # compute_bd, membership on both sides of b_d, and sup_q and
