@@ -115,14 +115,18 @@ def bd_cmd(args):
     return 0
 
 
+def _table(rows, json_path, **columns):
+    """Write rows to json_path, then print d and each column (header=field) at 3 decimals."""
+    _write_json([r.to_json_dict() for r in rows], json_path)
+    print(f"{'d':>4}", *(f"{h:>8}" for h in columns))
+    for r in rows:
+        print(f"{r.d:>4}", *(f"{getattr(r, f):>8.3f}" for f in columns.values()))
+    return 0
+
+
 def table1_cmd(args):
     """Thresholds for d = 2..6 (cells truncated at 3 decimals)."""
-    rows = psq.table1_rows()
-    _write_json([r.to_json_dict() for r in rows], args.json)
-    print(f"{'d':>4} {'lower':>8} {'b_d':>8}")
-    for r in rows:
-        print(f"{r.d:>4} {r.lower_bound:>8.3f} {r.b_d:>8.3f}")
-    return 0
+    return _table(psq.table1_rows(), args.json, lower="lower_bound", b_d="b_d")
 
 
 def table2_cmd(args):
@@ -134,11 +138,7 @@ def table2_cmd(args):
     if dims == []:
         raise ValueError(f"--dims names no dimension: {args.dims!r}")
     rows = psq.table2_rows() if dims is None else psq.table2_rows(dims)
-    _write_json([r.to_json_dict() for r in rows], args.json)
-    print(f"{'d':>4} {'lower':>8} {'upper':>8} {'asym':>8}")
-    for r in rows:
-        print(f"{r.d:>4} {r.lower_bound:>8.3f} {r.witness_upper:>8.3f} {r.asymptotic:>8.3f}")
-    return 0
+    return _table(rows, args.json, lower="lower_bound", upper="witness_upper", asym="asymptotic")
 
 
 def _load_json_file(path, what):

@@ -508,15 +508,15 @@ def _two_level(n: np.ndarray, pats: np.ndarray) -> tuple:
 def sample_membership_general(matrix) -> GeneralReport:
     """Search two-level vectors for a violating (z, s) pair of an explicit matrix.
 
-    With v_l = m_ll^(-1/3) where m_ll > 0, else 1, and N = V M V^2 (screened at _unit_scaled's
-    scale), Psi_M(v o u, s) = Psi_N(u, s), a cubic in r at u = (r on A, 1 off A) (_two_level), for
-    each block A (the d - 1 proper prefixes, then the d singletons) and each pattern s: all
-    canonical ones while 2^(d-1) <= d + 512, else the d minus blocks and the distinct ones of 512
-    random rows drawn from default_rng(0) (both sets hold the one-sign pattern).  n_evaluated counts
-    the cubics, patterns x (2d - 1), screened in slices of consecutive patterns of at most
-    _SLICE_CUBICS (one slice for d <= 16).  In pattern, then block order, the first candidate
-    z = v o u whose exact Psi on M (_psi) is negative is the witness, with psi_value that Psi
-    correctly rounded; else the verdict is inconclusive, as the search never certifies membership.
+    With v_l = m_ll^(-1/3) where m_ll > 0, else 1, and N = 2^-k V M V^2 (from np.frexp parts, so
+    |N| < 1 at any range of M), Psi_N(u, s) = 2^-k Psi_M(v o u, s), a cubic in r at u = (r on A, 1
+    off A) (_two_level), for each block A (the d - 1 proper prefixes, then the d singletons) and each
+    pattern s: all canonical ones while 2^(d-1) <= d + 512, else the d minus blocks and the distinct
+    ones of 512 random rows drawn from default_rng(0) (both sets hold the one-sign pattern).
+    n_evaluated counts the cubics, patterns x (2d - 1), screened in slices of consecutive patterns of
+    at most _SLICE_CUBICS (one slice for d <= 16).  In pattern, then block order, the first candidate
+    z = v o u (2^-j v o u beyond float max; Psi is cubic in z) with exact Psi on M (_psi) < 0 is the
+    witness, psi_value that Psi correctly rounded; else inconclusive: the search never certifies.
     For d > 16 the float candidates, and so a witness's bits, can differ with the BLAS build: BLAS
     sums p @ n in an order that depends on the row count.  _psi keeps every verdict exact, and the
     slicing itself is a fixed function of d.
@@ -532,15 +532,20 @@ def sample_membership_general(matrix) -> GeneralReport:
     pats = _sign_patterns(d) if 1 << (d - 1) <= d + _RANDOM_PATTERNS else _sampled_patterns(d)
     report = partial(GeneralReport, d, method="sampling", n_evaluated=len(pats) * (2 * d - 1))
     step = max(1, _SLICE_CUBICS // (2 * d - 1))
-    with np.errstate(all="ignore"):  # overflow and 0/0 only give candidates that are dropped
+    with np.errstate(all="ignore"):  # overflow and 0/0 in the screen only give candidates it drops
         v = np.where(m.diagonal() > 0.0, m.diagonal(), 1.0) ** (-1.0 / 3.0)
-        n = _unit_scaled(v[:, None] * m * (v * v))[0]  # the screen's sums stay in float range
+        (fv, ev), (fm, em) = np.frexp(v), np.frexp(m)
+        e = ev[:, None] + em + 2 * ev  # N's exponents: its mantissa products lie in [1/8, 1)
+        n = np.ldexp(fv[:, None] * fm * (fv * fv), e - e[fm != 0.0].max(initial=0))
         for lo in range(0, len(pats), step):
             _, r, hits = _two_level(n, pats[lo : lo + step])
             for k, a, i in np.argwhere(hits.transpose(1, 2, 0)):
-                z = v.copy()
-                z[slice(a + 1) if a < d - 1 else a - d + 1] *= r[i, k, a]
-                if (z > 0.0).all() and (z < math.inf).all():
+                u = np.ones(d)
+                u[slice(a + 1) if a < d - 1 else a - d + 1] = r[i, k, a]
+                z = v * u
+                if not (z < math.inf).all():  # Psi is cubic in z, so 2^-j z keeps its sign
+                    z = np.ldexp(v, -math.frexp(r[i, k, a])[1]) * u
+                if (z > 0.0).all():
                     zt, st = tuple(z.tolist()), tuple(pats[lo + k].tolist())
                     num, den = _psi(m, zt, st)
                     if num < 0:

@@ -33,9 +33,8 @@ def cli(capsys):
 
 
 # The cold-process runner: a fresh interpreter on the source tree, for what an
-# in-process test cannot see (imports, blocked modules, time and memory limits).
+# in-process test cannot see (the modules a call loads, time and memory limits).
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
-_BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None\n"
 _RUN_CLI = "import runpy; runpy.run_module('psq.cli', run_name='__main__', alter_sys=True)"
 
 

@@ -8,8 +8,8 @@ import pytest
 from conftest import _RUN_CLI, _cold_env, _python, _then_print
 
 from psq.cli import main
-from psq.cone import certify_general, compute_bd, membership_equal_offdiag
-from psq.tables import table1_rows, table2_rows
+from psq.cone import compute_bd
+from psq.tables import table2_rows
 
 
 class TestEvalQ:
@@ -274,31 +274,6 @@ def test_closed_stdout_ends_quietly(args, want):
         finally:
             proc.kill()
         assert (code, proc.stderr.read()) == (want, b"")
-
-
-def test_report_json_key_order():
-    # The CLI prints these dicts; pin their layout, nested keys included.
-    bd = compute_bd(5).to_json_dict()
-    assert list(bd) == [
-        "d", "b_d", "sup_value", "split", "lower_bound", "asymptotic",
-        "witness_upper", "exact",
-    ]
-    assert json.loads(json.dumps(bd))["split"] == [3, 2]
-    mem = membership_equal_offdiag(4, 0.99).to_json_dict()
-    assert list(mem) == ["d", "b", "b_d", "verdict", "margin", "witness"]
-    assert list(mem["witness"]) == ["z", "s", "psi"]
-    general_keys = ["d", "verdict", "method", "n_evaluated", "witness", "diagnostics"]
-    m5 = [[1.0 if i == j else 0.95 for j in range(5)] for i in range(5)]
-    sampled = certify_general(m5).to_json_dict()
-    assert list(sampled) == general_keys and list(sampled["witness"]) == ["z", "s", "psi"]
-    m16 = [[1.0 if i == j else 0.3 for j in range(16)] for i in range(16)]
-    perturbed = certify_general(m16).to_json_dict()
-    assert list(perturbed) == general_keys
-    assert list(perturbed["diagnostics"]) == ["b", "slack", "threshold", "evaluations"]
-    assert list(table1_rows()[0].to_json_dict()) == ["d", "lower_bound", "b_d"]
-    assert list(table2_rows([50])[0].to_json_dict()) == [
-        "d", "lower_bound", "witness_upper", "asymptotic",
-    ]
 
 
 class TestCertify:

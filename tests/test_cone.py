@@ -152,6 +152,18 @@ class TestMatrixSpec:
                 MatrixSpec.from_json_dict(bad)
             assert str(err.value).endswith(f"got {keys}")
 
+    @pytest.mark.parametrize(
+        "d, b, verdict", [(4, 0.3, "member_certified"), (5, 0.95, "nonmember"), (2, 1.0, "inconclusive")]
+    )
+    def test_explicit_matrix_routes_take_a_spec(self, d, b, verdict):
+        # The explicit-matrix functions accept M_d(b) as a spec and give what its dense form gives.
+        spec = MatrixSpec(d, b)
+        assert certify_general(spec).verdict == verdict
+        for func in (certify_general, sample_membership_general):
+            assert func(spec) == func(spec.dense())
+        z, pats = np.linspace(0.5, 2.0, d), _sign_patterns(d)
+        assert psi_over_patterns(spec, z, pats).tolist() == psi_over_patterns(spec.dense(), z, pats).tolist()
+
 
 class TestSignPatterns:
     def test_counts_and_canonical_form(self):
@@ -799,8 +811,8 @@ class TestSampler:
             assert _exact_psi(m.tolist(), rep.witness.z, rep.witness.s) < 0, eps
 
     def test_entries_spanning_float_range(self):
-        # Normalizing by m_ll^(-1/3) overflows or underflows here; such
-        # candidates are dropped, and any witness is still exactly negative.
+        # v o u can leave float range here; such candidates are scaled back
+        # or dropped, and any witness is still exactly negative.
         rng = np.random.default_rng(2904)
         for _ in range(40):
             d = int(rng.integers(2, 6))
@@ -810,6 +822,57 @@ class TestSampler:
                 assert rep.verdict in ("nonmember", "inconclusive", "member_certified")
                 if rep.verdict == "nonmember":
                     assert _exact_psi(m.tolist(), rep.witness.z, rep.witness.s) < 0
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[5e-324, 1.0], [1.0, 5e-324]],
+            np.ldexp([[1.0, -1e308], [-1e308, 1.0]], -1000).tolist(),
+            np.ldexp([[1.0, -1e308], [-1e308, 1.0]], -600).tolist(),
+            [[2.4e-181, -2.4e127], [-2.4e127, 2.4e-181]],
+        ],
+        ids=["subnormal-diagonal", "2^-1000", "2^-600", "wide-offdiagonal"],
+    )
+    def test_out_of_range_products_are_refuted(self, m):
+        # V M V^2 (v = 5.8e107 gives v^3 beyond float max) or a candidate v o u overflowed here, and
+        # the search was inconclusive: N is built from frexp parts, and z is scaled by a power of two.
+        for rep in (sample_membership_general(m), certify_general(m)):
+            assert (rep.verdict, rep.method) == ("nonmember", "sampling")
+            assert all(0.0 < x < math.inf for x in rep.witness.z)
+            assert _exact_psi(m, rep.witness.z, rep.witness.s) < 0
+
+    def test_wide_range_moves_only_to_nonmember(self):
+        # Entries spanning 2^+-1000 at d = 2..5: the frexp-built N and the scaled candidates refute
+        # more matrices than the float product V M V^2 did, and lose no nonmember.
+        rng = np.random.default_rng(4404)
+        refuted = 0
+        for _ in range(60):
+            d = int(rng.integers(2, 6))
+            m = rng.choice([-1.0, 1.0], (d, d)) * np.ldexp(rng.uniform(0.5, 1.0, (d, d)), rng.integers(-1000, 1000, (d, d)))
+            old = _float_product_search(m)
+            rep = sample_membership_general(m)
+            assert old == "inconclusive" or rep.verdict == "nonmember"
+            refuted += old == "inconclusive" and rep.verdict == "nonmember"
+            if rep.verdict == "nonmember":
+                assert _exact_psi(m.tolist(), rep.witness.z, rep.witness.s) < 0
+        assert refuted >= 10
+
+
+def _float_product_search(m):
+    """Reference: the search with N = V M V^2 as a float product and in-range candidates only."""
+    d = m.shape[0]
+    pats = _sign_patterns(d)
+    with np.errstate(all="ignore"):
+        v = np.where(m.diagonal() > 0.0, m.diagonal(), 1.0) ** (-1.0 / 3.0)
+        n = v[:, None] * m * (v * v)
+        n = np.ldexp(n, -math.frexp(float(abs(n).max()))[1])
+        _, r, hits = _two_level(n, pats)
+        for k, a, i in np.argwhere(hits.transpose(1, 2, 0)):
+            z = v.copy()
+            z[slice(a + 1) if a < d - 1 else a - d + 1] *= r[i, k, a]
+            if (z > 0.0).all() and (z < math.inf).all() and _exact_psi(m.tolist(), z.tolist(), pats[k].tolist()) < 0:
+                return "nonmember"
+    return "inconclusive"
 
 
 def _fixed_probes_refute(m, seed=0):
@@ -872,12 +935,14 @@ class TestCertifyGeneral:
                 if rep.witness is not None:
                     assert _exact_psi(mm.tolist(), rep.witness.z, rep.witness.s) < 0
         # Its diagonal is 1e-308 of its off-diagonal.  The local minimum r = 2 / (3 * 1e-308) at
-        # s = (-1, -1) no longer cancels, so M is refuted, with Psi below -float max.  (Its twin
-        # 2^-1000 M is not yet: z = v o u there, v_1 = 2^(1000/3), lies beyond float range.)
+        # s = (-1, -1) no longer cancels, so M is refuted, with Psi below -float max.  Its twin
+        # 2^-1000 M is refuted too: z = v o u there, v_1 = 2^(1000/3), lies beyond float range
+        # and is scaled back into it by a power of two.
         m = np.array([[1.0, -1e308], [-1e308, 1.0]])
-        rep = certify_general(m)
-        assert rep.verdict == "nonmember" and rep.witness.psi_value == -math.inf
+        rep, twin = certify_general(m), certify_general(np.ldexp(m, -1000))
+        assert rep.verdict == twin.verdict == "nonmember" and rep.witness.psi_value == -math.inf
         assert _exact_psi(m.tolist(), rep.witness.z, rep.witness.s) < 0
+        assert _exact_psi(np.ldexp(m, -1000).tolist(), twin.witness.z, twin.witness.s) < 0
 
     def test_inexact_copy_certifies_no_dominance(self):
         # M spans 2^1073, so in M 2^-1024 the block's diagonal is 2^-1074 and its off-diagonal

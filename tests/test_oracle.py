@@ -4,7 +4,7 @@ from importlib import import_module
 
 import numpy as np
 import pytest
-from conftest import _BLOCK_NUMPY, _RUN_CLI, _loaded, _python, _then_print
+from conftest import _RUN_CLI, _loaded, _python
 
 import psq
 from psq.cone import compute_bd
@@ -115,80 +115,29 @@ class TestNoNumpy:
             "print(repr(power_sums(x)), repr(quotient_q(x, x[::-3])))\n"
             "print(sys.modules.get('numpy') is not None)\n"
         )
-        runs = {prefix: _python(prefix + code) for prefix in ("", _BLOCK_NUMPY, "import numpy\n")}
+        runs = {prefix: _python(prefix + code) for prefix in ("", "import numpy\n")}
         for out in runs.values():
             assert out.returncode == 0, out.stderr
         sums, loaded = runs[""].stdout.splitlines()
         assert loaded == "False"
-        assert runs[_BLOCK_NUMPY].stdout.splitlines() == [sums, "False"]
         assert runs["import numpy\n"].stdout.splitlines() == [sums, "True"]
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["table1"],
-            ["table2"],
-            ["bd", "--d", "100"],
-            ["sup-q", "--nx", "24", "--ny", "23"],
-            ["witness", "--nx", "7", "--ny", "6"],
-            ["witness", "--growth-n", "100"],
-            ["eval-q", "-x", "1,1/2,1/4", "-y", "3/4"],
-            ["eval-q", "-x", "0.5,0.25", "-y", "0.75"],
-            ["certify", "--d", "6", "--b", "0.5"],
-            ["certify", "--d", "6", "--b", repr(compute_bd(6).b_d)],
-            ["certify", "--d", "6", "--b", "0.99"],
-            ["certify", "--d", "3000", "--b", "0.5"],
-            ["certify", "--d", "100000", "--b", "0.5"],
-            ["sup-q", "--nx", "3", "--ny", "3"],
-            ["witness", "--growth-n", "10000"],
-            # A float -x longer than the shortest list that numpy, once loaded, sums
-            # as a float64 array: the in-process run has numpy loaded.
-            pytest.param(
-                ["eval-q", "-x", ",".join(repr(10.0 ** (k / 50 - 20)) for k in range(1100)), "-y", "0.75"],
-                id="eval-q 1100 floats",
-            ),
-        ],
-        ids=" ".join,
-    )
-    def test_cli_runs_with_numpy_blocked(self, cli, args):
-        want = cli(args)
-        out = _python(_BLOCK_NUMPY + _RUN_CLI, *args)
-        assert out.returncode == want.code, out.stderr
-        assert out.stdout == want.out
-
-    def test_oracle_runs_with_numpy_blocked(self):
-        code = _BLOCK_NUMPY + (
-            "from psq import brute_force_sup\n"
-            "res = brute_force_sup(8, 8)\n"
-            "print(repr(res.best_value))\n"
-        )
-        out = _python(code)
-        assert out.returncode == 0, out.stderr
-        assert abs(float(out.stdout) - sup_q(8, 8).sup_value) <= 1e-12
-
-    def test_verify_on_offdiag_file_leaves_numpy_unloaded(self, tmp_path):
-        # A {"d", "b"} file is verified from the blocks of z, with no dense matrix.
-        mpath, wpath = tmp_path / "m.json", tmp_path / "w.json"
-        mpath.write_text(json.dumps({"d": 6, "b": 0.9}))
-        wpath.write_text(json.dumps({"z": [1.0] + [0.3] * 5, "s": [-1] + [1] * 5}))
-        out = _python(_then_print(_RUN_CLI, "'numpy' in sys.modules"), "verify", "--matrix", str(mpath), "--witness", str(wpath))
-        assert out.returncode == 0, out.stderr
-        assert json.loads(out.stdout)["confirmed"] is True
-        assert out.stderr.splitlines()[-1] == "False"
-
     @pytest.mark.parametrize("d, b", [(6, 0.99), (3, 1.0), (100000, 0.5)])
-    def test_round_trip_with_numpy_blocked(self, tmp_path, d, b):
+    def test_round_trip_leaves_numpy_unloaded(self, tmp_path, d, b):
         # An M_d(b) nonmember witness (a unit block against d - i equal entries)
-        # re-verifies on its {"d", "b"} file from the blocks of z, in O(d).
+        # re-verifies on its {"d", "b"} file from the blocks of z, in O(d), and
+        # neither process loads more than the M_d(b) route's modules.
         mpath, rpath, wpath = tmp_path / "m.json", tmp_path / "r.json", tmp_path / "w.json"
-        out = _python(_BLOCK_NUMPY + _RUN_CLI, "certify", "--d", str(d), "--b", str(b), "--json", str(rpath), timeout=20)
+        out = _python(_loaded(_RUN_CLI), "certify", "--d", str(d), "--b", str(b), "--json", str(rpath), timeout=20)
         assert out.returncode == 1, out.stderr
         assert json.loads(out.stdout)["verdict"] == "nonmember"
+        assert out.stderr.splitlines()[-1] == repr(sorted(_CONE))
         mpath.write_text(json.dumps({"d": d, "b": b}))
         wpath.write_text(json.dumps(json.loads(rpath.read_text())["witness"]))
-        out = _python(_BLOCK_NUMPY + _RUN_CLI, "verify", "--matrix", str(mpath), "--witness", str(wpath), timeout=20)
+        out = _python(_loaded(_RUN_CLI), "verify", "--matrix", str(mpath), "--witness", str(wpath), timeout=20)
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["confirmed"] is True
+        assert out.stderr.splitlines()[-1] == repr(sorted(_CONE))
 
     def test_array_names_load_numpy_on_use(self):
         code = (
@@ -217,40 +166,59 @@ _CONE = [*_STRUCTURED, "psq.cone"]
 _ALL = [*_CONE, "psq.tables"]
 
 
+def _footprint(args, want, code=0, timeout=120, name=None):
+    """One cold CLI run: its argv, loaded modules, exit code and time limit, with the id 'argv-modules'."""
+    return pytest.param(args, want, code, timeout, id=f"{name or ' '.join(args)}-{' '.join(want)}")
+
+
 class TestModuleFootprint:
     """A cold process loads only the psq modules its call needs, and of numpy, scipy,
     click, dataclasses and inspect only what an explicit matrix needs: numpy, which
     loads inspect.  Results are NamedTuples, so no call loads dataclasses (and the
-    inspect it pulls in), which would add about 20 ms to every cold psq process."""
+    inspect it pulls in), which would add about 20 ms to every cold psq process.
+
+    This is tier-1's one test that a call runs without numpy: psq imports numpy only
+    inside the functions that use it, or looks it up in sys.modules, and never probes
+    for it, so a run whose module set excludes numpy behaves the same whether or not
+    numpy can be imported."""
 
     @pytest.mark.parametrize(
-        "args, want",
+        "args, want, code, timeout",
         [
-            (["eval-q", "-x", "1,1/2", "-y", "3/4"], _PS),
-            (["eval-q", "-x", "0.5,1/4", "-y", "0.75"], _PS),
-            (["eval-q", "-x", "1,1/2,1/4", "-y", "3/4"], _PS),
-            (["eval-q", "-x", "0.5,0.25", "-y", "0.75"], _PS),
-            (["sup-q", "--nx", "3", "--ny", "2"], _STRUCTURED),
-            (["sup-q", "--nx", "3", "--ny", "3"], _STRUCTURED),
-            (["sup-q", "--nx", "24", "--ny", "23"], _STRUCTURED),
-            (["witness", "--nx", "7", "--ny", "6"], _STRUCTURED),
-            (["witness", "--growth-n", "100"], _STRUCTURED),
-            (["witness", "--growth-n", "10000"], _STRUCTURED),
-            (["bd", "--d", "100"], _CONE),
-            (["certify", "--d", "6", "--b", "0.5"], _CONE),
-            (["certify", "--d", "6", "--b", "0.99"], _CONE),
-            (["certify", "--matrix"], [*_CONE, "numpy", "inspect"]),
-            (["certify", "--matrix", "dominant"], [*_CONE, "numpy", "inspect"]),
-            (["verify"], _CONE),
-            (["table1"], _ALL),
-            (["table2", "--dims", "50"], _ALL),
-            (["table2"], _ALL),
+            _footprint(["eval-q", "-x", "1,1/2", "-y", "3/4"], _PS),
+            _footprint(["eval-q", "-x", "0.5,1/4", "-y", "0.75"], _PS),
+            _footprint(["eval-q", "-x", "1,1/2,1/4", "-y", "3/4"], _PS),
+            _footprint(["eval-q", "-x", "0.5,0.25", "-y", "0.75"], _PS),
+            # A float -x longer than the shortest list that numpy, once loaded, sums as a
+            # float64 array: the in-process run has numpy loaded, the cold one sums with fsum.
+            _footprint(
+                ["eval-q", "-x", ",".join(repr(10.0 ** (k / 50 - 20)) for k in range(1100)), "-y", "0.75"],
+                _PS,
+                name="eval-q 1100 floats",
+            ),
+            _footprint(["sup-q", "--nx", "3", "--ny", "2"], _STRUCTURED),
+            _footprint(["sup-q", "--nx", "3", "--ny", "3"], _STRUCTURED),
+            _footprint(["sup-q", "--nx", "24", "--ny", "23"], _STRUCTURED),
+            _footprint(["witness", "--nx", "7", "--ny", "6"], _STRUCTURED),
+            _footprint(["witness", "--growth-n", "100"], _STRUCTURED),
+            _footprint(["witness", "--growth-n", "10000"], _STRUCTURED),
+            _footprint(["bd", "--d", "100"], _CONE),
+            _footprint(["certify", "--d", "6", "--b", "0.5"], _CONE),
+            _footprint(["certify", "--d", "6", "--b", repr(compute_bd(6).b_d)], _CONE, code=3),
+            _footprint(["certify", "--d", "6", "--b", "0.99"], _CONE, code=1),
+            _footprint(["certify", "--d", "3000", "--b", "0.5"], _CONE, code=1),
+            _footprint(["certify", "--d", "100000", "--b", "0.5"], _CONE, code=1, timeout=20),
+            _footprint(["certify", "--matrix"], [*_CONE, "numpy", "inspect"], code=1),
+            _footprint(["certify", "--matrix", "dominant"], [*_CONE, "numpy", "inspect"]),
+            _footprint(["verify"], _CONE),
+            _footprint(["table1"], _ALL),
+            _footprint(["table2", "--dims", "50"], _ALL),
+            _footprint(["table2"], _ALL),
         ],
-        ids=" ".join,
     )
-    def test_cli_subcommand(self, tmp_path, args, want):
-        # Members and every other request exit 0; the two nonmembers exit 1.
-        code = 1 if args in (["certify", "--d", "6", "--b", "0.99"], ["certify", "--matrix"]) else 0
+    def test_cli_subcommand(self, cli, tmp_path, args, want, code, timeout):
+        # Members and every other request exit 0, nonmembers 1, the b = b_d request 3; stdout is
+        # what the CLI prints in this process, where numpy is loaded.
         if args == ["verify"]:
             mpath, wpath = tmp_path / "m.json", tmp_path / "w.json"
             mpath.write_text(json.dumps({"d": 6, "b": 0.9}))
@@ -266,9 +234,10 @@ class TestModuleFootprint:
                 entries = [[1.0 if i == j else 0.99 for j in range(4)] for i in range(4)]
             gpath.write_text(json.dumps({"entries": entries}))
             args = ["certify", "--matrix", str(gpath)]
-        out = _python(_loaded(_RUN_CLI), *args)
+        out = _python(_loaded(_RUN_CLI), *args, timeout=timeout)
         assert out.returncode == code, out.stderr
         assert out.stderr.splitlines()[-1] == repr(sorted(want))
+        assert (code, out.stdout) == cli(args)[:2]
 
     @pytest.mark.parametrize(
         "run, want",

@@ -1,5 +1,7 @@
 """The result types: immutable NamedTuples whose JSON layout is pinned."""
 
+import json
+
 import pytest
 
 from psq import (
@@ -16,9 +18,12 @@ from psq import (
 )
 
 _M4 = [[1.0 if i == j else 0.3 for j in range(4)] for i in range(4)]
+_M5 = [[1.0 if i == j else 0.95 for j in range(5)] for i in range(5)]
+_GENERAL = ["d", "verdict", "method", "n_evaluated", "witness", "diagnostics"]
 
 # Each type with one instance and the keys of its to_json_dict(), in the
-# order the CLI prints them, or of _asdict() for a type with no JSON form.
+# order the CLI prints them, or of _asdict() for a type with no JSON form;
+# a third entry gives list() of nested fields after a JSON round trip.
 RESULTS = {
     "PowerSumTriple": (lambda: power_sums([1, 2]), ["m1", "m2", "m3"]),
     "QuotientValue": (lambda: quotient_q([1, 2], [3]), ["value", "s1", "s2", "s3"]),
@@ -29,14 +34,14 @@ RESULTS = {
     "MembershipReport": (
         lambda: membership_equal_offdiag(4, 0.99),
         ["d", "b", "b_d", "verdict", "margin", "witness"],
+        {"witness": ["z", "s", "psi"]},
     ),
-    "GeneralReport": (
-        lambda: certify_general(_M4),
-        ["d", "verdict", "method", "n_evaluated", "witness", "diagnostics"],
-    ),
+    "GeneralReport": (lambda: certify_general(_M4), _GENERAL, {"diagnostics": ["b", "slack", "threshold", "evaluations"]}),
+    "GeneralReport sampled": (lambda: certify_general(_M5), _GENERAL, {"witness": ["z", "s", "psi"]}),
     "BdReport": (
         lambda: compute_bd(5),
         ["d", "b_d", "sup_value", "split", "lower_bound", "asymptotic", "witness_upper", "exact"],
+        {"split": [3, 2]},
     ),
     "Table1Row": (lambda: table1_rows()[0], ["d", "lower_bound", "b_d"]),
     "Table2Row": (lambda: table2_rows([50])[0], ["d", "lower_bound", "witness_upper", "asymptotic"]),
@@ -61,9 +66,9 @@ def _scribble(value):
 
 @pytest.mark.parametrize("name", RESULTS)
 def test_result_type(name):
-    make, keys = RESULTS[name]
+    make, keys, *nested = RESULTS[name]
     res = make()
-    assert type(res).__name__ == name
+    assert type(res).__name__ == name.split()[0]
     with pytest.raises(AttributeError):
         setattr(res, res._fields[0], None)
     with pytest.raises(AttributeError):
@@ -71,6 +76,8 @@ def test_result_type(name):
     to_dict = getattr(res, "to_json_dict", res._asdict)
     doc = to_dict()
     assert list(doc) == keys
+    for field, want in dict(*nested).items():
+        assert list(json.loads(json.dumps(doc))[field]) == want
     before, text = repr(res), repr(doc)
     _scribble(doc)
     assert repr(res) == before and repr(to_dict()) == text
