@@ -204,7 +204,9 @@ class TestModuleFootprint:
             _footprint(["witness", "--growth-n", "10000"], _STRUCTURED),
             _footprint(["bd", "--d", "100"], _CONE),
             _footprint(["certify", "--d", "6", "--b", "0.5"], _CONE),
-            _footprint(["certify", "--d", "6", "--b", repr(compute_bd(6).b_d)], _CONE, code=3),
+            _footprint(
+                ["certify", "--d", "6", "--b", repr(compute_bd(6).b_d)], _CONE, code=3, name="certify --d 6 --b b_d(6)"
+            ),
             _footprint(["certify", "--d", "6", "--b", "0.99"], _CONE, code=1),
             _footprint(["certify", "--d", "3000", "--b", "0.5"], _CONE, code=1),
             _footprint(["certify", "--d", "100000", "--b", "0.5"], _CONE, code=1, timeout=20),
