@@ -135,10 +135,10 @@ class GeneralReport(NamedTuple):
 
     method is "diagonal_dominance" or "perturbation" when that
     certificate fired, otherwise "sampling", the two-level search, whose
-    verdicts are nonmember or inconclusive and whose n_evaluated counts
-    the cubics it screened (0 for a certificate).  Only "perturbation"
-    sets diagnostics: {"b", "slack", "threshold", "evaluations"}, the
-    last counting dense slack evaluations.
+    verdicts are nonmember or inconclusive; n_evaluated counts its cubics
+    in each pattern up to the witness's, or in all (0 for a certificate).
+    Only "perturbation" sets diagnostics: {"b", "slack", "threshold",
+    "evaluations"}, the last counting dense slack evaluations.
     """
 
     d: int
@@ -513,11 +513,14 @@ def sample_membership_general(matrix) -> GeneralReport:
     off A) (_two_level), for each block A (the d - 1 proper prefixes, then the d singletons) and each
     pattern s: all canonical ones while 2^(d-1) <= d + 512, else the d minus blocks and the distinct
     ones of 512 random rows drawn from default_rng(0) (both sets hold the one-sign pattern).
-    n_evaluated counts the cubics, patterns x (2d - 1), screened in slices of consecutive patterns of
-    at most _SLICE_CUBICS (one slice for d <= 16).  In pattern, then block order, the first candidate
-    z = v o u (2^-j v o u beyond float max; Psi is cubic in z) with exact Psi on M (_psi) < 0 is the
-    witness, psi_value that Psi correctly rounded; else inconclusive: the search never certifies.
-    For d > 16 the float candidates, and so a witness's bits, can differ with the BLAS build: BLAS
+    The screen runs on slices of consecutive patterns: the first min(d, step) alone, then at most
+    step = _SLICE_CUBICS // (2d - 1) each (where step <= d, from d = 181, all slices are alike).  The
+    first d hold pattern 0, the one-minus split, and from d = 11 the d minus blocks: the splits that
+    refute M_d(b)-like matrices, so such a witness costs O(d^3), not a screen of every pattern.  In
+    pattern, then block order, the first candidate z = v o u (2^-j v o u beyond float max; Psi is
+    cubic in z) with exact Psi on M (_psi) < 0 is the witness, psi_value that Psi correctly rounded,
+    n_evaluated (its row + 1)(2d - 1); else inconclusive, n_evaluated patterns x (2d - 1): it never
+    certifies.  The float candidates, and so a witness's bits, can differ with the BLAS build: BLAS
     sums p @ n in an order that depends on the row count.  _psi keeps every verdict exact, and the
     slicing itself is a fixed function of d.
 
@@ -532,13 +535,14 @@ def sample_membership_general(matrix) -> GeneralReport:
     pats = _sign_patterns(d) if 1 << (d - 1) <= d + _RANDOM_PATTERNS else _sampled_patterns(d)
     report = partial(GeneralReport, d, method="sampling", n_evaluated=len(pats) * (2 * d - 1))
     step = max(1, _SLICE_CUBICS // (2 * d - 1))
+    edges = [0, *range(min(d, step), len(pats), step), len(pats)]  # the first d rows alone (see above)
     with np.errstate(all="ignore"):  # overflow and 0/0 in the screen only give candidates it drops
         v = np.where(m.diagonal() > 0.0, m.diagonal(), 1.0) ** (-1.0 / 3.0)
         (fv, ev), (fm, em) = np.frexp(v), np.frexp(m)
         e = ev[:, None] + em + 2 * ev  # N's exponents: its mantissa products lie in [1/8, 1)
         n = np.ldexp(fv[:, None] * fm * (fv * fv), e - e[fm != 0.0].max(initial=0))
-        for lo in range(0, len(pats), step):
-            _, r, hits = _two_level(n, pats[lo : lo + step])
+        for lo, hi in zip(edges, edges[1:]):
+            _, r, hits = _two_level(n, pats[lo:hi])
             for k, a, i in np.argwhere(hits.transpose(1, 2, 0)):
                 u = np.ones(d)
                 u[slice(a + 1) if a < d - 1 else a - d + 1] = r[i, k, a]
@@ -549,7 +553,8 @@ def sample_membership_general(matrix) -> GeneralReport:
                     zt, st = tuple(z.tolist()), tuple(pats[lo + k].tolist())
                     num, den = _psi(m, zt, st)
                     if num < 0:
-                        return report(verdict="nonmember", witness=PsiWitness(z=zt, s=st, psi_value=_rounded(num, den)))
+                        witness = PsiWitness(z=zt, s=st, psi_value=_rounded(num, den))
+                        return report(verdict="nonmember", n_evaluated=(lo + int(k) + 1) * (2 * d - 1), witness=witness)
     return report(verdict="inconclusive")
 
 

@@ -682,8 +682,58 @@ class TestSampler:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep.verdict == "nonmember" and rep.n_evaluated == len(_sampled_patterns(d)) * (2 * d - 1)
+        # n_evaluated counts the cubics up to the witness's pattern (row 8, 10791, with OpenBLAS 0.3.31).
+        row = [tuple(p) for p in _sampled_patterns(d)].index(rep.witness.s)
+        assert rep.verdict == "nonmember" and rep.n_evaluated == (row + 1) * (2 * d - 1)
         assert peak < 100 * 2 ** 20, peak / 2 ** 20
+
+    def test_first_slice_keeps_whole_screen_witness(self):
+        # The search screens the first d patterns alone; its report equals a screen of the
+        # whole pattern stack in one _two_level call: the first exact witness in (pattern,
+        # block, candidate) order, its bits, and n_evaluated up to the witness's pattern.
+        rng = np.random.default_rng(4601)
+        cases = []
+        for d in range(2, 14):
+            for _ in range(6):
+                m = rng.uniform(-0.3, 0.7, (d, d))
+                np.fill_diagonal(m, 1.0)
+                cases.append(m)
+                m = rng.uniform(-0.3, 0.7, (d, d))
+                np.fill_diagonal(m, rng.choice([0.5, 1.0, 3.0, -0.2, 0.0], d))
+                cases.append(m)
+        for d in (17, 24, 40, 64):
+            t = all_split_threshold(d)
+            for f, j in itertools.product((1 - 1e-6, 1 + 1e-6, 1 + 1e-3), (-20, 0, 30)):
+                cases.append(np.ldexp(MatrixSpec(d, t * f).dense(), j))
+        verdicts = Counter()
+        for m in cases:
+            d = m.shape[0]
+            verdict, row, z, s = _whole_stack_search(m)
+            rep = sample_membership_general(m)
+            assert rep.verdict == verdict, m
+            verdicts[verdict if row is None else "first d" if row < d else "later"] += 1
+            if verdict == "nonmember":
+                assert (rep.witness.z, rep.witness.s) == (z, s), m
+                assert rep.n_evaluated == (row + 1) * (2 * d - 1) and type(rep.n_evaluated) is int
+        assert min(verdicts["first d"], verdicts["inconclusive"]) >= 50 and verdicts["later"] >= 20, verdicts
+
+    def test_first_slice_refutes_above_threshold(self, monkeypatch):
+        # M_d(b) above t_d is refuted within the first d patterns, so n_evaluated <= d (2d - 1)
+        # and _two_level screens those d rows only: a screen of the whole set fails here.
+        screened, two_level = [], psq.cone._two_level
+
+        def counting(n, pats):
+            screened.append(len(pats))
+            return two_level(n, pats)
+
+        monkeypatch.setattr(psq.cone, "_two_level", counting)
+        cases = [(d, b) for d in range(3, 65) for b in (0.5, 0.9, 0.99, 1.0) if b > all_split_threshold(d)]
+        cases += [(d, all_split_threshold(d) * (1 + 1e-6)) for d in [*range(3, 25), 32, 48, 64]]
+        for d, b in cases:
+            screened.clear()
+            rep = sample_membership_general(MatrixSpec(d, b).dense())
+            assert rep.verdict == "nonmember" and rep.n_evaluated <= d * (2 * d - 1), (d, b)
+            assert screened == [d], (d, b)
 
     def test_clean_matrix_inconclusive(self):
         rep = sample_membership_general(np.eye(4))
@@ -856,6 +906,33 @@ class TestSampler:
             if rep.verdict == "nonmember":
                 assert _exact_psi(m.tolist(), rep.witness.z, rep.witness.s) < 0
         assert refuted >= 10
+
+
+def _whole_stack_search(m):
+    """Reference: the two-level search over its whole pattern stack in one _two_level call.
+
+    Returns (verdict, witness row, z, s) of the first exact witness in (pattern, block,
+    candidate) order, or ("inconclusive", None, None, None).
+    """
+    d = m.shape[0]
+    pats = _sign_patterns(d) if 1 << (d - 1) <= d + 512 else _sampled_patterns(d)
+    with np.errstate(all="ignore"):
+        v = np.where(m.diagonal() > 0.0, m.diagonal(), 1.0) ** (-1.0 / 3.0)
+        (fv, ev), (fm, em) = np.frexp(v), np.frexp(m)
+        e = ev[:, None] + em + 2 * ev
+        n = np.ldexp(fv[:, None] * fm * (fv * fv), e - e[fm != 0.0].max(initial=0))
+        _, r, hits = _two_level(n, pats)
+    for k, a, i in np.argwhere(hits.transpose(1, 2, 0)):
+        u = np.ones(d)
+        u[slice(a + 1) if a < d - 1 else a - d + 1] = r[i, k, a]
+        z = v * u
+        if not (z < math.inf).all():
+            z = np.ldexp(v, -math.frexp(r[i, k, a])[1]) * u
+        if (z > 0.0).all():
+            zt, st = tuple(z.tolist()), tuple(pats[k].tolist())
+            if _psi(m, zt, st)[0] < 0:
+                return "nonmember", int(k), zt, st
+    return "inconclusive", None, None, None
 
 
 def _float_product_search(m):
