@@ -471,10 +471,9 @@ def membership_equal_offdiag(d: int, b: float) -> MembershipReport:
 def _sampled_patterns(d: int) -> np.ndarray:
     import numpy as np
     # Minus blocks of every length (a = ceil(d/2): balanced, a = d: one-sign), then random rows; repeats dropped.
-    pats = [(-1,) * a + (1,) * (d - a) for a in range(1, d + 1)]
     rand = np.random.default_rng(0).choice(np.array([-1, 1], dtype=np.int8), size=(_RANDOM_PATTERNS, d))
     rand[:, 0] = -1
-    rows = dict.fromkeys(map(bytes, np.concatenate([np.array(pats, dtype=np.int8), rand], axis=0)))
+    rows = dict.fromkeys(map(bytes, np.concatenate([1 - 2 * np.tri(d, dtype=np.int8), rand], axis=0)))
     return np.frombuffer(b"".join(rows), dtype=np.int8).reshape(-1, d)
 
 
@@ -512,7 +511,7 @@ def sample_membership_general(matrix) -> GeneralReport:
     |N| < 1 at any range of M), Psi_N(u, s) = 2^-k Psi_M(v o u, s), a cubic in r at u = (r on A, 1
     off A) (_two_level), for each block A (the d - 1 proper prefixes, then the d singletons) and each
     pattern s: all canonical ones while 2^(d-1) <= d + 512, else the d minus blocks and the distinct
-    ones of 512 random rows drawn from default_rng(0) (both sets hold the one-sign pattern).
+    ones of 512 default_rng(0) rows, drawn only if the first slice has no witness (both hold the one-sign pattern).
     The screen runs on slices of consecutive patterns: the first min(d, step) alone, then at most
     step = _SLICE_CUBICS // (2d - 1) each (where step <= d, from d = 181, all slices are alike).  The
     first d hold pattern 0, the one-minus split, and from d = 11 the d minus blocks: the splits that
@@ -532,16 +531,16 @@ def sample_membership_general(matrix) -> GeneralReport:
     import numpy as np
     m = _as_matrix(matrix)
     d = m.shape[0]
-    pats = _sign_patterns(d) if 1 << (d - 1) <= d + _RANDOM_PATTERNS else _sampled_patterns(d)
-    report = partial(GeneralReport, d, method="sampling", n_evaluated=len(pats) * (2 * d - 1))
+    sampled = 1 << (d - 1) > d + _RANDOM_PATTERNS
+    pats = 1 - 2 * np.tri(d, dtype=np.int8) if sampled else _sign_patterns(d)  # sampled: the minus blocks
     step = max(1, _SLICE_CUBICS // (2 * d - 1))
-    edges = [0, *range(min(d, step), len(pats), step), len(pats)]  # the first d rows alone (see above)
+    lo, hi = 0, min(d, step)  # the first d rows alone (see above)
     with np.errstate(all="ignore"):  # overflow and 0/0 in the screen only give candidates it drops
         v = np.where(m.diagonal() > 0.0, m.diagonal(), 1.0) ** (-1.0 / 3.0)
         (fv, ev), (fm, em) = np.frexp(v), np.frexp(m)
         e = ev[:, None] + em + 2 * ev  # N's exponents: its mantissa products lie in [1/8, 1)
         n = np.ldexp(fv[:, None] * fm * (fv * fv), e - e[fm != 0.0].max(initial=0))
-        for lo, hi in zip(edges, edges[1:]):
+        while lo < len(pats):
             _, r, hits = _two_level(n, pats[lo:hi])
             for k, a, i in np.argwhere(hits.transpose(1, 2, 0)):
                 u = np.ones(d)
@@ -554,8 +553,10 @@ def sample_membership_general(matrix) -> GeneralReport:
                     num, den = _psi(m, zt, st)
                     if num < 0:
                         witness = PsiWitness(z=zt, s=st, psi_value=_rounded(num, den))
-                        return report(verdict="nonmember", n_evaluated=(lo + int(k) + 1) * (2 * d - 1), witness=witness)
-    return report(verdict="inconclusive")
+                        return GeneralReport(d, "nonmember", "sampling", (lo + int(k) + 1) * (2 * d - 1), witness)
+            pats = _sampled_patterns(d) if sampled and not lo else pats  # random rows past the first slice only
+            lo, hi = hi, hi + step
+    return GeneralReport(d, "inconclusive", "sampling", len(pats) * (2 * d - 1))
 
 
 def certify_general(matrix) -> GeneralReport:

@@ -13,21 +13,18 @@ length.  Q is homogeneous of degree zero (Q(t*x, t*y) = Q(x, y) for
 t > 0) and symmetric (Q(x, y) = Q(y, x), both numerator factors flip
 sign).  The denominator is always positive.
 
-Float inputs: each power is rounded once, as the IEEE products e * e
-and (e * e) * e, then summed exactly and rounded once, the value
-math.fsum returns, so results are deterministic and order-stable.
-A 1-D float64 ndarray, or an all-float list or tuple of at least _ARRAY_MIN
-entries once numpy is loaded (neither imports it), read into a float64 array,
-is summed in numpy blocks of 2**16 entries: each of x, x * x and (x * x) * x
-splits by bit mask into its top 26 significand bits and the exact remainder,
-and np.bincount sums each half per binary exponent of the entry x, where every
-partial sum is exact; math.fsum of those bucket sums is the correctly rounded
-total (exponent-bucket summation, Demmel and Hida 2004).  Other float input
-streams through math.fsum.  A float M_3 or Q that overflows, and a
-float Q whose cubes all underflow to 0, raise ValueError.  All-exact
-input (int or fractions.Fraction) stays exact: int sums for ints,
-otherwise integer sums S_p of the numerators over each distinct
-denominator q, M_p = sum of S_p / q**p.
+Float inputs: each power is rounded once, as the IEEE products e * e and
+(e * e) * e, then summed exactly and rounded once, the value math.fsum
+returns, so results are deterministic and order-stable.  A 1-D float64
+ndarray, or an all-float list or tuple of at least _ARRAY_MIN entries once
+numpy is loaded (neither imports it), read into a float64 array, is summed
+in numpy blocks of 2**16 entries by extraction (Rump, Ogita and Oishi 2008):
+each power splits into multiples of one power of two, summed exactly, and
+residuals whose float sum has a proven error bound (_array_sums).  Other
+float input streams through math.fsum.  A float M_3 or Q that overflows,
+and a float Q whose cubes all underflow to 0, raise ValueError.  All-exact
+input (int or fractions.Fraction) stays exact: int sums for ints, else
+integer sums S_p of the numerators over each distinct denominator q, M_p = sum of S_p / q**p.
 """
 
 from __future__ import annotations
@@ -118,9 +115,9 @@ def _real_array(a, name: str) -> np.ndarray:
 
 
 # Shortest all-float sequence summed by _array_sums when numpy is loaded.
-# Warm, the routes break even at about 160 entries, but the first numpy
-# call after a stretch of pure-Python work costs about 100 us more, which
-# a quotient_q pair of lists repays only from about 750 entries each.
+# Warm, the routes break even at about 200 entries, but the first numpy
+# call after a stretch of pure-Python work costs about 50 us more, which
+# a quotient_q pair of lists repays only from about 400 entries each.
 _ARRAY_MIN = 1024
 
 
@@ -182,36 +179,56 @@ def validate_positive_vector(entries, name: str = "x") -> list:
     return values.tolist() if types is None else values
 
 
-# Entries per numpy block, and the mask that keeps a float64's sign, exponent and top 26
-# significand bits.  A block buckets x, x * x and (x * x) * x by the binade E of the entry x
-# (subnormals in E = -1022).  A p-th power lies in binades pE to pE + p - 1 (p <= 3), so its top
-# part is a multiple of 2**max(pE - 25, -1047) below 2**(pE + 3), and its remainder a multiple of
-# 2**max(pE - 52, -1074) below 2**max(pE - 23, -1047): 2**16 of either sum exactly in float64.
-_BLOCK = 1 << 16
-_HI_MASK = -(1 << 27)
+_BLOCK = 1 << 16  # entries per numpy block of _array_sums
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant for float64 (_block_power_sums)
 
 
-def _array_sums(a) -> tuple:
-    """math.fsum of a, a * a and (a * a) * a for a 1-D float64 ndarray a >= 0.
+def _fsum(values) -> float:
+    """math.fsum, or inf where the correctly rounded sum overflows."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
 
-    Raises OverflowError if a total overflows; a non-finite power gives
-    an inf or NaN total.
+
+def _array_sums(a) -> tuple:
+    """math.fsum of a, a * a and (a * a) * a for a 1-D float64 ndarray a >= 0; inf where it overflows.
+
+    Extraction (Rump, Ogita and Oishi 2008): in a block of n <= 2**16 entries, a power w with max
+    m < 2**e is q + r, q = floor(w 2**-k) 2**k, k = max(e + bitlen(n) - 53, -1074).  q is exact
+    (w 2**-k is exact where it is >= 1; smaller values floor to 0), so is r = w - q in [0, 2**k)
+    (q = 0, or q <= w < 2q: Sterbenz).  Partial sums of q are multiples of 2**k below n 2**e <=
+    2**(k + 53): q.sum() is exact in any order; r.sum() errs by at most (n - 1) n 2**k u / (1 -
+    (n - 1) u) < n**2 2**(k - 53), u = 2**-53.  The total lies within E, the sum of those bounds,
+    of S, the parts' sum; if S - E, S and S + E round alike, so does it (rounding is monotone).
+    Else each residual splits again: r < 2**k lowers k by 36 or more; at k = -1074 all r are 0.
     """
     import numpy as np
-    parts = ([], [], [])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, a.size, _BLOCK):
-            b = a[start:start + _BLOCK]
-            e = b.view(np.int64) >> 52
-            e -= e.min()
-            sq = b * b
-            for part, w in zip(parts, (b, sq, sq * b)):
-                hi = (w.view(np.int64) & _HI_MASK).view(np.float64)
-                part += np.bincount(e, weights=hi).tolist()
-                # An infinite w gives inf - inf = NaN here, and a NaN total.
-                part += np.bincount(e, weights=w - hi).tolist()
-    return tuple(map(math.fsum, parts))
+    sums, levels = [None] * 3, 0
+    while None in sums:
+        parts, errs, levels = ([], [], []), ([], [], []), levels + 1
+        with np.errstate(over="ignore"):
+            for start in range(0, a.size, _BLOCK):
+                b = a[start:start + _BLOCK]
+                sq, n = b * b, b.size
+                for part, err, w in zip(parts, errs, (b, sq, sq * b)):
+                    for _ in range(levels):
+                        m = w.max()
+                        if not 0.0 < m < math.inf:  # every residual is 0, or an inf power: an inf total
+                            break
+                        k = max(math.frexp(m)[1] + n.bit_length() - 53, -1074)
+                        q = w * 2.0 ** -k if k > -1024 else np.ldexp(w, -k)  # 2.0 ** 1024 overflows
+                        np.multiply(np.floor(q, out=q), 2.0 ** k, out=q)
+                        part.append(q.sum())
+                        w = np.subtract(w, q, out=q)
+                    else:  # the last residual's float sum, and its error bound unless every r is 0
+                        m = w.sum()
+                        err += [math.ldexp(n * n, max(k - 53, -1074))] if m else []
+                    part.append(m)
+        for p, (part, err) in enumerate(zip(parts, errs)):
+            lo, s, hi = (_fsum([c * e for e in err] + part) for c in (-1.0, 0.0, 1.0))
+            sums[p] = s if lo == s == hi else sums[p]
+    return tuple(sums)
 
 
 def _integer_ratios(xs):
@@ -332,10 +349,12 @@ def q_ordered_nonpositive(x, y) -> float:
     vy, ty = _validated(y, "y")
     if len(vx) != len(vy):
         raise ValueError(f"x and y must have equal length, got {len(vx)} and {len(vy)}")
-    # An array's entries compare as Python floats, exactly; it is still
-    # summed by the array path.
-    lx, ly = (v.tolist() if t is None else v for v, t in ((vx, tx), (vy, ty)))
-    if not (all(map(ge, lx, ly)) or all(map(le, lx, ly))):
+    if tx is None and ty is None:  # two arrays compare in numpy, exactly
+        comparable = (vx >= vy).all() or (vx <= vy).all()
+    else:  # an array's entries compare as Python floats, exactly; it still sums as an array
+        lx, ly = (v.tolist() if t is None else v for v, t in ((vx, tx), (vy, ty)))
+        comparable = all(map(ge, lx, ly)) or all(map(le, lx, ly))
+    if not comparable:
         raise ValueError("x and y are not componentwise comparable")
     if not (tx and ty and tx | ty <= {int, Fraction}):  # unless both are exact, both sum as floats
         tx, ty = (t and t | {float} for t in (tx, ty))

@@ -204,34 +204,36 @@ class TestExactArraySums:
             a = np.repeat(a, 3)[1::3]
         elif view == "reversed":
             a = a[::-1]
-        want = list_sums(a.tolist())
-        try:
-            got = ps._array_sums(a)
-        except OverflowError:
-            got = (math.inf,) * 3
-        for g, w in zip(got, want):
-            if math.isfinite(w):
-                assert g.hex() == w.hex()
-            else:
-                assert not math.isfinite(g)
+        # A total that overflows, or a power whose maximum is inf, is inf, per power.
+        assert [s.hex() for s in ps._array_sums(a)] == [s.hex() for s in list_sums(a.tolist())]
 
     def test_cubes_at_the_top_of_their_bucket(self):
-        # Entries just below 2 sit in binade 0; their cubes just below 8
-        # are the largest values one bucket holds.
+        # A block of cubes just below 8 = 2**e sums to just below 2**(e + 16),
+        # the top of the range where the block's extracted parts sum exactly.
         v = [math.nextafter(2.0, 0.0)] * B
         assert [s.hex() for s in ps._array_sums(np.array(v))] == [s.hex() for s in list_sums(v)]
 
     def test_powers_into_subnormals_and_zero(self):
         # Squares of entries near 2**-512 and cubes of entries near 2**-342
-        # are subnormal or 0, and share their bucket with normal powers.
+        # are subnormal or 0, and share their block with normal powers.
         rng = np.random.default_rng(342)
         a = rng.uniform(0.5, 2.0, B) * 2.0 ** rng.choice([-512, -511, -342, -341, -1, 0, 30], B)
         a[:4] = 2.0 ** -512, 2.0 ** -538, 2.0 ** -342, 2.0 ** -359
         assert any(0.0 < e ** 2 < 2.0 ** -1022 for e in a[:2]) and 0.0 < a[2] ** 3 < 2.0 ** -1022
         assert a[1] ** 2 == a[3] ** 3 == 0.0
-        assert [s.hex() for s in ps._array_sums(a)] == [s.hex() for s in list_sums(a.tolist())]
+        # One block of cubes near 2**1020 beside subnormal cubes, and one all-subnormal block,
+        # whose maximum below 2**-1038 clamps the extraction to multiples of 2**-1074.
+        top = 2.0 ** rng.uniform(-358.0, -340.0, B)
+        top[rng.choice(B, 6, replace=False)] = 2.0 ** rng.uniform(339.0, 340.0, 6)
+        low = rng.integers(1, 2 ** 35, B) * 2.0 ** -1074
+        assert top.max() ** 3 > 2.0 ** 1016 and 0.0 < top.min() ** 3 < 2.0 ** -1022 and low.max() < 2.0 ** -1038
+        for v in (a, top, low, np.concatenate([low, top, a])):
+            assert [s.hex() for s in ps._array_sums(v)] == [s.hex() for s in list_sums(v.tolist())]
+            # Every double is a multiple of 2**-1074: exact integer sums, rounded once by int / int.
+            ints = ([n << (1075 - d.bit_length()) for n, d in map(float.as_integer_ratio, p.tolist())] for p in (v, v * v, v * v * v))
+            assert list(ps._array_sums(v)) == [sum(i) / 2 ** 1074 for i in ints]
 
-    def test_ties_round_to_even_across_blocks(self):
+    def test_ties_round_to_even_across_blocks(self, monkeypatch):
         # 1 + 2**-53 is a tie, so it rounds to the even 1.0; one more
         # 2**-106 past the tie, in a later block, rounds it up.
         a = np.full(2 * B + 1, 0.0)
@@ -239,6 +241,14 @@ class TestExactArraySums:
         assert ps._array_sums(a)[0] == 1.0 == math.fsum(a.tolist())
         a[2 * B] = 2.0 ** -106
         assert ps._array_sums(a)[0] == 1.0 + 2.0 ** -52 == math.fsum(a.tolist())
+        # 1 and 2**-53 in one block leave a residual whose error bound spans the
+        # tie, which 2**-200 in a later block breaks: only a second level decides.
+        b = np.full(2 * B + 1, 0.0)
+        b[0], b[1], b[2 * B] = 1.0, 2.0 ** -53, 2.0 ** -200
+        calls, fsum = [], ps._fsum
+        monkeypatch.setattr(ps, "_fsum", lambda v: calls.append(1) or fsum(v))
+        assert ps._array_sums(b)[0] == 1.0 + 2.0 ** -52 == math.fsum(b.tolist())
+        assert len(calls) == 2 * 9  # two levels, each checking three sums of three powers
 
     @pytest.mark.parametrize(
         "spread, n",
@@ -266,6 +276,29 @@ class TestExactArraySums:
             q_ordered_nonpositive(x, np.array([1.0]))
         with pytest.raises(ValueError, match=r"^y\[1\] = -2.0 is not > 0"):
             q_ordered_nonpositive(x, np.array([1.0, -2.0]))
+
+    @pytest.mark.parametrize("form", ["arrays", "float lists", "int lists", "mixed list and array"])
+    def test_ordered_pairs_match_swapped_and_reversed(self, form):
+        # Arrays, and float lists (the array route), compare in numpy; lists with
+        # an int take the list route and compare in Python.  Q is symmetric and the
+        # sums are order-free, so every pair gives the same bits.
+        rng = np.random.default_rng(10 ** 4)
+        x = 10.0 ** rng.uniform(-2.0, 0.0, 10 ** 4)
+        y = x * rng.uniform(0.5, 1.0, x.size)
+        y[::7] = x[::7]
+        if form == "int lists":
+            x = rng.integers(2, 10 ** 6, x.size)
+            y = x - rng.integers(0, 2, x.size)
+        x, y = {"arrays": (x, y), "mixed list and array": ([1, *x[1:].tolist()], y)}.get(form, (x.tolist(), y.tolist()))
+        assert [ps._validated(v, "v")[1] is None for v in (x, y)] == [form in ("arrays", "float lists"), form != "int lists"]
+        want = q_ordered_nonpositive(x, y)
+        for pair in ((y, x), (x[::-1], y[::-1]), (y[::-1], x[::-1])):
+            assert q_ordered_nonpositive(*pair).hex() == want.hex()
+        bad_x, bad_y = x.copy(), y.copy()
+        bad_x[3], bad_y[3] = y[3], x[3]
+        for pair in ((bad_x, bad_y), (bad_y, bad_x), (bad_x[::-1], bad_y[::-1])):
+            with pytest.raises(ValueError, match="^x and y are not componentwise comparable$"):
+                q_ordered_nonpositive(*pair)
 
     @pytest.mark.parametrize("at", [0, B - 1, B, 2 * B + 7])
     @pytest.mark.parametrize("big", [1e120, 1e200, 1.7e308])
