@@ -468,13 +468,18 @@ def membership_equal_offdiag(d: int, b: float) -> MembershipReport:
     return report(verdict="inconclusive")
 
 
-def _sampled_patterns(d: int) -> np.ndarray:
+def _minus_blocks(d: int) -> np.ndarray:  # row a - 1: a minus signs (a = ceil(d/2): balanced, a = d: one-sign)
     import numpy as np
-    # Minus blocks of every length (a = ceil(d/2): balanced, a = d: one-sign), then random rows; repeats dropped.
+    return 1 - 2 * np.tri(d, dtype=np.int8)
+
+
+def _sampled_patterns(d: int, blocks: np.ndarray) -> np.ndarray:
+    import numpy as np
+    # blocks (the minus blocks), then the distinct ones of 512 random rows that are not among them.
     rand = np.random.default_rng(0).choice(np.array([-1, 1], dtype=np.int8), size=(_RANDOM_PATTERNS, d))
     rand[:, 0] = -1
-    rows = dict.fromkeys(map(bytes, np.concatenate([1 - 2 * np.tri(d, dtype=np.int8), rand], axis=0)))
-    return np.frombuffer(b"".join(rows), dtype=np.int8).reshape(-1, d)
+    rows = list(dict.fromkeys(map(bytes, np.concatenate([blocks, rand]))))[len(blocks):]
+    return np.concatenate([blocks, np.frombuffer(b"".join(rows), dtype=np.int8).reshape(-1, d)])
 
 
 def _two_level(n: np.ndarray, pats: np.ndarray) -> tuple:
@@ -532,7 +537,7 @@ def sample_membership_general(matrix) -> GeneralReport:
     m = _as_matrix(matrix)
     d = m.shape[0]
     sampled = 1 << (d - 1) > d + _RANDOM_PATTERNS
-    pats = 1 - 2 * np.tri(d, dtype=np.int8) if sampled else _sign_patterns(d)  # sampled: the minus blocks
+    pats = _minus_blocks(d) if sampled else _sign_patterns(d)
     step = max(1, _SLICE_CUBICS // (2 * d - 1))
     lo, hi = 0, min(d, step)  # the first d rows alone (see above)
     with np.errstate(all="ignore"):  # overflow and 0/0 in the screen only give candidates it drops
@@ -554,7 +559,7 @@ def sample_membership_general(matrix) -> GeneralReport:
                     if num < 0:
                         witness = PsiWitness(z=zt, s=st, psi_value=_rounded(num, den))
                         return GeneralReport(d, "nonmember", "sampling", (lo + int(k) + 1) * (2 * d - 1), witness)
-            pats = _sampled_patterns(d) if sampled and not lo else pats  # random rows past the first slice only
+            pats = _sampled_patterns(d, pats) if sampled and not lo else pats  # the random rows past the first slice
             lo, hi = hi, hi + step
     return GeneralReport(d, "inconclusive", "sampling", len(pats) * (2 * d - 1))
 

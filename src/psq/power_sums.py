@@ -19,12 +19,12 @@ returns, so results are deterministic and order-stable.  A 1-D float64
 ndarray, or an all-float list or tuple of at least _ARRAY_MIN entries once
 numpy is loaded (neither imports it), read into a float64 array, is summed
 in numpy blocks of 2**16 entries by extraction (Rump, Ogita and Oishi 2008):
-each power splits into multiples of one power of two, summed exactly, and
-residuals whose float sum has a proven error bound (_array_sums).  Other
-float input streams through math.fsum.  A float M_3 or Q that overflows,
-and a float Q whose cubes all underflow to 0, raise ValueError.  All-exact
-input (int or fractions.Fraction) stays exact: int sums for ints, else
-integer sums S_p of the numerators over each distinct denominator q, M_p = sum of S_p / q**p.
+each power splits into multiples of one power of two, summed exactly, and residuals
+whose float sum has a proven error bound; a total too near a rounding boundary is
+math.fsum of that power (_array_sums).  Other float input streams through math.fsum.
+A float M_3 or Q that overflows, and a float Q whose cubes all underflow to 0, raise
+ValueError.  All-exact input (int or fractions.Fraction) stays exact: int sums for ints,
+else integer sums S_p of the numerators over each distinct denominator q, M_p = sum of S_p / q**p.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import numbers
 import sys
 from collections import defaultdict
 from fractions import Fraction
+from itertools import chain
 from operator import attrgetter, countOf, ge, index, le, mul
 from typing import TYPE_CHECKING, NamedTuple, Union
 
@@ -201,34 +202,27 @@ def _array_sums(a) -> tuple:
     2**(k + 53): q.sum() is exact in any order; r.sum() errs by at most (n - 1) n 2**k u / (1 -
     (n - 1) u) < n**2 2**(k - 53), u = 2**-53.  The total lies within E, the sum of those bounds,
     of S, the parts' sum; if S - E, S and S + E round alike, so does it (rounding is monotone).
-    Else each residual splits again: r < 2**k lowers k by 36 or more; at k = -1074 all r are 0.
+    Else the total is near a rounding boundary: that power is math.fsum of its values, also O(n).
     """
     import numpy as np
-    sums, levels = [None] * 3, 0
-    while None in sums:
-        parts, errs, levels = ([], [], []), ([], [], []), levels + 1
-        with np.errstate(over="ignore"):
-            for start in range(0, a.size, _BLOCK):
-                b = a[start:start + _BLOCK]
-                sq, n = b * b, b.size
-                for part, err, w in zip(parts, errs, (b, sq, sq * b)):
-                    for _ in range(levels):
-                        m = w.max()
-                        if not 0.0 < m < math.inf:  # every residual is 0, or an inf power: an inf total
-                            break
-                        k = max(math.frexp(m)[1] + n.bit_length() - 53, -1074)
-                        q = w * 2.0 ** -k if k > -1024 else np.ldexp(w, -k)  # 2.0 ** 1024 overflows
-                        np.multiply(np.floor(q, out=q), 2.0 ** k, out=q)
-                        part.append(q.sum())
-                        w = np.subtract(w, q, out=q)
-                    else:  # the last residual's float sum, and its error bound unless every r is 0
-                        m = w.sum()
-                        err += [math.ldexp(n * n, max(k - 53, -1074))] if m else []
-                    part.append(m)
-        for p, (part, err) in enumerate(zip(parts, errs)):
-            lo, s, hi = (_fsum([c * e for e in err] + part) for c in (-1.0, 0.0, 1.0))
-            sums[p] = s if lo == s == hi else sums[p]
-    return tuple(sums)
+    blocks = [a[i:i + _BLOCK] for i in range(0, a.size, _BLOCK)]
+    parts, errs = ([], [], []), ([], [], [])
+    with np.errstate(over="ignore"):
+        for b in blocks:
+            sq, n = b * b, b.size
+            for part, err, w in zip(parts, errs, (b, sq, sq * b)):
+                m, e = w.max(), 0.0
+                if 0.0 < m < math.inf:  # else every w is 0, or an inf power gives an inf total
+                    k = max(math.frexp(m)[1] + n.bit_length() - 53, -1074)
+                    q = w * 2.0 ** -k if k > -1024 else np.ldexp(w, -k)  # 2.0 ** 1024 overflows
+                    np.multiply(np.floor(q, out=q), 2.0 ** k, out=q)
+                    part.append(q.sum())
+                    w, e = np.subtract(w, q, out=q), math.ldexp(n * n, max(k - 53, -1074))
+                part.append(w.sum())
+                err.append(e if part[-1] else 0.0)  # r >= 0 sums to 0 only if every r is 0: no error
+        ends = [[_fsum([c * e for e in err] + part) for c in (-1.0, 0.0, 1.0)] for part, err in zip(parts, errs)]
+        return tuple(s if lo == s == hi else _fsum(chain.from_iterable((b, b * b, b * b * b)[p].tolist() for b in blocks))
+                     for p, (lo, s, hi) in enumerate(ends))
 
 
 def _integer_ratios(xs):

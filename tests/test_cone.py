@@ -20,6 +20,7 @@ from psq.cone import (
     MatrixSpec,
     _best_perturbation_slack,
     _dyadic_matrix,
+    _minus_blocks,
     _psi,
     _sampled_patterns,
     _sign_patterns,
@@ -683,7 +684,7 @@ class TestSampler:
         finally:
             tracemalloc.stop()
         # n_evaluated counts the cubics up to the witness's pattern (row 8, 10791, with OpenBLAS 0.3.31).
-        row = [tuple(p) for p in _sampled_patterns(d)].index(rep.witness.s)
+        row = [tuple(p) for p in _sampled_patterns(d, _minus_blocks(d))].index(rep.witness.s)
         assert rep.verdict == "nonmember" and rep.n_evaluated == (row + 1) * (2 * d - 1)
         assert peak < 100 * 2 ** 20, peak / 2 ** 20
 
@@ -750,20 +751,20 @@ class TestSampler:
         # starts with the d minus blocks, one of them balanced and the
         # last the one-sign pattern; every row, drawn ones too, is listed once.
         for d in range(11, 41):
-            rows = _sampled_patterns(d)
+            rows = _sampled_patterns(d, _minus_blocks(d))
             assert len({tuple(r) for r in rows}) == len(rows), d
             assert tuple(rows[(d + 1) // 2 - 1]) == reduced_sign_pattern(d)
             assert tuple(rows[d - 1]) == (-1,) * d
         # The draws are unchanged: dropping repeats keeps each drawn row.
         drawn = np.random.default_rng(0).choice(np.array([-1, 1], dtype=np.int8), size=(512, 11))
         drawn[:, 0] = -1
-        assert {tuple(r) for r in drawn} <= {tuple(r) for r in _sampled_patterns(11)}
+        assert {tuple(r) for r in drawn} <= {tuple(r) for r in _sampled_patterns(11, _minus_blocks(11))}
 
     def test_pattern_set_follows_its_count(self):
         # One cubic per pattern and block: every canonical pattern while
         # 2^(d-1) <= d + 512, else the d minus blocks and the distinct random
         # rows; blocks are the d - 1 proper prefixes and the d singletons.
-        for d, patterns in ((10, 2 ** 9), (11, len(_sampled_patterns(11)))):
+        for d, patterns in ((10, 2 ** 9), (11, len(_sampled_patterns(11, _minus_blocks(11))))):
             rep = sample_membership_general(np.eye(d))
             assert rep.verdict == "inconclusive"
             assert rep.n_evaluated == patterns * (2 * d - 1), d
@@ -915,7 +916,7 @@ def _whole_stack_search(m):
     candidate) order, or ("inconclusive", None, None, None).
     """
     d = m.shape[0]
-    pats = _sign_patterns(d) if 1 << (d - 1) <= d + 512 else _sampled_patterns(d)
+    pats = _sign_patterns(d) if 1 << (d - 1) <= d + 512 else _sampled_patterns(d, _minus_blocks(d))
     with np.errstate(all="ignore"):
         v = np.where(m.diagonal() > 0.0, m.diagonal(), 1.0) ** (-1.0 / 3.0)
         (fv, ev), (fm, em) = np.frexp(v), np.frexp(m)
@@ -956,7 +957,7 @@ def _fixed_probes_refute(m, seed=0):
     """Reference: the earlier sampler's probe vectors over its pattern set, 50 random probes, exact check."""
     d = m.shape[0]
     rng = np.random.default_rng(seed)
-    pats = _sign_patterns(d) if 1 << (d - 1) <= d + 512 else _sampled_patterns(d)
+    pats = _sign_patterns(d) if 1 << (d - 1) <= d + 512 else _sampled_patterns(d, _minus_blocks(d))
     probes = [np.ones(d)]
     for j, t in itertools.product(range(d), (1e-3, 1e3)):
         probes.append(np.where(np.arange(d) == j, t, 1.0))

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -233,7 +234,7 @@ class TestExactArraySums:
             ints = ([n << (1075 - d.bit_length()) for n, d in map(float.as_integer_ratio, p.tolist())] for p in (v, v * v, v * v * v))
             assert list(ps._array_sums(v)) == [sum(i) / 2 ** 1074 for i in ints]
 
-    def test_ties_round_to_even_across_blocks(self, monkeypatch):
+    def test_ties_round_to_even_across_blocks(self):
         # 1 + 2**-53 is a tie, so it rounds to the even 1.0; one more
         # 2**-106 past the tie, in a later block, rounds it up.
         a = np.full(2 * B + 1, 0.0)
@@ -242,13 +243,21 @@ class TestExactArraySums:
         a[2 * B] = 2.0 ** -106
         assert ps._array_sums(a)[0] == 1.0 + 2.0 ** -52 == math.fsum(a.tolist())
         # 1 and 2**-53 in one block leave a residual whose error bound spans the
-        # tie, which 2**-200 in a later block breaks: only a second level decides.
+        # tie, which 2**-200 in a later block breaks.
         b = np.full(2 * B + 1, 0.0)
         b[0], b[1], b[2 * B] = 1.0, 2.0 ** -53, 2.0 ** -200
-        calls, fsum = [], ps._fsum
-        monkeypatch.setattr(ps, "_fsum", lambda v: calls.append(1) or fsum(v))
         assert ps._array_sums(b)[0] == 1.0 + 2.0 ** -52 == math.fsum(b.tolist())
-        assert len(calls) == 2 * 9  # two levels, each checking three sums of three powers
+        # A tie whose tie-breaker, 2**-1074 in each copy, lies 1021 binades below
+        # it: 2**8 copies of 1 + 2**-54 + ... + 2**-1073 + 2**-1073 + 2**-1074.
+        # Such a sum costs O(n) however deep its tie-breaker; 2.6e5 entries take
+        # about 20 ms, and a re-extraction per 36 binades would take about 1 s.
+        one = [1.0, *(2.0 ** -j for j in range(54, 1074)), 2.0 ** -1073, 2.0 ** -1074]
+        c = np.tile(one, 2 ** 8)
+        t0 = time.perf_counter()
+        got = ps._array_sums(c)
+        assert time.perf_counter() - t0 < 0.5
+        want = [2.0 ** 8 * (1.0 + 2.0 ** -52), 2.0 ** 8, 2.0 ** 8]  # squares: 2**8 (1 + 2**-108 + ...)
+        assert list(got) == want == list_sums(c.tolist())
 
     @pytest.mark.parametrize(
         "spread, n",
