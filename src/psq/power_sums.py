@@ -17,7 +17,7 @@ Float inputs: each power is rounded once, as the IEEE products e * e and
 (e * e) * e, then summed exactly and rounded once, the value math.fsum
 returns, so results are deterministic and order-stable.  A 1-D float64
 ndarray, or an all-float list or tuple of at least _ARRAY_MIN entries once
-numpy is loaded (neither imports it), read into a float64 array, is summed
+numpy is loaded (neither imports it), read in one marshal pass (_float_array), is summed
 in numpy blocks of 2**16 entries by extraction (Rump, Ogita and Oishi 2008):
 each power splits into multiples of one power of two, summed exactly, and residuals
 whose float sum has a proven error bound; a total too near a rounding boundary is
@@ -29,13 +29,14 @@ else integer sums S_p of the numerators over each distinct denominator q, M_p = 
 
 from __future__ import annotations
 
+import marshal
 import math
 import numbers
 import sys
 from collections import defaultdict
 from fractions import Fraction
 from itertools import chain
-from operator import attrgetter, countOf, ge, index, le, mul
+from operator import attrgetter, ge, index, le, mul
 from typing import TYPE_CHECKING, NamedTuple, Union
 
 if TYPE_CHECKING:
@@ -115,19 +116,33 @@ def _real_array(a, name: str) -> np.ndarray:
         raise ValueError(f"{name} entries must be finite, got an integer beyond float range") from None
 
 
-# Shortest all-float sequence summed by _array_sums when numpy is loaded.
-# Warm, the routes break even at about 200 entries, but the first numpy
-# call after a stretch of pure-Python work costs about 50 us more, which
-# a quotient_q pair of lists repays only from about 400 entries each.
+# Shortest all-float sequence read by _float_array and summed by _array_sums
+# when numpy is loaded.  Warm, the routes break even at about 200 entries, but
+# the first numpy call after a stretch of pure-Python work costs about 50 us
+# more, which a quotient_q pair of lists repays only from about 400 entries each.
 _ARRAY_MIN = 1024
+
+
+def _float_array(seq, np):
+    """A list or tuple of exact floats as a new float64 array; None if any entry is not one.
+
+    marshal version 2 writes a 5-byte header, then each exact float as b"g" and 8 IEEE bytes, little-endian,
+    with no back-references (from version 3); by induction from offset 5, n codes b"g" in 5 + 9 n bytes are n floats.
+    """
+    try:
+        buf = marshal.dumps(seq, 2)
+    except ValueError:  # a Fraction, a float subclass or another object marshal cannot write
+        return None
+    ok = len(buf) == 5 + 9 * len(seq) and buf[5::9] == b"g" * len(seq)
+    return np.frombuffer(buf, np.dtype([("c", "u1"), ("v", "<f8")]), offset=5)["v"].astype(np.float64) if ok else None
 
 
 def _validated(entries, name: str):
     """validate_positive_vector's checks, returning (values, types).
 
-    A 1-D float64 ndarray that passes, or a long all-float sequence made
-    one, comes back as an array with types None; anything else as a
-    new list with the set of its entry types.
+    A 1-D float64 ndarray that passes, or a long all-float list or tuple
+    read into one by _float_array, comes back as an array with types None;
+    anything else as a new list with the set of its entry types.
     """
     # An ndarray or numpy scalar exists only once numpy is loaded.
     np = sys.modules.get("numpy")
@@ -145,11 +160,10 @@ def _validated(entries, name: str):
             raise ValueError(f"{name} must be a sequence of numbers") from None
     if not seq:
         raise ValueError(f"{name} must be nonempty")
-    # One exact-type pass (the test types == {float}) picks the array route.
-    n = len(seq)
-    if n >= _ARRAY_MIN and np is not None and type(seq[0]) is float and countOf(map(type, seq), float) == n:
-        a = np.fromiter(seq, np.float64, n)
-        if 0.0 < a.min() and a.max() < math.inf:
+    # One marshal pass (the test types == {float}) picks the array route.
+    if len(seq) >= _ARRAY_MIN and np is not None and type(seq[0]) is float:
+        a = _float_array(seq, np)
+        if a is not None and 0.0 < a.min() and a.max() < math.inf:
             return a, None
     types = set(map(type, seq))
     if types == {float}:  # min and max skip a NaN that is not first, hence the isnan pass
@@ -177,7 +191,9 @@ def validate_positive_vector(entries, name: str = "x") -> list:
     Subnormal floats are accepted; zero, negatives, NaN and inf are not.
     """
     values, types = _validated(entries, name)
-    return values.tolist() if types is None else values
+    if types is None:  # a list or tuple of floats holds the array's values
+        values = list(entries) if type(entries) in (list, tuple) else values.tolist()
+    return values
 
 
 _BLOCK = 1 << 16  # entries per numpy block of _array_sums
@@ -196,22 +212,22 @@ def _array_sums(a) -> tuple:
     """math.fsum of a, a * a and (a * a) * a for a 1-D float64 ndarray a >= 0; inf where it overflows.
 
     Extraction (Rump, Ogita and Oishi 2008): in a block of n <= 2**16 entries, a power w with max
-    m < 2**e is q + r, q = floor(w 2**-k) 2**k, k = max(e + bitlen(n) - 53, -1074).  q is exact
-    (w 2**-k is exact where it is >= 1; smaller values floor to 0), so is r = w - q in [0, 2**k)
-    (q = 0, or q <= w < 2q: Sterbenz).  Partial sums of q are multiples of 2**k below n 2**e <=
-    2**(k + 53): q.sum() is exact in any order; r.sum() errs by at most (n - 1) n 2**k u / (1 -
-    (n - 1) u) < n**2 2**(k - 53), u = 2**-53.  The total lies within E, the sum of those bounds,
-    of S, the parts' sum; if S - E, S and S + E round alike, so does it (rounding is monotone).
-    Else the total is near a rounding boundary: that power is math.fsum of its values, also O(n).
+    m < 2**e (the power of the block's max, as fl(x x) and fl(fl(x x) x) rise with x >= 0) is q + r,
+    q = floor(w 2**-k) 2**k, k = max(e + bitlen(n) - 53, -1074).  q is exact (w 2**-k is exact where
+    it is >= 1; smaller values floor to 0), so is r = w - q in [0, 2**k) (q = 0, or q <= w < 2q:
+    Sterbenz).  Partial sums of q are multiples of 2**k below n 2**e <= 2**(k + 53): q.sum() is
+    exact in any order; r.sum() errs by at most (n - 1) n 2**k u / (1 - (n - 1) u) < n**2 2**(k - 53),
+    u = 2**-53.  The total lies within E, the sum of those bounds, of S, the parts' sum; if S - E, S and
+    S + E round alike, so does it (rounding is monotone); else that power is math.fsum of its values.
     """
     import numpy as np
     blocks = [a[i:i + _BLOCK] for i in range(0, a.size, _BLOCK)]
     parts, errs = ([], [], []), ([], [], [])
     with np.errstate(over="ignore"):
         for b in blocks:
-            sq, n = b * b, b.size
-            for part, err, w in zip(parts, errs, (b, sq, sq * b)):
-                m, e = w.max(), 0.0
+            sq, n, top = b * b, b.size, float(b.max())
+            for part, err, w, m in zip(parts, errs, (b, sq, sq * b), (top, top * top, top * top * top)):
+                e = 0.0
                 if 0.0 < m < math.inf:  # else every w is 0, or an inf power gives an inf total
                     k = max(math.frexp(m)[1] + n.bit_length() - 53, -1074)
                     q = w * 2.0 ** -k if k > -1024 else np.ldexp(w, -k)  # 2.0 ** 1024 overflows

@@ -1,5 +1,6 @@
 import importlib
 import json
+import marshal
 import math
 import random
 import sys
@@ -322,6 +323,10 @@ class TestExactArraySums:
             assert str(err.value) == "y: power sums overflow float64; pass exact integers or fractions"
 
 
+class _Float(float):
+    pass
+
+
 class TestLongFloatLists:
     """All-float lists of _ARRAY_MIN or more entries take the array route
     once numpy is loaded; the sums and messages stay the list route's."""
@@ -369,15 +374,26 @@ class TestLongFloatLists:
             (True, "x[0] = True is not a number"),
             (0, "x[0] = 0 is not > 0; all entries must be positive"),
             ("2.0", "x[0] = '2.0' is not a number"),
+            # Entries that marshal rejects (Fraction, float subclasses) or writes in another layout.
+            pytest.param(np.float64(0.37), None, id="np.float64"),
+            pytest.param(np.float32(0.37), None, id="np.float32"),
+            pytest.param(_Float(0.37), None, id="float-subclass"),
+            pytest.param(Fraction(1, 3), None, id="Fraction"),
+            pytest.param(2 ** 70, None, id="2**70"),
+            *[(e, f"x[{at}] = {e!r} is not a number") for e in (None, [0.5]) for at in (0, 1100, 1199)],
         ],
     )
     def test_planted_entry_takes_the_entry_loop(self, planted, message):
         assert ps._ARRAY_MIN < 1100
         v = (10.0 ** np.random.default_rng(1100).uniform(-2.0, 0.0, 1200)).tolist()
-        v[0 if message and message.startswith("x[0]") else 1100] = planted
-        if message is None:
-            assert bits(tuple(power_sums(v))) == bits(reference_sums(v))
+        if message is None:  # a number, planted first, at 1100 or last, sums as on the list route
+            for at in (0, 1100, len(v) - 1):
+                w = v[:at] + [planted] + v[at + 1:]
+                assert ps._validated(w, "x")[1] == {float, type(planted)}
+                for form in (w, tuple(w)):
+                    assert bits(tuple(power_sums(form))) == bits(reference_sums(w))
             return
+        v[int(message[2:message.index("]")])] = planted
         calls = (validate_positive_vector, power_sums, lambda v: quotient_q(v, [1.0]), lambda v: q_ordered_nonpositive(v, v))
         for call in calls:
             with pytest.raises(ValueError) as err:
@@ -392,6 +408,21 @@ class TestLongFloatLists:
         assert bits(tuple(power_sums(v))) == bits(reference_sums(v))
         assert bits(tuple(power_sums(tuple(v)))) == bits(reference_sums(v))
 
+    def test_repeated_object_and_tuple_take_the_array_route(self):
+        v = (10.0 ** np.random.default_rng(3000).uniform(-2.0, 0.0, 3000)).tolist()
+        for form in ([0.37] * 3000, tuple(v)):
+            assert ps._validated(form, "x")[1] is None
+            assert bits(tuple(power_sums(form))) == bits(reference_sums(form))
+
+    def test_marshal_version_2_layout(self):
+        # _float_array reads this layout; if it changes, fail here rather than fall back slowly.
+        g = b"g\x00\x00\x00\x00\x00\x00\xf8?g\x01\x00\x00\x00\x00\x00\x00\x00"
+        assert marshal.dumps([1.5, 5e-324], 2) == b"[\x02\x00\x00\x00" + g
+        assert marshal.dumps((1.5, 5e-324), 2) == b"(\x02\x00\x00\x00" + g
+        for form in ([1.5, 5e-324], (1.5, 5e-324)):
+            a = ps._float_array(form, np)
+            assert a.dtype == np.float64 and a.flags.c_contiguous and a.tolist() == [1.5, 5e-324]
+
     @pytest.mark.parametrize("n", [3, ps._ARRAY_MIN + 1])
     def test_validate_returns_a_new_list(self, n):
         v = [0.5] * n
@@ -401,6 +432,8 @@ class TestLongFloatLists:
             before = list(form)
             out[0] = -1.0
             assert list(form) == before
+        assert [type(e) for e in validate_positive_vector(np.array(v))] == [float] * n
+        assert validate_positive_vector(iter(v)) == v
 
     def test_psi_leaves_a_mixed_z_unchanged(self):
         z = [1, np.float64(0.5), Fraction(1, 3), np.int64(2)]
